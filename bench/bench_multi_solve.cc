@@ -77,9 +77,12 @@ void BM_FusedMultiSolve(benchmark::State& state) {
   }
   state.counters["vectors"] = k;
 }
+// k = 3 is the pipeline's production width: spam mass's p and p′ fused
+// with the TrustRank solve.
 BENCHMARK(BM_FusedMultiSolve)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
@@ -103,6 +106,7 @@ void BM_IndependentSolves(benchmark::State& state) {
 BENCHMARK(BM_IndependentSolves)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);

@@ -61,14 +61,18 @@ util::Status WriteBinary(const WebGraph& graph, const std::string& path);
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 
 /// Maps a v2.2 file and returns a WebGraph whose arrays are zero-copy
-/// views into the mapping (WebGraph::is_mapped()). Load cost is O(1) in
-/// the graph size: the header page is validated (magic, section table,
-/// header checksum, all section bounds — so no access can fault past EOF),
-/// each section's bounded head/tail sample checksum is verified, and the
-/// small dangling section is fully validated; debug builds additionally
-/// verify every full-section checksum and run the O(n+m) structural
-/// validators. Host names (when present) are copied to the heap. Fails
-/// with InvalidArgument on v1/v2.0/v2.1 files — those load via ReadBinary.
+/// views into the mapping (WebGraph::is_mapped()). The header page is
+/// validated (magic, section table, header checksum, all section bounds —
+/// so no access can fault past EOF), each section's bounded head/tail
+/// sample checksum is verified, the small dangling section is fully
+/// validated, and the in-CSR the sweeps gather through is validated in
+/// full (ValidateCsr: offsets monotone, source ids < n, rows sorted), so a
+/// corrupt file is an InvalidArgument, never an out-of-bounds gather. That
+/// is the only O(n+m) step, and it reads the pages the first sweep would
+/// read anyway. Debug builds additionally verify every full-section
+/// checksum and validate the out-CSR and derived arrays. Host names (when
+/// present) are copied to the heap. Fails with InvalidArgument on
+/// v1/v2.0/v2.1 files — those load via ReadBinary.
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
 /// Writes the legacy version-1 container (per-row degree + target records,

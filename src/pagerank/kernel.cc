@@ -96,82 +96,68 @@ void DanglingSums(const WebGraph& graph, uint32_t k, const double* p,
 
 namespace {
 
-/// One sweep over node range [begin, end). K is the compile-time lane
-/// count (1/2/4/8/16 cover the batch widths the solver produces; K == 0
-/// falls back to the runtime k for compacted in-between widths).
-/// The per-lane arithmetic — accumulation order included — is the same for
-/// every K, so specializations only unroll, never reassociate.
+/// One sweep of K interleaved lanes over node range [begin, end),
+/// gathering through `sources`. Every width in [1, kMaxVectorsPerSweep] is
+/// instantiated (PickSweepRange), so the lane loops always have a constant
+/// trip count. The per-lane arithmetic — accumulation order included — is
+/// the same for every K, so specializations only unroll, never
+/// reassociate.
 template <uint32_t K>
-void SweepRange(const WebGraph& graph, uint32_t k, const double* v, double c,
-                const double* dangling, const double* p, const double* scaled,
-                double* next, double* next_scaled, double* diff_slot,
-                NodeId begin, NodeId end) {
-  const uint32_t lanes = K == 0 ? k : K;
+void SweepRange(const WebGraph& graph, const NodeId* sources,
+                const double* v, double c, const double* dangling,
+                const double* p, const double* scaled, double* next,
+                double* next_scaled, double* diff_slot, NodeId begin,
+                NodeId end) {
   const double* inv = graph.InvOutDegrees().data();
   const uint64_t* in_offsets = graph.InOffsets().data();
-  const NodeId* sources = graph.Sources().data();
   // Per-lane jump multiplier, hoisted out of the node loop:
   //   c·(in_sum + vy·d) + (1−c)·vy  =  c·in_sum + vy·((1−c) + c·d).
   // Computed identically by every chunk and every K path, so the
   // reassociation cannot introduce cross-configuration divergence.
-  double m[kMaxVectorsPerSweep];
-  for (uint32_t j = 0; j < lanes; ++j) {
+  double m[K];
+  for (uint32_t j = 0; j < K; ++j) {
     m[j] = (1.0 - c) + c * dangling[j];
   }
-  double diff[kMaxVectorsPerSweep] = {0.0};
+  double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
-    double in_sum[kMaxVectorsPerSweep];
-    for (uint32_t j = 0; j < lanes; ++j) in_sum[j] = 0.0;
+    double in_sum[K];
+    for (uint32_t j = 0; j < K; ++j) in_sum[j] = 0.0;
     for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-      const double* row = scaled + static_cast<uint64_t>(sources[e]) * lanes;
-      for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
+      const double* row = scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
     }
-    const double* vrow = v + static_cast<uint64_t>(y) * lanes;
-    const double* prow = p + static_cast<uint64_t>(y) * lanes;
-    double* nrow = next + static_cast<uint64_t>(y) * lanes;
+    const double* vrow = v + static_cast<uint64_t>(y) * K;
+    const double* prow = p + static_cast<uint64_t>(y) * K;
+    double* nrow = next + static_cast<uint64_t>(y) * K;
     if (next_scaled != nullptr) {
       const double w = inv[y];
-      double* srow = next_scaled + static_cast<uint64_t>(y) * lanes;
-      for (uint32_t j = 0; j < lanes; ++j) {
+      double* srow = next_scaled + static_cast<uint64_t>(y) * K;
+      for (uint32_t j = 0; j < K; ++j) {
         const double out = c * in_sum[j] + vrow[j] * m[j];
         diff[j] += std::abs(out - prow[j]);
         nrow[j] = out;
         srow[j] = out * w;
       }
     } else {
-      for (uint32_t j = 0; j < lanes; ++j) {
+      for (uint32_t j = 0; j < K; ++j) {
         const double out = c * in_sum[j] + vrow[j] * m[j];
         diff[j] += std::abs(out - prow[j]);
         nrow[j] = out;
       }
     }
   }
-  for (uint32_t j = 0; j < lanes; ++j) diff_slot[j] = diff[j];
-}
-
-using SweepRangeFn = void (*)(const WebGraph&, uint32_t, const double*,
-                              double, const double*, const double*,
-                              const double*, double*, double*, double*,
-                              NodeId, NodeId);
-
-SweepRangeFn PickSweepRange(uint32_t k) {
-  switch (k) {
-    case 1:
-      return SweepRange<1>;
-    case 2:
-      return SweepRange<2>;
-    case 4:
-      return SweepRange<4>;
-    case 8:
-      return SweepRange<8>;
-    case 16:
-      return SweepRange<16>;
-    default:
-      return SweepRange<0>;
-  }
+  for (uint32_t j = 0; j < K; ++j) diff_slot[j] = diff[j];
 }
 
 }  // namespace
+
+SweepRangeFn PickSweepRange(uint32_t k) {
+  CHECK_GE(k, 1u);
+  CHECK_LE(k, kMaxVectorsPerSweep);
+  static constexpr auto kTable = simd::LaneWidthTable<SweepRangeFn>(
+      [](auto width) { return &SweepRange<decltype(width)::value>; });
+  return kTable[k - 1];
+}
 
 void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
                               const double* v, double damping,
@@ -180,14 +166,13 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool) {
-  CHECK_GE(k, 1u);
-  CHECK_LE(k, kMaxVectorsPerSweep);
+  const SweepRangeFn sweep = PickSweepRange(k);
   const NodeId n = graph.num_nodes();
   const uint64_t chunks = NumChunks(n);
   partials->assign(chunks * k, 0.0);
-  const SweepRangeFn sweep = PickSweepRange(k);
+  const NodeId* sources = graph.Sources().data();
   ForEachChunk(pool, n, [&](uint64_t c, uint64_t begin, uint64_t end) {
-    sweep(graph, k, v, damping, dangling, p, scaled, next, next_scaled,
+    sweep(graph, sources, v, damping, dangling, p, scaled, next, next_scaled,
           partials->data() + c * k, static_cast<NodeId>(begin),
           static_cast<NodeId>(end));
   });
@@ -211,7 +196,6 @@ simd::SweepArgs<Real> MakeSweepArgs(const WebGraph& graph, uint32_t k,
                                     Real* next, Real* next_scaled,
                                     bool compressed, Real* m) {
   simd::SweepArgs<Real> args;
-  args.k = k;
   args.in_offsets = graph.InOffsets().data();
   if (compressed) {
     CHECK(graph.has_compressed_in())

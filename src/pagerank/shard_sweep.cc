@@ -1,7 +1,6 @@
 #include "pagerank/shard_sweep.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -69,69 +68,6 @@ uint64_t GraphFingerprint(const WebGraph& graph) {
                   tail * sizeof(uint64_t));
   }
   return hasher.digest();
-}
-
-/// The kernel's SweepRange (kernel.cc) with exactly one change: the gather
-/// walks the plan's shard-local sources instead of graph.Sources(). Same
-/// per-lane arithmetic, same accumulation order — specializations only
-/// unroll, never reassociate — so a sweep over bitwise-equal inputs yields
-/// bitwise-equal outputs.
-template <uint32_t K>
-void ShardSweepRange(const WebGraph& graph, const NodeId* sources,
-                     uint32_t k, const double* v, double c,
-                     const double* dangling, const double* p,
-                     const double* scaled, double* next, double* next_scaled,
-                     double* diff_slot, NodeId begin, NodeId end) {
-  const uint32_t lanes = K == 0 ? k : K;
-  const double* inv = graph.InvOutDegrees().data();
-  const uint64_t* in_offsets = graph.InOffsets().data();
-  double m[kernel::kMaxVectorsPerSweep];
-  for (uint32_t j = 0; j < lanes; ++j) {
-    m[j] = (1.0 - c) + c * dangling[j];
-  }
-  double diff[kernel::kMaxVectorsPerSweep] = {0.0};
-  for (NodeId y = begin; y < end; ++y) {
-    double in_sum[kernel::kMaxVectorsPerSweep];
-    for (uint32_t j = 0; j < lanes; ++j) in_sum[j] = 0.0;
-    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-      const double* row = scaled + static_cast<uint64_t>(sources[e]) * lanes;
-      for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
-    }
-    const double* vrow = v + static_cast<uint64_t>(y) * lanes;
-    const double* prow = p + static_cast<uint64_t>(y) * lanes;
-    double* nrow = next + static_cast<uint64_t>(y) * lanes;
-    const double w = inv[y];
-    double* srow = next_scaled + static_cast<uint64_t>(y) * lanes;
-    for (uint32_t j = 0; j < lanes; ++j) {
-      const double out = c * in_sum[j] + vrow[j] * m[j];
-      diff[j] += std::abs(out - prow[j]);
-      nrow[j] = out;
-      srow[j] = out * w;
-    }
-  }
-  for (uint32_t j = 0; j < lanes; ++j) diff_slot[j] = diff[j];
-}
-
-using ShardSweepRangeFn = void (*)(const WebGraph&, const NodeId*, uint32_t,
-                                   const double*, double, const double*,
-                                   const double*, const double*, double*,
-                                   double*, double*, NodeId, NodeId);
-
-ShardSweepRangeFn PickShardSweepRange(uint32_t k) {
-  switch (k) {
-    case 1:
-      return ShardSweepRange<1>;
-    case 2:
-      return ShardSweepRange<2>;
-    case 4:
-      return ShardSweepRange<4>;
-    case 8:
-      return ShardSweepRange<8>;
-    case 16:
-      return ShardSweepRange<16>;
-    default:
-      return ShardSweepRange<0>;
-  }
 }
 
 }  // namespace
@@ -204,7 +140,7 @@ void ShardRuntime::SweepMulti(const WebGraph& graph, uint32_t k,
   // the alignment argument), gathering through sources_local.
   const uint64_t chunks = kernel::NumChunks(n);
   partials->assign(chunks * k, 0.0);
-  const ShardSweepRangeFn sweep = PickShardSweepRange(k);
+  const kernel::SweepRangeFn sweep = kernel::PickSweepRange(k);
   const NodeId* sources = plan_.sources_local().data();
   // Per-chunk wall time; each worker writes only its own chunk's slot, so
   // no synchronization is needed. Aggregated per shard below (shard
@@ -214,7 +150,7 @@ void ShardRuntime::SweepMulti(const WebGraph& graph, uint32_t k,
   kernel::ForEachChunk(pool, n, [&](uint64_t c, uint64_t begin,
                                     uint64_t end) {
     util::WallTimer chunk_timer;
-    sweep(graph, sources, k, v, damping, dangling, p, scaled, next,
+    sweep(graph, sources, v, damping, dangling, p, scaled, next,
           next_scaled, partials->data() + c * k, static_cast<NodeId>(begin),
           static_cast<NodeId>(end));
     chunk_seconds[c] = chunk_timer.Seconds();

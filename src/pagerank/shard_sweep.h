@@ -1,9 +1,9 @@
 // Sharded multi-RHS Jacobi sweeps over a host-range ShardPlan
 // (graph/shard.h): each sweep first exchanges boundary rank — the scaled
 // values of every cross-shard source — into per-shard ghost slots, then
-// runs the reference sweep arithmetic with the plan's shard-local gather,
-// so every shard touches only its own compact working set plus its ghost
-// rows (ROADMAP item 3, out-of-core scale).
+// runs the kernel's own sweep body (kernel::PickSweepRange) over the
+// plan's shard-local gather, so every shard touches only its own compact
+// working set plus its ghost rows (ROADMAP item 3, out-of-core scale).
 //
 // Bit-identity argument (verified by the ParallelJacobiShard tests):
 //   * The plan's sources_local array only REMAPS ids — edge positions are

@@ -59,25 +59,15 @@ Level Best() {
 
 namespace {
 
-/// Scalar instantiation table: the same compile-time widths the fused
-/// kernel specializes (1/2/4/8/16), with the runtime-k body covering
-/// compacted in-between widths.
+/// Scalar instantiation table: one compile-time width per batch width
+/// 1..kMaxSweepLanes, so compacted in-between widths unroll too.
 template <typename Real, bool Compressed>
 SweepRangeFn<Real> PickScalar(uint32_t k) {
-  switch (k) {
-    case 1:
-      return ScalarSweepRange<Real, 1, Compressed>;
-    case 2:
-      return ScalarSweepRange<Real, 2, Compressed>;
-    case 4:
-      return ScalarSweepRange<Real, 4, Compressed>;
-    case 8:
-      return ScalarSweepRange<Real, 8, Compressed>;
-    case 16:
-      return ScalarSweepRange<Real, 16, Compressed>;
-    default:
-      return ScalarSweepRange<Real, 0, Compressed>;
-  }
+  static constexpr auto kTable =
+      LaneWidthTable<SweepRangeFn<Real>>([](auto width) {
+        return &ScalarSweepRange<Real, decltype(width)::value, Compressed>;
+      });
+  return kTable[k - 1];
 }
 
 template <typename Real>

@@ -8,10 +8,12 @@
 // double (or, via two registers, 8+ float) lanes of ONE node, and edge
 // contributions add in exactly the scalar body's order. The only numeric
 // difference from ScalarSweepRange is FMA contraction in the output
-// expression `c·in_sum + v·m`, which the compiler applies to the scalar
-// body as well at -O2; equivalence is asserted by
-// pagerank_sweep_variant_test.cc under tolerance, while the default
-// scalar/f64/plain path keeps the bit-exact guarantee.
+// expression `c·in_sum + v·m`. The scalar bodies are compiled for the
+// baseline x86-64 ISA, which has no FMA instruction, so they never
+// contract; equivalence is asserted by pagerank_sweep_variant_test.cc
+// under tolerance, while the default scalar/f64/plain path keeps the
+// bit-exact guarantee. For the same reason this TU must never instantiate
+// ScalarSweepRange: SPAMMASS_SIMD_VECTOR_TU hides it here.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 
+#define SPAMMASS_SIMD_VECTOR_TU
 #include "pagerank/simd_sweep_body.h"
 
 namespace spammass::pagerank::simd {

@@ -1,20 +1,28 @@
 // Shared sweep-loop body for every (precision, lane-width, edge-encoding)
-// variant of the multi-RHS Jacobi sweep. kernel.cc instantiates the scalar
-// template for the default bit-exact path; simd.cc instantiates the scalar
-// fallbacks for the non-default variants; simd_avx2.cc / simd_neon.cc
-// provide hand-vectorized overrides registered through simd.h. Keeping the
-// loop in one header guarantees every scalar variant computes the exact
-// expressions documented in kernel.h — specializations only unroll or
-// vectorize element-wise, never reassociate a lane's accumulation order.
+// variant of the non-default multi-RHS Jacobi sweeps. simd.cc instantiates
+// the scalar body at every lane width 1..kMaxSweepLanes for the f32 and
+// compressed variants and as the fallback for widths the vector backends
+// do not cover; simd_avx2.cc / simd_neon.cc provide hand-vectorized
+// overrides registered through simd.h. Keeping the loop in one header
+// guarantees every scalar variant computes the exact expressions
+// documented in kernel.h — specializations only unroll or vectorize
+// element-wise, never reassociate a lane's accumulation order.
 //
 // No intrinsics live here (spammass_lint.py `simd-isolation` enforces
-// that); this header is pure portable C++.
+// that); this header is pure portable C++. simd_avx2.cc defines
+// SPAMMASS_SIMD_VECTOR_TU before including it, which hides
+// ScalarSweepRange from that TU: it is compiled with -mfma, and C++'s
+// default -ffp-contract=fast would contract a scalar instantiation there
+// into FMA and break its bit-identity with the baseline-ISA build.
 
 #ifndef SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
 #define SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "graph/csr_codec.h"
 
@@ -27,12 +35,25 @@ using graph::NodeId;
 /// bodies do not need the full kernel header).
 inline constexpr uint32_t kMaxSweepLanes = 16;
 
+/// One compile-time instantiation per lane width: entry k − 1 is
+/// `instantiate(std::integral_constant<uint32_t, k>{})` for k in
+/// [1, kMaxSweepLanes]. Every sweep picker indexes such a table, so each
+/// batch width the solver produces — lane compaction included — runs a
+/// body whose lane loops have a constant trip count.
+template <typename Fn, typename Instantiate>
+constexpr std::array<Fn, kMaxSweepLanes> LaneWidthTable(
+    Instantiate instantiate) {
+  return [&]<uint32_t... I>(std::integer_sequence<uint32_t, I...>) {
+    return std::array<Fn, kMaxSweepLanes>{
+        instantiate(std::integral_constant<uint32_t, I + 1>{})...};
+  }(std::make_integer_sequence<uint32_t, kMaxSweepLanes>{});
+}
+
 /// Everything one sweep range needs, precomputed by the kernel entry point
 /// so every variant sees identical inputs. Lane j of node x lives at
 /// x·k + j in each interleaved array.
 template <typename Real>
 struct SweepArgs {
-  uint32_t k = 1;
   /// In-CSR: offsets always present (they carry the in-degrees); exactly
   /// one of `sources` (plain) or `comp_offsets`+`comp_bytes` (compressed)
   /// is non-null.
@@ -64,19 +85,20 @@ inline double AbsDiff(float a, float b) {
   return std::abs(static_cast<double>(a) - static_cast<double>(b));
 }
 
-/// Portable sweep over node range [begin, end). K is the compile-time lane
-/// count (0 = use args.k for compacted in-between widths). diff_slot[j]
-/// receives the range's L1 difference for lane j, accumulated in double.
+#ifndef SPAMMASS_SIMD_VECTOR_TU
+/// Portable sweep over node range [begin, end) of K interleaved lanes.
+/// diff_slot[j] receives the range's L1 difference for lane j, accumulated
+/// in double.
 template <typename Real, uint32_t K, bool Compressed>
 void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
                       NodeId begin, NodeId end) {
-  const uint32_t lanes = K == 0 ? args.k : K;
+  static_assert(K >= 1 && K <= kMaxSweepLanes);
   const uint64_t* in_offsets = args.in_offsets;
   const Real c = args.c;
-  double diff[kMaxSweepLanes] = {0.0};
+  double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
-    Real in_sum[kMaxSweepLanes];
-    for (uint32_t j = 0; j < lanes; ++j) in_sum[j] = Real(0);
+    Real in_sum[K];
+    for (uint32_t j = 0; j < K; ++j) in_sum[j] = Real(0);
     if constexpr (Compressed) {
       const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
       const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
@@ -84,39 +106,40 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
       for (uint64_t e = 0; e < degree; ++e) {
         const NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
         prev = src + 1;
-        const Real* row = args.scaled + static_cast<uint64_t>(src) * lanes;
-        for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
+        const Real* row = args.scaled + static_cast<uint64_t>(src) * K;
+        for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
       }
     } else {
       const NodeId* sources = args.sources;
       for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
         const Real* row =
-            args.scaled + static_cast<uint64_t>(sources[e]) * lanes;
-        for (uint32_t j = 0; j < lanes; ++j) in_sum[j] += row[j];
+            args.scaled + static_cast<uint64_t>(sources[e]) * K;
+        for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
       }
     }
-    const Real* vrow = args.v + static_cast<uint64_t>(y) * lanes;
-    const Real* prow = args.p + static_cast<uint64_t>(y) * lanes;
-    Real* nrow = args.next + static_cast<uint64_t>(y) * lanes;
+    const Real* vrow = args.v + static_cast<uint64_t>(y) * K;
+    const Real* prow = args.p + static_cast<uint64_t>(y) * K;
+    Real* nrow = args.next + static_cast<uint64_t>(y) * K;
     if (args.next_scaled != nullptr) {
       const Real w = args.inv[y];
-      Real* srow = args.next_scaled + static_cast<uint64_t>(y) * lanes;
-      for (uint32_t j = 0; j < lanes; ++j) {
+      Real* srow = args.next_scaled + static_cast<uint64_t>(y) * K;
+      for (uint32_t j = 0; j < K; ++j) {
         const Real out = c * in_sum[j] + vrow[j] * args.m[j];
         diff[j] += AbsDiff(out, prow[j]);
         nrow[j] = out;
         srow[j] = out * w;
       }
     } else {
-      for (uint32_t j = 0; j < lanes; ++j) {
+      for (uint32_t j = 0; j < K; ++j) {
         const Real out = c * in_sum[j] + vrow[j] * args.m[j];
         diff[j] += AbsDiff(out, prow[j]);
         nrow[j] = out;
       }
     }
   }
-  for (uint32_t j = 0; j < lanes; ++j) diff_slot[j] = diff[j];
+  for (uint32_t j = 0; j < K; ++j) diff_slot[j] = diff[j];
 }
+#endif  // SPAMMASS_SIMD_VECTOR_TU
 
 /// Signature every sweep-range implementation (scalar or vectorized)
 /// satisfies.

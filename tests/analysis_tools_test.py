@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Fixture tests for the static-analysis tools.
+"""Fixture tests for the static-analysis and bench-report tools.
 
 Feeds the intentionally-broken trees under tests/analysis_fixtures/ through
 tools/spammass_lint.py and tools/check_layers.py and asserts the exact
-violation reports (file, line, rule) plus exit codes. Registered as the
-`spammass_analysis_tools` ctest; also runnable directly:
+violation reports (file, line, rule) plus exit codes, and drives
+tools/bench_to_json.py's --baseline guard with a stand-in bench binary.
+Registered as the `spammass_analysis_tools` ctest; also runnable directly:
 
     python3 tests/analysis_tools_test.py
 """
 
+import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -19,6 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "analysis_fixtures")
 LINT = os.path.join(ROOT, "tools", "spammass_lint.py")
 CHECK_LAYERS = os.path.join(ROOT, "tools", "check_layers.py")
+BENCH_TO_JSON = os.path.join(ROOT, "tools", "bench_to_json.py")
 
 
 def run_tool(script, *argv):
@@ -167,6 +171,72 @@ class CheckLayersCyclicConfigTest(unittest.TestCase):
             os.unlink(path)
         self.assertEqual(code, 2, stdout + stderr)
         self.assertIn("unknown layer 'nonexistent'", stdout)
+
+
+class BenchBaselineHostGuardTest(unittest.TestCase):
+    """--baseline compares ratios only against a run from a like host."""
+
+    CONTEXT = {
+        "num_cpus": 4,
+        "caches": [{"type": "Data", "level": 1, "size": 49152},
+                   {"type": "Unified", "level": 3, "size": 314572800}],
+        "spammass_build_type": "release",
+    }
+
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        # A stand-in bench_graph_ops: writes a report whose serial/parallel
+        # pair gives a 1.0x speedup to the path in --benchmark_out=.
+        report = {"context": self.CONTEXT, "benchmarks": [
+            {"name": "BM_CsrBuildSerial", "real_time": 10.0,
+             "time_unit": "ms"},
+            {"name": "BM_CsrBuildParallel/2", "real_time": 10.0,
+             "time_unit": "ms"}]}
+        binary = os.path.join(self.dir.name, "bench_graph_ops")
+        with open(binary, "w", encoding="utf-8") as f:
+            f.write(f"#!{sys.executable}\n"
+                    "import sys\n"
+                    "out = [a.split('=', 1)[1] for a in sys.argv\n"
+                    "       if a.startswith('--benchmark_out=')][0]\n"
+                    f"open(out, 'w').write({json.dumps(report)!r})\n")
+        os.chmod(binary, os.stat(binary).st_mode | stat.S_IXUSR)
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def run_with_baseline(self, context):
+        baseline = os.path.join(self.dir.name, "baseline.json")
+        with open(baseline, "w", encoding="utf-8") as f:
+            # The committed run claims 2.0x: the current 1.0x is a drop.
+            json.dump({"context": context, "speedups": {
+                "graph_build_parallel_speedup_T2": 2.0}}, f)
+        return run_tool(BENCH_TO_JSON, "--bench-dir", self.dir.name,
+                        "--suite", "graph", "--baseline", baseline,
+                        "--out", os.path.join(self.dir.name, "out.json"))
+
+    def test_like_host_baseline_is_compared(self):
+        code, stdout, stderr = self.run_with_baseline(self.CONTEXT)
+        self.assertEqual(code, 0, stdout + stderr)
+        self.assertIn("REGRESSION graph_build_parallel_speedup_T2", stderr)
+        self.assertNotIn("refusing baseline", stderr)
+
+    def test_other_cpu_count_is_refused(self):
+        code, stdout, stderr = self.run_with_baseline(
+            dict(self.CONTEXT, num_cpus=1))
+        self.assertEqual(code, 0, stdout + stderr)
+        self.assertIn("refusing baseline", stderr)
+        self.assertIn("num_cpus 1 in the baseline vs 4 here", stderr)
+        self.assertNotIn("REGRESSION", stderr)
+
+    def test_other_cache_sizes_are_refused(self):
+        caches = [dict(c) for c in self.CONTEXT["caches"]]
+        caches[1]["size"] = 272629760
+        code, stdout, stderr = self.run_with_baseline(
+            dict(self.CONTEXT, caches=caches))
+        self.assertEqual(code, 0, stdout + stderr)
+        self.assertIn("refusing baseline", stderr)
+        self.assertIn("cache sizes differ", stderr)
+        self.assertNotIn("REGRESSION", stderr)
 
 
 class RealTreeGuardTest(unittest.TestCase):

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "graph/web_graph.h"
 #include "pagerank/solver.h"
 #include "util/checksum.h"
+#include "util/debug.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -39,6 +41,8 @@ constexpr uint64_t kPageSize = 4096;
 constexpr uint64_t kHeaderChecksumOffset = kPageSize - 8;
 constexpr uint64_t kSectionTableOffset = 40;
 constexpr uint64_t kSectionEntryBytes = 40;
+// Bytes the bounded sample checksum covers at each end of a section.
+constexpr uint64_t kSampleWindowBytes = 64 * 1024;
 
 class GraphMmapTest : public ::testing::Test {
  protected:
@@ -346,6 +350,64 @@ TEST_F(GraphMmapTest, RejectsHeaderClaimingMoreDataThanFileHolds) {
   EXPECT_NE(loaded.status().ToString().find("shorter than header claims"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+// Interior in-CSR damage the sample checksums cannot see: the sections are
+// larger than both 64 KiB sample windows and the patch lands between
+// them. The sweep gathers scaled[sources[e]] without a bounds check, so
+// the release load itself must refuse the file. Debug builds verify the
+// full-section checksum first; both are InvalidArgument.
+class GraphMmapInteriorDamageTest : public GraphMmapTest {
+ protected:
+  static constexpr uint32_t kNodes = 20000;
+
+  /// Writes a sample graph, lets `patch` damage the body of section
+  /// `section` (a pointer to its first byte and its length), and returns
+  /// the mmap load.
+  util::Result<WebGraph> LoadPatched(
+      const std::string& name, uint32_t section,
+      const std::function<void(uint8_t* body, uint64_t length)>& patch) {
+    const std::string path = TempPath(name);
+    EXPECT_TRUE(
+        graph::WriteBinaryV22(SampleGraph(kNodes, 4 * kNodes), path).ok());
+    std::vector<uint8_t> bytes = ReadFileBytes(path);
+    auto [offset, length] = SectionGeometry(bytes, section);
+    EXPECT_GT(length, 2 * kSampleWindowBytes);
+    patch(bytes.data() + offset, length);
+    WriteFileBytes(path, bytes);
+    return graph::ReadBinaryMmap(path);
+  }
+
+  static void ExpectRejected(const util::Result<WebGraph>& loaded,
+                             const std::string& release_message) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string want =
+        util::kDebugBuild ? "checksum mismatch" : release_message;
+    EXPECT_NE(loaded.status().ToString().find(want), std::string::npos)
+        << loaded.status().ToString();
+  }
+};
+
+TEST_F(GraphMmapInteriorDamageTest, RejectsOutOfRangeSourceId) {
+  auto loaded = LoadPatched(
+      "hostile_source.smwg", /*section=*/3,
+      [](uint8_t* body, uint64_t length) {
+        const NodeId hostile = 0x7FFFFFFF;
+        std::memcpy(body + length / 2 / 4 * 4, &hostile, sizeof(hostile));
+      });
+  ExpectRejected(loaded, "neighbor 2147483647 out of range");
+}
+
+TEST_F(GraphMmapInteriorDamageTest, RejectsDecreasingInOffsets) {
+  auto loaded = LoadPatched(
+      "decreasing_in_offsets.smwg", /*section=*/2,
+      [](uint8_t* body, uint64_t) {
+        // in_offsets[n/2] = in_offsets[n] = m: the next offset is smaller.
+        std::memcpy(body + kNodes / 2 * sizeof(uint64_t),
+                    body + kNodes * sizeof(uint64_t), sizeof(uint64_t));
+      });
+  ExpectRejected(loaded, "offsets decrease");
 }
 
 TEST_F(GraphMmapTest, HeapReaderAlsoRejectsCorruptPagedFiles) {

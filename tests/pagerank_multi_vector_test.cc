@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "every_width_batch.h"
 #include "graph/graph_builder.h"
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
@@ -119,6 +120,33 @@ TEST(MultiVectorTest, LanesConvergingAtDifferentTimesStayIndependent) {
   // The premise of the test: the lanes genuinely converge at different
   // sweeps (otherwise freezing was never exercised).
   EXPECT_NE(iterations[0], iterations[1]);
+}
+
+TEST(MultiVectorTest, CompactionThroughEveryWidthStaysBitIdentical) {
+  // Sixteen lanes converging at sixteen distinct sweeps: compaction runs
+  // the sweep at every width from 16 down to 1, and each width has its
+  // own compile-time body. Every lane must still match its standalone
+  // k = 1 solve bit for bit.
+  WebGraph g = MakeSyntheticGraph(500, 2500, /*seed=*/1);
+  const std::vector<JumpVector> jumps =
+      testutil::EveryWidthJumps(g.num_nodes());
+
+  SolverOptions opt;
+  opt.tolerance = 1e-13;
+  opt.max_iterations = 2000;
+  opt.track_residuals = true;
+
+  auto fused = pagerank::ComputePageRankMulti(g, jumps, opt);
+  ASSERT_TRUE(fused.ok());
+  ASSERT_EQ(fused.value().size(), jumps.size());
+  EXPECT_EQ(testutil::CompactionWidths(fused.value()),
+            testutil::AllWidths());
+  for (size_t j = 0; j < jumps.size(); ++j) {
+    auto standalone = pagerank::ComputePageRank(g, jumps[j], opt);
+    ASSERT_TRUE(standalone.ok());
+    ASSERT_TRUE(standalone.value().converged) << "lane " << j;
+    ExpectResultIdentical(fused.value()[j], standalone.value());
+  }
 }
 
 TEST(MultiVectorTest, BatchLargerThanSweepCapSplitsTransparently) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "every_width_batch.h"
 #include "graph/graph_builder.h"
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
@@ -105,26 +107,38 @@ TEST(ParallelJacobiShardTest, BitIdenticalUnderRedistributePolicy) {
 
 TEST(ParallelJacobiShardTest, MultiRhsShardedMatchesUnsharded) {
   // The spam-mass workload shape: fused multi-RHS lanes through one CSR
-  // traversal, now sharded. Each lane must stay bit-identical.
+  // traversal, now sharded. Each lane must stay bit-identical. The second
+  // batch compacts through every width from 16 down to 1, so the sharded
+  // sweep runs the kernel body at each of them.
   WebGraph g = MakeGraph(700, 4200, /*seed=*/31);
-  std::vector<JumpVector> jumps;
-  jumps.push_back(JumpVector::Uniform(g.num_nodes()));
-  jumps.push_back(JumpVector::Core(g.num_nodes(), {1, 5, 9, 44, 123}));
-  jumps.push_back(JumpVector::SingleNode(g.num_nodes(), 17, 1.0));
+  std::vector<JumpVector> spam_mass;
+  spam_mass.push_back(JumpVector::Uniform(g.num_nodes()));
+  spam_mass.push_back(JumpVector::Core(g.num_nodes(), {1, 5, 9, 44, 123}));
+  spam_mass.push_back(JumpVector::SingleNode(g.num_nodes(), 17, 1.0));
+  std::vector<JumpVector> every_width =
+      testutil::EveryWidthJumps(g.num_nodes());
 
-  SolverOptions base = JacobiOptions();
-  auto reference = ComputePageRankMulti(g, jumps, base);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const std::vector<JumpVector>* jumps : {&spam_mass, &every_width}) {
+    const std::string batch =
+        "k=" + std::to_string(jumps->size()) + " lane ";
+    SolverOptions base = JacobiOptions();
+    auto reference = ComputePageRankMulti(g, *jumps, base);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    if (jumps == &every_width) {
+      EXPECT_EQ(testutil::CompactionWidths(reference.value()),
+                testutil::AllWidths());
+    }
 
-  SolverOptions opt = base;
-  opt.shards = 4;
-  opt.num_threads = 4;
-  auto sharded = ComputePageRankMulti(g, jumps, opt);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ(sharded.value().size(), reference.value().size());
-  for (size_t j = 0; j < jumps.size(); ++j) {
-    ExpectBitIdentical(reference.value()[j], sharded.value()[j],
-                       "lane " + std::to_string(j));
+    SolverOptions opt = base;
+    opt.shards = 4;
+    opt.num_threads = 4;
+    auto sharded = ComputePageRankMulti(g, *jumps, opt);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_EQ(sharded.value().size(), reference.value().size());
+    for (size_t j = 0; j < jumps->size(); ++j) {
+      ExpectBitIdentical(reference.value()[j], sharded.value()[j],
+                         batch + std::to_string(j));
+    }
   }
 }
 

@@ -94,7 +94,11 @@ output so the file can never masquerade as a real measurement.
 Regression guard: `--baseline <committed BENCH_*.json>` compares every
 derived ratio against the committed run and warns when one drops by more
 than 10%. Warnings only — machine variance makes hard gates flaky — but
-they make a silent slowdown visible in the CI log.
+they make a silent slowdown visible in the CI log. A baseline whose
+context records a different `num_cpus` or different cache sizes is
+refused: its ratios measure another host (a parallel speedup from a
+1-vCPU VM only measures time-slicing), so nothing is compared and the
+refusal is printed instead of warnings.
 """
 
 import argparse
@@ -263,15 +267,44 @@ def report_build_type(report, binary):
     return build_type
 
 
-def check_regressions(speedups, baseline_path, threshold=0.10):
-    """Warns about ratios that dropped >threshold vs. the committed run."""
+def host_mismatch(context, baseline_context):
+    """Why two bench contexts describe different hosts, or None.
+
+    Compares the CPU count and the (type, level, size) of every cache.
+    """
+    def caches(ctx):
+        return sorted((c.get("type", ""), c.get("level", 0), c.get("size", 0))
+                      for c in ctx.get("caches", []))
+
+    context = context or {}
+    baseline_context = baseline_context or {}
+    reasons = []
+    if context.get("num_cpus") != baseline_context.get("num_cpus"):
+        reasons.append(f"num_cpus {baseline_context.get('num_cpus')} in the "
+                       f"baseline vs {context.get('num_cpus')} here")
+    if caches(context) != caches(baseline_context):
+        reasons.append("cache sizes differ")
+    return "; ".join(reasons) or None
+
+
+def check_regressions(speedups, context, baseline_path, threshold=0.10):
+    """Warns about ratios that dropped >threshold vs. the committed run.
+
+    Refuses (compares nothing) when the baseline comes from another host.
+    """
     try:
         with open(baseline_path, encoding="utf-8") as f:
-            baseline = json.load(f).get("speedups", {})
+            report = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"warning: cannot read baseline {baseline_path}: {e}",
               file=sys.stderr)
         return []
+    mismatch = host_mismatch(context, report.get("context"))
+    if mismatch:
+        print(f"warning: refusing baseline {baseline_path}: {mismatch}; "
+              "ratios not compared", file=sys.stderr)
+        return []
+    baseline = report.get("speedups", {})
     regressions = []
     for label, old in baseline.items():
         new = speedups.get(label)
@@ -314,7 +347,8 @@ def main():
                         help="forwarded as --benchmark_min_time in seconds (e.g. 0.1)")
     parser.add_argument("--baseline", default=None,
                         help="committed BENCH_*.json to compare ratios "
-                             "against; drops >10%% print a warning")
+                             "against; drops >10%% print a warning; refused "
+                             "when its num_cpus or cache sizes differ")
     parser.add_argument("--allow-non-release", action="store_true",
                         help="downgrade the non-release refusal to a "
                              "warning (output is stamped non_release_build)")
@@ -371,7 +405,8 @@ def main():
                       file=sys.stderr)
 
     if args.baseline:
-        check_regressions(merged["speedups"], args.baseline)
+        check_regressions(merged["speedups"], merged["context"],
+                          args.baseline)
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(merged, f, indent=2)
