@@ -494,13 +494,15 @@ std::span<const T> SectionSpan(const uint8_t* base, const SectionEntry& e) {
 /// 4 KiB-aligned, in canonical order, with the exact length its kind
 /// demands, inside the file — after this no array access can fault),
 /// every section's bounded sample checksum, the dangling list's structure
-/// (it indexes solver arrays), and the host-name sections in full (they
-/// are copied anyway). With `full_validate` — debug builds and the
-/// ReadBinary heap path — every full-section checksum and the O(n+m)
-/// structural validators run too. Release mmap loads otherwise trust the
-/// bulk array *contents* past their sample checksums; this is the same
-/// trust model v2 applies to the transpose property, extended to the
-/// paged arrays (docs/graph_format.md, "v2.2 trust model").
+/// (it indexes solver arrays), both CSR directions in full (ValidateCsr:
+/// the sweeps and the transpose index through them), and the host-name
+/// sections in full (they are copied anyway). With `full_validate` —
+/// debug builds and the ReadBinary heap path — every full-section
+/// checksum and the derived-array validator run too. Release mmap loads
+/// otherwise trust the inverse out-degrees past their sample checksums,
+/// and the two directions are not cross-checked against each other; this
+/// is the same trust model v2 applies to the transpose property
+/// (docs/graph_format.md, "v2.2 trust model").
 Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   auto open = util::MmapFile::Open(path);
   if (!open.ok()) return open.status();
@@ -635,11 +637,6 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   m.dangling = SectionSpan<NodeId>(base, entries[5]);
   m.has_names = has_names;
 
-  // Cheap structural spot checks on the offset arrays (two pages each).
-  if (m.out_offsets.front() != 0 || m.out_offsets.back() != num_edges ||
-      m.in_offsets.front() != 0 || m.in_offsets.back() != num_edges) {
-    return Status::InvalidArgument(path + ": CSR offsets corrupt");
-  }
   // The dangling list indexes the solver's rank arrays, so its entries are
   // always fully bounds-checked (it is tiny next to the CSR).
   for (size_t i = 0; i < m.dangling.size(); ++i) {
@@ -650,18 +647,18 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   }
 
   // Every sweep gathers scaled[sources[e]] over in-CSR rows with no bounds
-  // check, so the in-CSR is validated in full in every build (offsets
-  // monotone, ids < n, rows sorted). It reads exactly the pages the first
-  // sweep reads anyway.
-  const Status in_csr =
-      ValidateCsr(m.num_nodes, m.in_offsets, m.sources, "in");
-  if (!in_csr.ok()) {
-    return Status::InvalidArgument(path + ": " + in_csr.message());
+  // check, and WebGraph::Transposed() turns the out-CSR into the in-CSR
+  // that TrustRank's seed solve gathers through. So both directions are
+  // validated in full in every build (offsets monotone, ids < n, rows
+  // sorted). Each reads exactly the pages a sweep or the transpose reads
+  // anyway.
+  Status csr = ValidateCsr(m.num_nodes, m.in_offsets, m.sources, "in");
+  if (csr.ok()) {
+    csr = ValidateCsr(m.num_nodes, m.out_offsets, m.targets, "out");
   }
+  if (!csr.ok()) return Status::InvalidArgument(path + ": " + csr.message());
 
   if (full_validate) {
-    Status csr = ValidateCsr(m.num_nodes, m.out_offsets, m.targets, "out");
-    if (!csr.ok()) return Status(csr.code(), path + ": " + csr.message());
     Status derived = ValidateDerivedArrays(m.num_nodes, m.out_offsets,
                                            m.inv_out_degree, m.dangling);
     if (!derived.ok()) {
@@ -879,6 +876,15 @@ util::Result<WebGraph> ReadBinaryMmap(const std::string& path) {
   WebGraph g = WebGraph::FromMappedSections(
       m.num_nodes, m.out_offsets, m.targets, m.in_offsets, m.sources,
       m.inv_out_degree, m.dangling, m.file);
+  // MapV22 read the out-CSR only to validate it, and a solve-only run never
+  // reads it again, so its pages leave this process's RSS; the transpose
+  // maps them back from the page cache when it needs them.
+  const auto* out_begin =
+      reinterpret_cast<const uint8_t*>(m.out_offsets.data());
+  const auto* out_end =
+      reinterpret_cast<const uint8_t*>(m.targets.data() + m.targets.size());
+  m.file->DropResidentPages(static_cast<uint64_t>(out_begin - m.file->data()),
+                            static_cast<uint64_t>(out_end - out_begin));
   if (m.has_names) g.set_host_names(std::move(m.names));
   // Load-time residency baseline; snapshot points (CLI stats, manifest
   // build) republish so exports see the post-compute state.

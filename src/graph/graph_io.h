@@ -65,14 +65,14 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 /// validated (magic, section table, header checksum, all section bounds —
 /// so no access can fault past EOF), each section's bounded head/tail
 /// sample checksum is verified, the small dangling section is fully
-/// validated, and the in-CSR the sweeps gather through is validated in
-/// full (ValidateCsr: offsets monotone, source ids < n, rows sorted), so a
-/// corrupt file is an InvalidArgument, never an out-of-bounds gather. That
-/// is the only O(n+m) step, and it reads the pages the first sweep would
-/// read anyway. Debug builds additionally verify every full-section
-/// checksum and validate the out-CSR and derived arrays. Host names (when
-/// present) are copied to the heap. Fails with InvalidArgument on
-/// v1/v2.0/v2.1 files — those load via ReadBinary.
+/// validated, and both CSR directions are validated in full (ValidateCsr:
+/// offsets monotone, ids < n, rows sorted): the sweeps gather through the
+/// in-CSR, and through the out-CSR once WebGraph::Transposed() copies it.
+/// So a corrupt file is an InvalidArgument, never an out-of-bounds
+/// gather. That is the only O(n+m) step. Debug builds additionally verify
+/// every full-section checksum and validate the derived arrays. Host
+/// names (when present) are copied to the heap. Fails with
+/// InvalidArgument on v1/v2.0/v2.1 files — those load via ReadBinary.
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
 /// Writes the legacy version-1 container (per-row degree + target records,

@@ -97,11 +97,12 @@ void DanglingSums(const WebGraph& graph, uint32_t k, const double* p,
 namespace {
 
 /// One sweep of K interleaved lanes over node range [begin, end),
-/// gathering through `sources`. Every width in [1, kMaxVectorsPerSweep] is
-/// instantiated (PickSweepRange), so the lane loops always have a constant
-/// trip count. The per-lane arithmetic — accumulation order included — is
-/// the same for every K, so specializations only unroll, never
-/// reassociate.
+/// gathering through `sources` and prefetching each gathered row
+/// kPrefetchEdges edges ahead (simd_sweep_body.h). Every width in
+/// [1, kMaxVectorsPerSweep] is instantiated (PickSweepRange), so the lane
+/// loops always have a constant trip count. The per-lane arithmetic —
+/// accumulation order included — is the same for every K, so
+/// specializations only unroll, never reassociate.
 template <uint32_t K>
 void SweepRange(const WebGraph& graph, const NodeId* sources,
                 const double* v, double c, const double* dangling,
@@ -118,11 +119,13 @@ void SweepRange(const WebGraph& graph, const NodeId* sources,
   for (uint32_t j = 0; j < K; ++j) {
     m[j] = (1.0 - c) + c * dangling[j];
   }
+  const uint64_t edge_end = in_offsets[end];
   double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
     double in_sum[K];
     for (uint32_t j = 0; j < K; ++j) in_sum[j] = 0.0;
     for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      simd::PrefetchGatherRow<K>(scaled, sources, e, edge_end);
       const double* row = scaled + static_cast<uint64_t>(sources[e]) * K;
       for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
     }

@@ -36,13 +36,6 @@ bool Avx2HostSupported() {
 
 namespace {
 
-// Gathered `scaled` rows are the sweep's only hard-to-predict loads;
-// issuing a software prefetch this many edges ahead hides most of the
-// DRAM latency the hardware prefetcher cannot (the source IDs are
-// data-dependent). Cross-node prefetches are fine — the guard only keeps
-// the *index* load in bounds.
-constexpr uint64_t kPrefetchDistance = 16;
-
 // ---- float64 lanes ----
 
 /// K doubles (K ∈ {4, 8, 16}) of one node accumulate in K/4 ymm registers.
@@ -79,14 +72,7 @@ void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
     } else {
       const graph::NodeId* sources = args.sources;
       for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        if (e + kPrefetchDistance < edge_limit) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           args.scaled +
-                           static_cast<uint64_t>(
-                               sources[e + kPrefetchDistance]) *
-                               K),
-                       _MM_HINT_T0);
-        }
+        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
         const double* row =
             args.scaled + static_cast<uint64_t>(sources[e]) * K;
         for (uint32_t b = 0; b < kBlocks; ++b) {
@@ -163,14 +149,7 @@ void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
     } else {
       const graph::NodeId* sources = args.sources;
       for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        if (e + kPrefetchDistance < edge_limit) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           args.scaled +
-                           static_cast<uint64_t>(
-                               sources[e + kPrefetchDistance]) *
-                               K),
-                       _MM_HINT_T0);
-        }
+        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
         const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
         for (uint32_t b = 0; b < kBlocks; ++b) {
           acc[b] = _mm256_add_ps(acc[b], _mm256_loadu_ps(row + b * 8));
@@ -240,14 +219,7 @@ void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
     } else {
       const graph::NodeId* sources = args.sources;
       for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        if (e + kPrefetchDistance < edge_limit) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           args.scaled +
-                           static_cast<uint64_t>(
-                               sources[e + kPrefetchDistance]) *
-                               K),
-                       _MM_HINT_T0);
-        }
+        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
         acc = _mm_add_ps(acc, _mm_loadu_ps(args.scaled +
                                            static_cast<uint64_t>(sources[e]) *
                                                K));

@@ -9,7 +9,8 @@
 // element-wise, never reassociate a lane's accumulation order.
 //
 // No intrinsics live here (spammass_lint.py `simd-isolation` enforces
-// that); this header is pure portable C++. simd_avx2.cc defines
+// that); this header is portable C++ plus the GCC/Clang
+// `__builtin_prefetch`. simd_avx2.cc defines
 // SPAMMASS_SIMD_VECTOR_TU before including it, which hides
 // ScalarSweepRange from that TU: it is compiled with -mfma, and C++'s
 // default -ffp-contract=fast would contract a scalar instantiation there
@@ -25,6 +26,7 @@
 #include <utility>
 
 #include "graph/csr_codec.h"
+#include "util/cache_aligned.h"
 
 namespace spammass::pagerank::simd {
 
@@ -76,6 +78,37 @@ struct SweepArgs {
   Real* next_scaled = nullptr;
 };
 
+/// Software-prefetch look-ahead of the plain gather, in edges. The source
+/// ids are data-dependent, so the hardware prefetcher cannot follow the
+/// gathered `scaled` rows; prefetching the row kPrefetchEdges edges ahead
+/// overlaps the L3/DRAM misses of consecutive edges. A compile-time
+/// constant, not an option: 64 beat 32 on the 16-lane sweep, matched it
+/// on the k = 1 and k = 3 solves, and 128 was no better
+/// (docs/performance.md, "Gather latency").
+inline constexpr uint64_t kPrefetchEdges = 64;
+
+/// Prefetches every cache line of the K-lane row of `scaled` that the
+/// gather reads at edge e + kPrefetchEdges, unless that edge lies at or
+/// past `edge_end` — the chunk's last edge, in_offsets[end] — so `sources`
+/// is never read past the chunk (nor past a shard's local slice). With
+/// the workspace's line-aligned buffers a row whose size divides or is a
+/// multiple of the line never straddles one, so its line starts suffice;
+/// other widths also prefetch the row's last byte. A prefetch changes no
+/// value, only when the row arrives.
+template <uint32_t K, typename Real>
+inline void PrefetchGatherRow(const Real* scaled, const NodeId* sources,
+                              uint64_t e, uint64_t edge_end) {
+  if (e + kPrefetchEdges >= edge_end) return;
+  constexpr uint64_t kRowBytes = uint64_t{K} * sizeof(Real);
+  constexpr uint64_t kLine = util::kCacheLineBytes;
+  const char* row = reinterpret_cast<const char*>(
+      scaled + static_cast<uint64_t>(sources[e + kPrefetchEdges]) * K);
+  for (uint64_t b = 0; b < kRowBytes; b += kLine) __builtin_prefetch(row + b);
+  if constexpr (kRowBytes % kLine != 0 && kLine % kRowBytes != 0) {
+    __builtin_prefetch(row + kRowBytes - 1);
+  }
+}
+
 /// L1-difference term in double regardless of sweep precision: float
 /// variants widen BEFORE subtracting, so the residual the solver compares
 /// against the tolerance is a true float64 measurement of the float32
@@ -95,6 +128,7 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
   static_assert(K >= 1 && K <= kMaxSweepLanes);
   const uint64_t* in_offsets = args.in_offsets;
   const Real c = args.c;
+  const uint64_t edge_end = in_offsets[end];
   double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
     Real in_sum[K];
@@ -112,6 +146,7 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
     } else {
       const NodeId* sources = args.sources;
       for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+        PrefetchGatherRow<K>(args.scaled, sources, e, edge_end);
         const Real* row =
             args.scaled + static_cast<uint64_t>(sources[e]) * K;
         for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];

@@ -175,7 +175,7 @@ double DanglingSum(const WebGraph& graph, const std::vector<double>& p) {
 }
 
 /// Extracts lane `j` of the interleaved (n × k) buffer `flat` into `out`.
-void ExtractLane(const std::vector<double>& flat, uint64_t n, uint32_t k,
+void ExtractLane(const util::LaneVector<double>& flat, uint64_t n, uint32_t k,
                  uint32_t j, std::vector<double>* out) {
   out->resize(n);
   for (uint64_t x = 0; x < n; ++x) (*out)[x] = flat[x * k + j];
@@ -183,7 +183,7 @@ void ExtractLane(const std::vector<double>& flat, uint64_t n, uint32_t k,
 
 /// Removes the columns NOT listed in `keep` (ascending) from the
 /// interleaved (n × k) buffer, packing the survivors to width keep.size().
-void CompactLanes(std::vector<double>* flat, uint64_t n, uint32_t k,
+void CompactLanes(util::LaneVector<double>* flat, uint64_t n, uint32_t k,
                   const std::vector<uint32_t>& keep) {
   const auto kk = static_cast<uint32_t>(keep.size());
   for (uint64_t x = 0; x < n; ++x) {
@@ -206,17 +206,17 @@ void CompactLanes(std::vector<double>* flat, uint64_t n, uint32_t k,
 int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
                            const SolverOptions& opt,
                            const kernel::SweepVariant& variant,
-                           bool redistribute, std::vector<double>* cur,
-                           const std::vector<double>& vflat,
+                           bool redistribute, util::LaneVector<double>* cur,
+                           const util::LaneVector<double>& vflat,
                            std::vector<PageRankResult>* results,
                            SolverWorkspace* ws, util::ThreadPool* pool) {
   const double switch_tol =
       std::max(opt.f32_switch_tolerance, opt.tolerance);
-  std::vector<float>& fcur = ws->iterate_f32();
-  std::vector<float>& fnext = ws->next_f32();
-  std::vector<float>& fscaled = ws->scaled_f32();
-  std::vector<float>& fscaled_next = ws->scaled_next_f32();
-  std::vector<float>& fvflat = ws->jump_flat_f32();
+  util::LaneVector<float>& fcur = ws->iterate_f32();
+  util::LaneVector<float>& fnext = ws->next_f32();
+  util::LaneVector<float>& fscaled = ws->scaled_f32();
+  util::LaneVector<float>& fscaled_next = ws->scaled_next_f32();
+  util::LaneVector<float>& fvflat = ws->jump_flat_f32();
   std::vector<float>& finv = ws->inv_out_f32();
   fcur.resize(n * k);
   fnext.resize(n * k);
@@ -303,11 +303,11 @@ std::vector<PageRankResult> SolveJacobiBatch(
   const uint64_t scaled_rows =
       shard_rt != nullptr ? shard_rt->extended_rows() : n;
 
-  std::vector<double>& cur = ws->iterate();
-  std::vector<double>& next = ws->next();
-  std::vector<double>& scaled = ws->scaled();
-  std::vector<double>& scaled_next = ws->scaled_next();
-  std::vector<double>& vflat = ws->jump_flat();
+  util::LaneVector<double>& cur = ws->iterate();
+  util::LaneVector<double>& next = ws->next();
+  util::LaneVector<double>& scaled = ws->scaled();
+  util::LaneVector<double>& scaled_next = ws->scaled_next();
+  util::LaneVector<double>& vflat = ws->jump_flat();
   cur.resize(n * k);
   next.resize(n * k);
   scaled.resize(scaled_rows * k);
@@ -494,15 +494,15 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
   // Normalize the jump distribution.
-  std::vector<double>& v = ws->jump_flat();
-  v = jump.values();
+  util::LaneVector<double>& v = ws->jump_flat();
+  v.assign(jump.values().begin(), jump.values().end());
   double vnorm = 0;
   for (double x : v) vnorm += x;
   for (double& x : v) x /= vnorm;
 
-  std::vector<double>& p = ws->iterate();
-  std::vector<double>& next = ws->next();
-  std::vector<double>& scaled = ws->scaled();
+  util::LaneVector<double>& p = ws->iterate();
+  util::LaneVector<double>& next = ws->next();
+  util::LaneVector<double>& scaled = ws->scaled();
   p.assign(n, 1.0 / n);
   next.assign(n, 0.0);
   scaled.resize(n);

@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/cache_aligned.h"
 #include "util/thread_pool.h"
 
 namespace spammass::graph {
@@ -83,12 +84,14 @@ class SolverWorkspace {
 
   // Solver-internal scratch accessors. Contents are unspecified between
   // solves; each solve resizes what it needs. Exposed publicly so the
-  // kernel-level tests and benches can drive sweeps directly.
-  std::vector<double>& iterate() { return iterate_; }
-  std::vector<double>& next() { return next_; }
-  std::vector<double>& scaled() { return scaled_; }
-  std::vector<double>& scaled_next() { return scaled_next_; }
-  std::vector<double>& jump_flat() { return jump_flat_; }
+  // kernel-level tests and benches can drive sweeps directly. The
+  // interleaved lane buffers are util::LaneVector: their data() is
+  // cache-line aligned, so each gathered row touches the fewest lines.
+  util::LaneVector<double>& iterate() { return iterate_; }
+  util::LaneVector<double>& next() { return next_; }
+  util::LaneVector<double>& scaled() { return scaled_; }
+  util::LaneVector<double>& scaled_next() { return scaled_next_; }
+  util::LaneVector<double>& jump_flat() { return jump_flat_; }
   std::vector<double>& node_partials() { return node_partials_; }
   std::vector<double>& dangling_partials() { return dangling_partials_; }
   std::vector<double>& reduce_partials() { return reduce_partials_; }
@@ -96,11 +99,11 @@ class SolverWorkspace {
   // float32 twins used by the mixed-precision sweep pre-phase
   // (SweepPrecision::kMixedF32): lane storage in float halves the sweep's
   // memory traffic; inv_out_f32 caches the narrowed inverse out-degrees.
-  std::vector<float>& iterate_f32() { return iterate_f32_; }
-  std::vector<float>& next_f32() { return next_f32_; }
-  std::vector<float>& scaled_f32() { return scaled_f32_; }
-  std::vector<float>& scaled_next_f32() { return scaled_next_f32_; }
-  std::vector<float>& jump_flat_f32() { return jump_flat_f32_; }
+  util::LaneVector<float>& iterate_f32() { return iterate_f32_; }
+  util::LaneVector<float>& next_f32() { return next_f32_; }
+  util::LaneVector<float>& scaled_f32() { return scaled_f32_; }
+  util::LaneVector<float>& scaled_next_f32() { return scaled_next_f32_; }
+  util::LaneVector<float>& jump_flat_f32() { return jump_flat_f32_; }
   std::vector<float>& inv_out_f32() { return inv_out_f32_; }
 
   /// Bumps the solve counter (called by the solvers).
@@ -117,17 +120,17 @@ class SolverWorkspace {
   // double-buffered scaled iterate (the sweep writes next_scaled alongside
   // next, so the rescale pass runs once per solve, not once per sweep);
   // jump_flat holds the k jump vectors.
-  std::vector<double> iterate_;
-  std::vector<double> next_;
-  std::vector<double> scaled_;
-  std::vector<double> scaled_next_;
-  std::vector<double> jump_flat_;
+  util::LaneVector<double> iterate_;
+  util::LaneVector<double> next_;
+  util::LaneVector<double> scaled_;
+  util::LaneVector<double> scaled_next_;
+  util::LaneVector<double> jump_flat_;
   // float32 twins for the mixed-precision pre-phase.
-  std::vector<float> iterate_f32_;
-  std::vector<float> next_f32_;
-  std::vector<float> scaled_f32_;
-  std::vector<float> scaled_next_f32_;
-  std::vector<float> jump_flat_f32_;
+  util::LaneVector<float> iterate_f32_;
+  util::LaneVector<float> next_f32_;
+  util::LaneVector<float> scaled_f32_;
+  util::LaneVector<float> scaled_next_f32_;
+  util::LaneVector<float> jump_flat_f32_;
   std::vector<float> inv_out_f32_;
   // Chunk-indexed partials for the deterministic reductions.
   std::vector<double> node_partials_;

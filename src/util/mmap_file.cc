@@ -113,4 +113,14 @@ uint64_t MmapFile::ResidentBytesInRange(uint64_t offset,
   return bytes;
 }
 
+void MmapFile::DropResidentPages(uint64_t offset, uint64_t length) {
+  if (data_ == nullptr || offset >= size_) return;
+  if (length > size_ - offset) length = size_ - offset;
+  if (length == 0) return;
+  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  const uint64_t begin = offset / page * page;
+  ::madvise(const_cast<uint8_t*>(data_) + begin, offset + length - begin,
+            MADV_DONTNEED);
+}
+
 }  // namespace spammass::util

@@ -65,6 +65,14 @@ class MmapFile {
   /// ResidentBytes().
   uint64_t ResidentBytesInRange(uint64_t offset, uint64_t length) const;
 
+  /// Unmaps the pages of [offset, offset + length), widened to whole
+  /// pages, from this process (madvise MADV_DONTNEED), so they stop
+  /// counting toward its RSS. No byte changes: the mapping is a read-only
+  /// private file mapping, so a later read maps the page back from the
+  /// page cache or the file. Ranges past EOF are clamped; advisory, so a
+  /// failed kernel call is ignored.
+  void DropResidentPages(uint64_t offset, uint64_t length);
+
  private:
   const uint8_t* data_ = nullptr;
   uint64_t size_ = 0;

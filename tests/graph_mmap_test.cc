@@ -22,6 +22,8 @@
 #include "graph/graph_io.h"
 #include "graph/web_graph.h"
 #include "pagerank/solver.h"
+#include "pipeline/graph_source.h"
+#include "pipeline/pipeline.h"
 #include "util/checksum.h"
 #include "util/debug.h"
 #include "util/random.h"
@@ -352,19 +354,20 @@ TEST_F(GraphMmapTest, RejectsHeaderClaimingMoreDataThanFileHolds) {
       << loaded.status().ToString();
 }
 
-// Interior in-CSR damage the sample checksums cannot see: the sections are
+// Interior CSR damage the sample checksums cannot see: the sections are
 // larger than both 64 KiB sample windows and the patch lands between
-// them. The sweep gathers scaled[sources[e]] without a bounds check, so
-// the release load itself must refuse the file. Debug builds verify the
-// full-section checksum first; both are InvalidArgument.
+// them. The sweeps gather without a bounds check through the in-CSR and
+// through the transpose of the out-CSR, so the release load itself must
+// refuse the file. Debug builds verify the full-section checksum first;
+// both are InvalidArgument.
 class GraphMmapInteriorDamageTest : public GraphMmapTest {
  protected:
   static constexpr uint32_t kNodes = 20000;
 
   /// Writes a sample graph, lets `patch` damage the body of section
   /// `section` (a pointer to its first byte and its length), and returns
-  /// the mmap load.
-  util::Result<WebGraph> LoadPatched(
+  /// the file's path.
+  std::string WritePatched(
       const std::string& name, uint32_t section,
       const std::function<void(uint8_t* body, uint64_t length)>& patch) {
     const std::string path = TempPath(name);
@@ -375,7 +378,20 @@ class GraphMmapInteriorDamageTest : public GraphMmapTest {
     EXPECT_GT(length, 2 * kSampleWindowBytes);
     patch(bytes.data() + offset, length);
     WriteFileBytes(path, bytes);
-    return graph::ReadBinaryMmap(path);
+    return path;
+  }
+
+  /// WritePatched, then the mmap load.
+  util::Result<WebGraph> LoadPatched(
+      const std::string& name, uint32_t section,
+      const std::function<void(uint8_t* body, uint64_t length)>& patch) {
+    return graph::ReadBinaryMmap(WritePatched(name, section, patch));
+  }
+
+  /// Overwrites the middle id of an id section with 0x7FFFFFFF.
+  static void PatchHostileId(uint8_t* body, uint64_t length) {
+    const NodeId hostile = 0x7FFFFFFF;
+    std::memcpy(body + length / 2 / 4 * 4, &hostile, sizeof(hostile));
   }
 
   static void ExpectRejected(const util::Result<WebGraph>& loaded,
@@ -390,13 +406,30 @@ class GraphMmapInteriorDamageTest : public GraphMmapTest {
 };
 
 TEST_F(GraphMmapInteriorDamageTest, RejectsOutOfRangeSourceId) {
-  auto loaded = LoadPatched(
-      "hostile_source.smwg", /*section=*/3,
-      [](uint8_t* body, uint64_t length) {
-        const NodeId hostile = 0x7FFFFFFF;
-        std::memcpy(body + length / 2 / 4 * 4, &hostile, sizeof(hostile));
-      });
+  auto loaded =
+      LoadPatched("hostile_source.smwg", /*section=*/3, PatchHostileId);
   ExpectRejected(loaded, "neighbor 2147483647 out of range");
+}
+
+TEST_F(GraphMmapInteriorDamageTest, RejectsOutOfRangeTargetId) {
+  auto loaded =
+      LoadPatched("hostile_target.smwg", /*section=*/1, PatchHostileId);
+  ExpectRejected(loaded, "neighbor 2147483647 out of range");
+}
+
+TEST_F(GraphMmapInteriorDamageTest, HostileTargetIdFailsTrustRankCleanly) {
+  // The out-CSR reaches a sweep too: WebGraph::Transposed() copies it into
+  // the in-CSR that TrustRank's seed solve gathers through unchecked. The
+  // whole detector run over the mapped file must end in a clean error.
+  pipeline::GraphSource source = pipeline::GraphSource::FromFile(
+      WritePatched("hostile_target_run.smwg", /*section=*/1,
+                   PatchHostileId));
+  source.WithMmap();
+  auto run = pipeline::RunDetectors(source, pipeline::PipelineConfig{},
+                                    {"trustrank"});
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), util::StatusCode::kInvalidArgument)
+      << run.status().ToString();
 }
 
 TEST_F(GraphMmapInteriorDamageTest, RejectsDecreasingInOffsets) {

@@ -1,9 +1,11 @@
 // mincore-backed residency probes: util::MmapFile::ResidentBytes[InRange]
 // on a raw temp file (touched pages become resident, ranges clamp at EOF,
-// section sums never exceed the whole), WebGraph::MappedSectionResidency
-// on a real v2.2 mapped graph, and the clean zero/empty behaviour of the
-// non-mapped (heap) path that `spammass_cli stats` and manifest v3 rely
-// on to distinguish "absent" from "zero".
+// section sums never exceed the whole), MmapFile::DropResidentPages
+// (dropped pages leave RSS and read back unchanged),
+// WebGraph::MappedSectionResidency on a real v2.2 mapped graph, and the
+// clean zero/empty behaviour of the non-mapped (heap) path that
+// `spammass_cli stats` and manifest v3 rely on to distinguish "absent"
+// from "zero".
 //
 // Residency is advisory — pages can be reclaimed between a touch and the
 // probe — so assertions are one-sided: touched data may exceed a floor,
@@ -20,6 +22,7 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/web_graph.h"
+#include "obs/resource.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
 
@@ -107,12 +110,48 @@ TEST(MmapResidencyTest, RangeQueriesClampAndBound) {
   EXPECT_GE(a + b, file.ResidentBytes() == file.size() ? file.size() : 0u);
 }
 
+/// Sums one byte per 512 of the mapping, faulting every page in.
+uint64_t TouchAll(const util::MmapFile& file) {
+  uint64_t sum = 0;
+  for (uint64_t i = 0; i < file.size(); i += 512) sum += file.data()[i];
+  return sum;
+}
+
+TEST(MmapResidencyTest, DroppedPagesLeaveRssAndReadBackUnchanged) {
+  constexpr uint64_t kBytes = uint64_t{16} << 20;
+  const std::string path = WriteBlob("residency_drop.bin", kBytes);
+  auto mapped = util::MmapFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  util::MmapFile& file = mapped.value();
+
+  const uint64_t sum = TouchAll(file);
+  ASSERT_NE(sum, uint64_t{0});
+  const obs::ResourceUsage touched = obs::SampleResourceUsage();
+  file.DropResidentPages(0, file.size());
+  const obs::ResourceUsage dropped = obs::SampleResourceUsage();
+  if (touched.has_memory && dropped.has_memory) {
+    // One-sided, like every residency assertion here: at least half of
+    // the 16 MiB must leave the process's RSS.
+    EXPECT_LE(dropped.rss_bytes + kBytes / 2, touched.rss_bytes);
+  }
+  // The pages come back from the page cache with the same bytes.
+  EXPECT_EQ(TouchAll(file), sum);
+
+  // Partial, past-EOF and empty ranges are clamped, never a fault.
+  file.DropResidentPages(100, 200);
+  file.DropResidentPages(kBytes - 10, 4096);
+  file.DropResidentPages(kBytes, 4096);
+  file.DropResidentPages(0, 0);
+  EXPECT_EQ(TouchAll(file), sum);
+}
+
 TEST(MmapResidencyTest, EmptyMappingReportsZero) {
   const std::string path = WriteBlob("residency_empty.bin", 0);
   auto mapped = util::MmapFile::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_EQ(mapped.value().ResidentBytes(), uint64_t{0});
   EXPECT_EQ(mapped.value().ResidentBytesInRange(0, 4096), uint64_t{0});
+  mapped.value().DropResidentPages(0, 4096);  // a no-op, not a fault
 }
 
 TEST(MmapResidencyTest, MappedGraphSectionResidency) {

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "every_width_batch.h"
@@ -16,6 +19,7 @@
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/kernel.h"
+#include "pagerank/simd_sweep_body.h"
 #include "pagerank/solver.h"
 #include "util/random.h"
 
@@ -146,6 +150,125 @@ TEST(MultiVectorTest, CompactionThroughEveryWidthStaysBitIdentical) {
     ASSERT_TRUE(standalone.ok());
     ASSERT_TRUE(standalone.value().converged) << "lane " << j;
     ExpectResultIdentical(fused.value()[j], standalone.value());
+  }
+}
+
+/// Graphs on which the gather's prefetch look-ahead (kPrefetchEdges edges,
+/// bounded by the chunk's last edge) runs off the end of `sources`.
+std::vector<std::pair<std::string, WebGraph>> PrefetchBoundaryGraphs() {
+  static_assert(pagerank::simd::kPrefetchEdges > 20);
+  std::vector<std::pair<std::string, WebGraph>> graphs;
+  graphs.emplace_back("one node, no edges", GraphBuilder(1).Build());
+  // m = 20 < kPrefetchEdges: every edge's look-ahead is out of bounds.
+  GraphBuilder few(80);
+  for (NodeId x = 0; x < 20; ++x) few.AddEdge(x, (7 * x + 3) % 80);
+  graphs.emplace_back("fewer edges than the look-ahead", few.Build());
+  // n = 600 splits into chunks [0, 256), [256, 512), [512, 600). No edge
+  // points at a node >= 500, so the second chunk ends in 12 rows with no
+  // in-edges and the last chunk has none at all.
+  util::Rng rng(/*seed=*/53);
+  GraphBuilder tail(600);
+  for (uint32_t e = 0; e < 3000; ++e) {
+    auto u = static_cast<NodeId>(rng.UniformIndex(600));
+    auto v = static_cast<NodeId>(rng.UniformIndex(500));
+    if (u != v) tail.AddEdge(u, v);
+  }
+  graphs.emplace_back("empty trailing rows and last chunk", tail.Build());
+  for (auto& [name, g] : graphs) g.BuildCompressedInAdjacency();
+  return graphs;
+}
+
+/// Sixteen jumps with masses 8^-j: the every-width batch where the graph
+/// is large enough for it, single-node jumps otherwise.
+std::vector<JumpVector> BoundaryJumps(uint32_t n) {
+  if (n >= 76) return testutil::EveryWidthJumps(n);
+  std::vector<JumpVector> jumps;
+  for (uint32_t j = 0; j < pagerank::kernel::kMaxVectorsPerSweep; ++j) {
+    jumps.push_back(JumpVector::SingleNode(
+        n, j % n, std::ldexp(1.0, -3 * static_cast<int>(j))));
+  }
+  return jumps;
+}
+
+TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
+  // Every width 1..16 through every sweep body, on graphs where the
+  // look-ahead passes the last edge. A read past `sources` is what the
+  // sanitizer build catches; the results must keep each body's contract
+  // against the standalone default solve: bit-identical for the scalar
+  // f64 bodies (plain, compressed, sharded), within FMA rounding for the
+  // vector bodies, and within the solver tolerance for mixed f32.
+  struct Variant {
+    const char* name;
+    pagerank::SimdPolicy simd;
+    pagerank::SweepPrecision precision;
+    bool compressed;
+    uint32_t shards;
+    double max_abs_diff;  // 0: bit-identical
+  };
+  using pagerank::SimdPolicy;
+  using pagerank::SweepPrecision;
+  const Variant variants[] = {
+      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, false, 1,
+       0.0},
+      {"scalar f64 compressed", SimdPolicy::kScalar,
+       SweepPrecision::kFloat64, true, 1, 0.0},
+      {"scalar f64 sharded", SimdPolicy::kScalar, SweepPrecision::kFloat64,
+       false, 2, 0.0},
+      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, false, 1,
+       1e-9},
+      {"auto f64 compressed", SimdPolicy::kAuto, SweepPrecision::kFloat64,
+       true, 1, 1e-9},
+      {"scalar mixed-f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32,
+       false, 1, 1e-8},
+      {"scalar mixed-f32 compressed", SimdPolicy::kScalar,
+       SweepPrecision::kMixedF32, true, 1, 1e-8},
+      {"auto mixed-f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32, false,
+       1, 1e-8},
+      {"auto mixed-f32 compressed", SimdPolicy::kAuto,
+       SweepPrecision::kMixedF32, true, 1, 1e-8},
+  };
+  SolverOptions reference;
+  reference.tolerance = 1e-12;
+  reference.max_iterations = 2000;
+  reference.track_residuals = true;
+
+  for (const auto& [graph_name, g] : PrefetchBoundaryGraphs()) {
+    const std::vector<JumpVector> jumps = BoundaryJumps(g.num_nodes());
+    std::vector<PageRankResult> standalone;
+    for (const JumpVector& jump : jumps) {
+      auto r = pagerank::ComputePageRank(g, jump, reference);
+      ASSERT_TRUE(r.ok()) << graph_name;
+      standalone.push_back(std::move(r).value());
+    }
+    for (const Variant& variant : variants) {
+      SolverOptions opt = reference;
+      opt.simd = variant.simd;
+      opt.precision = variant.precision;
+      opt.compressed_gather = variant.compressed;
+      opt.shards = variant.shards;
+      for (uint32_t k = 1; k <= jumps.size(); ++k) {
+        SCOPED_TRACE(graph_name + ", " + variant.name + ", k = " +
+                     std::to_string(k));
+        const std::vector<JumpVector> batch(jumps.begin(),
+                                            jumps.begin() + k);
+        auto fused = pagerank::ComputePageRankMulti(g, batch, opt);
+        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+        for (uint32_t j = 0; j < k; ++j) {
+          const PageRankResult& got = fused.value()[j];
+          if (variant.max_abs_diff == 0.0) {
+            ExpectResultIdentical(got, standalone[j]);
+            continue;
+          }
+          EXPECT_TRUE(got.converged) << "lane " << j;
+          ASSERT_EQ(got.scores.size(), standalone[j].scores.size());
+          for (size_t x = 0; x < got.scores.size(); ++x) {
+            EXPECT_NEAR(got.scores[x], standalone[j].scores[x],
+                        variant.max_abs_diff)
+                << "lane " << j << " node " << x;
+          }
+        }
+      }
+    }
   }
 }
 

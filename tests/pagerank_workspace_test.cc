@@ -4,18 +4,24 @@
 // to a fresh-state solve. The suite drives the risky reuse patterns:
 // interleaving solves over graphs of different sizes (buffers must resize
 // but stale contents must never leak into results), switching thread
-// counts mid-stream (pool replacement), and long solve chains.
+// counts mid-stream (pool replacement), and long solve chains. It also
+// pins the layout the sweep's gather relies on: every interleaved lane
+// buffer starts on a cache line.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "every_width_batch.h"
 #include "graph/graph_builder.h"
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/solver.h"
 #include "pagerank/workspace.h"
+#include "util/cache_aligned.h"
 #include "util/random.h"
 
 namespace spammass {
@@ -167,6 +173,76 @@ TEST(SolverWorkspaceTest, LongReuseChainStaysExact) {
     ExpectBitIdentical(r.value().scores, fresh.value().scores);
   }
   EXPECT_EQ(ws.solve_count(), 20u);
+}
+
+/// Asserts that every interleaved lane buffer, f32 twins included, is
+/// allocated and starts on a cache line.
+void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
+  const struct {
+    const char* name;
+    const void* data;
+  } buffers[] = {
+      {"iterate", ws.iterate().data()},
+      {"next", ws.next().data()},
+      {"scaled", ws.scaled().data()},
+      {"scaled_next", ws.scaled_next().data()},
+      {"jump_flat", ws.jump_flat().data()},
+      {"iterate_f32", ws.iterate_f32().data()},
+      {"next_f32", ws.next_f32().data()},
+      {"scaled_f32", ws.scaled_f32().data()},
+      {"scaled_next_f32", ws.scaled_next_f32().data()},
+      {"jump_flat_f32", ws.jump_flat_f32().data()},
+  };
+  for (const auto& buffer : buffers) {
+    ASSERT_NE(buffer.data, nullptr) << buffer.name << " after " << when;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer.data) %
+                  util::kCacheLineBytes,
+              0u)
+        << buffer.name << " after " << when;
+  }
+}
+
+TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
+  // Mixed precision sizes the f32 twins as well as the f64 buffers.
+  SolverOptions mixed;
+  mixed.precision = pagerank::SweepPrecision::kMixedF32;
+  mixed.tolerance = 1e-11;
+  mixed.max_iterations = 2000;
+  SolverWorkspace ws;
+
+  WebGraph small = MakeSyntheticGraph(120, 500, /*seed=*/5);
+  const std::vector<JumpVector> pair = {
+      JumpVector::Uniform(small.num_nodes()),
+      JumpVector::Core(small.num_nodes(), {1, 3, 5})};
+  ASSERT_TRUE(pagerank::ComputePageRankMulti(small, pair, mixed, &ws).ok());
+  ExpectLaneBuffersAligned(ws, "first resize");
+
+  WebGraph big = MakeSyntheticGraph(500, 2500, /*seed=*/1);
+  const size_t small_size = ws.iterate().size();
+  const std::vector<JumpVector> triple = {
+      JumpVector::Uniform(big.num_nodes()),
+      JumpVector::Core(big.num_nodes(), {2, 4}),
+      JumpVector::SingleNode(big.num_nodes(), 9, 0.5)};
+  ASSERT_TRUE(pagerank::ComputePageRankMulti(big, triple, mixed, &ws).ok());
+  ASSERT_GT(ws.iterate().size(), small_size);
+  ExpectLaneBuffersAligned(ws, "growth");
+
+  ws.iterate().swap(ws.next());
+  ws.scaled().swap(ws.scaled_next());
+  ws.iterate_f32().swap(ws.next_f32());
+  ws.scaled_f32().swap(ws.scaled_next_f32());
+  ExpectLaneBuffersAligned(ws, "swap");
+
+  // Sixteen lanes compacting through every width down to one.
+  SolverOptions f64;
+  f64.tolerance = 1e-13;
+  f64.max_iterations = 2000;
+  auto batch = pagerank::ComputePageRankMulti(
+      big, testutil::EveryWidthJumps(big.num_nodes()), f64, &ws);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(testutil::CompactionWidths(batch.value()),
+            testutil::AllWidths());
+  ExpectLaneBuffersAligned(ws, "compaction 16 -> 1");
 }
 
 TEST(SolverWorkspaceTest, PreSpawnedPoolConstructor) {
