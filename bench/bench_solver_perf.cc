@@ -90,7 +90,8 @@ std::vector<double> SeedJacobiSolve(const WebGraph& g, const JumpVector& v,
   const double c = opt.damping;
   const bool redistribute =
       opt.dangling == pagerank::DanglingPolicy::kRedistributeToJump;
-  std::vector<double> p(v.values());
+  const std::vector<double> vd = v.ToDense();
+  std::vector<double> p = vd;
   std::vector<double> next(n);
   for (int i = 0; i < opt.max_iterations; ++i) {
     double dangling = 0;
@@ -105,7 +106,7 @@ std::vector<double> SeedJacobiSolve(const WebGraph& g, const JumpVector& v,
       for (NodeId x : g.InNeighbors(y)) {
         in_sum += p[x] / g.OutDegree(x);
       }
-      const double out = c * (in_sum + v[y] * dangling) + (1.0 - c) * v[y];
+      const double out = c * (in_sum + vd[y] * dangling) + (1.0 - c) * vd[y];
       diff += std::abs(out - p[y]);
       next[y] = out;
     }

@@ -94,6 +94,37 @@ void DanglingSums(const WebGraph& graph, uint32_t k, const double* p,
   }
 }
 
+LaneJumpTable<double> BuildLaneJumps(
+    const std::vector<const JumpVector*>& jumps) {
+  const auto k = static_cast<uint32_t>(jumps.size());
+  CHECK_GE(k, 1u);
+  CHECK_LE(k, kMaxVectorsPerSweep);
+  LaneJumpTable<double> table;
+  for (const JumpVector* jump : jumps) {
+    CHECK_EQ(jump->n(), jumps.front()->n());
+    table.fill.push_back(jump->fill());
+    table.ids.insert(table.ids.end(), jump->support().begin(),
+                     jump->support().end());
+  }
+  std::sort(table.ids.begin(), table.ids.end());
+  table.ids.erase(std::unique(table.ids.begin(), table.ids.end()),
+                  table.ids.end());
+  const uint64_t count = table.ids.size();
+  table.rows.resize(count * k);
+  for (uint32_t j = 0; j < k; ++j) {
+    // Both id lists ascend: one forward walk places lane j's support and
+    // leaves its fill on the union's other rows.
+    const std::vector<NodeId>& support = jumps[j]->support();
+    const std::vector<double>& values = jumps[j]->support_values();
+    size_t s = 0;
+    for (uint64_t i = 0; i < count; ++i) {
+      const bool own = s < support.size() && support[s] == table.ids[i];
+      table.rows[i * k + j] = own ? values[s++] : table.fill[j];
+    }
+  }
+  return table;
+}
+
 namespace {
 
 /// One sweep of K interleaved lanes over node range [begin, end),
@@ -102,13 +133,14 @@ namespace {
 /// [1, kMaxVectorsPerSweep] is instantiated (PickSweepRange), so the lane
 /// loops always have a constant trip count. The per-lane arithmetic —
 /// accumulation order included — is the same for every K, so
-/// specializations only unroll, never reassociate.
+/// specializations only unroll, never reassociate. Row y of `p` is read
+/// before row y of `next` is stored, so `next` may equal `p`.
 template <uint32_t K>
 void SweepRange(const WebGraph& graph, const NodeId* sources,
-                const double* v, double c, const double* dangling,
-                const double* p, const double* scaled, double* next,
-                double* next_scaled, double* diff_slot, NodeId begin,
-                NodeId end) {
+                const simd::LaneJumps<double>& v, double c,
+                const double* dangling, const double* p, const double* scaled,
+                double* next, double* next_scaled, double* diff_slot,
+                NodeId begin, NodeId end) {
   const double* inv = graph.InvOutDegrees().data();
   const uint64_t* in_offsets = graph.InOffsets().data();
   // Per-lane jump multiplier, hoisted out of the node loop:
@@ -120,6 +152,7 @@ void SweepRange(const WebGraph& graph, const NodeId* sources,
     m[j] = (1.0 - c) + c * dangling[j];
   }
   const uint64_t edge_end = in_offsets[end];
+  simd::JumpCursor<K, double> jump(v, begin);
   double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
     double in_sum[K];
@@ -129,7 +162,7 @@ void SweepRange(const WebGraph& graph, const NodeId* sources,
       const double* row = scaled + static_cast<uint64_t>(sources[e]) * K;
       for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
     }
-    const double* vrow = v + static_cast<uint64_t>(y) * K;
+    const double* vrow = jump.Row(y);
     const double* prow = p + static_cast<uint64_t>(y) * K;
     double* nrow = next + static_cast<uint64_t>(y) * K;
     if (next_scaled != nullptr) {
@@ -163,7 +196,7 @@ SweepRangeFn PickSweepRange(uint32_t k) {
 }
 
 void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
+                              const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
@@ -193,11 +226,12 @@ namespace {
 /// reference path computes the same expression per chunk).
 template <typename Real>
 simd::SweepArgs<Real> MakeSweepArgs(const WebGraph& graph, uint32_t k,
-                                    const Real* v, double damping,
-                                    const double* dangling, const Real* inv,
-                                    const Real* p, const Real* scaled,
-                                    Real* next, Real* next_scaled,
-                                    bool compressed, Real* m) {
+                                    const simd::LaneJumps<Real>& v,
+                                    double damping, const double* dangling,
+                                    const Real* inv, const Real* p,
+                                    const Real* scaled, Real* next,
+                                    Real* next_scaled, bool compressed,
+                                    Real* m) {
   simd::SweepArgs<Real> args;
   args.in_offsets = graph.InOffsets().data();
   if (compressed) {
@@ -244,7 +278,7 @@ void RunVariantSweep(const simd::SweepRangeFn<Real> sweep,
 }  // namespace
 
 void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
+                              const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
@@ -321,10 +355,11 @@ void DanglingSumsF32(const WebGraph& graph, uint32_t k, const float* p,
 }
 
 void WeightedJacobiSweepMultiF32(const WebGraph& graph, uint32_t k,
-                                 const float* v, double damping,
-                                 const double* dangling, const float* inv,
-                                 const float* p, const float* scaled,
-                                 float* next, float* next_scaled,
+                                 const simd::LaneJumps<float>& v,
+                                 double damping, const double* dangling,
+                                 const float* inv, const float* p,
+                                 const float* scaled, float* next,
+                                 float* next_scaled,
                                  std::vector<double>* partials, double* diffs,
                                  const SweepVariant& variant,
                                  util::ThreadPool* pool) {

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "graph/web_graph.h"
+#include "pagerank/jump_vector.h"
 #include "pagerank/simd.h"
 #include "util/thread_pool.h"
 
@@ -108,13 +109,36 @@ void DanglingSums(const graph::WebGraph& graph, uint32_t k, const double* p,
                   std::vector<double>* partials, double* sums,
                   util::ThreadPool* pool);
 
+/// Owning storage behind a simd::LaneJumps view of k lanes: `fill` holds
+/// k values and `rows` ids.size()·k, so the table costs O(k·|support|),
+/// never O(n·k).
+template <typename Real>
+struct LaneJumpTable {
+  std::vector<Real> fill;
+  std::vector<graph::NodeId> ids;
+  std::vector<Real> rows;
+
+  simd::LaneJumps<Real> View() const {
+    return {fill.data(), ids.data(), rows.data(), ids.size()};
+  }
+};
+
+/// The LaneJumps table of `jumps` (1..kMaxVectorsPerSweep vectors of one
+/// dimension): `ids` is the union of their supports, and every entry is
+/// bitwise (*jumps[j])[x].
+LaneJumpTable<double> BuildLaneJumps(
+    const std::vector<const JumpVector*>& jumps);
+
 /// One weighted Jacobi sweep advancing k interleaved vectors (k in
 /// [1, kMaxVectorsPerSweep]):
 ///
-///   next[y·k+j] = c·(Σ_{x ∈ In(y)} scaled[x·k+j] + v[y·k+j]·dangling[j])
-///                 + (1−c)·v[y·k+j],
+///   next[y·k+j] = c·(Σ_{x ∈ In(y)} scaled[x·k+j] + v_j[y]·dangling[j])
+///                 + (1−c)·v_j[y],
 ///
-/// where `scaled` is the ScaleByInvOutDegree output for `p`. Every lane is
+/// where v_j is lane j of the jump table `v` and `scaled` is the
+/// ScaleByInvOutDegree output for `p`. The gather reads only `scaled`, and
+/// row y of `p` is read only to compute row y, so `next` may equal `p`:
+/// the Jacobi solver sweeps its iterate in place. Every lane is
 /// advanced; when a lane converges mid-batch the solver compacts it out of
 /// the interleaved working set entirely (solver.cc), so a finished vector
 /// costs nothing instead of riding along frozen. The per-lane arithmetic —
@@ -129,7 +153,7 @@ void DanglingSums(const graph::WebGraph& graph, uint32_t k, const double* p,
 /// separate full-pass rescale between sweeps (the solver seeds `scaled`
 /// once before the first sweep and double-buffers from then on).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
+                              const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
@@ -143,12 +167,12 @@ void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
 /// edge sequence. diff_slot[j] receives the range's L1 difference for
 /// lane j; `next_scaled` may be null.
 using SweepRangeFn = void (*)(const graph::WebGraph& graph,
-                              const graph::NodeId* sources, const double* v,
-                              double damping, const double* dangling,
-                              const double* p, const double* scaled,
-                              double* next, double* next_scaled,
-                              double* diff_slot, graph::NodeId begin,
-                              graph::NodeId end);
+                              const graph::NodeId* sources,
+                              const simd::LaneJumps<double>& v, double damping,
+                              const double* dangling, const double* p,
+                              const double* scaled, double* next,
+                              double* next_scaled, double* diff_slot,
+                              graph::NodeId begin, graph::NodeId end);
 
 /// The body for k lanes, k in [1, kMaxVectorsPerSweep]: one compile-time
 /// instantiation per width, so every batch width the solver produces —
@@ -161,7 +185,7 @@ SweepRangeFn PickSweepRange(uint32_t k);
 /// compressed variants preserve each lane's accumulation order but may
 /// differ from the reference by FMA contraction (see simd.h).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
+                              const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
@@ -196,10 +220,11 @@ void DanglingSumsF32(const graph::WebGraph& graph, uint32_t k, const float* p,
 /// double (diffs[j] is a float64 residual of the float32 iterate). `inv`
 /// is the InvOutDegreesF32 output.
 void WeightedJacobiSweepMultiF32(const graph::WebGraph& graph, uint32_t k,
-                                 const float* v, double damping,
-                                 const double* dangling, const float* inv,
-                                 const float* p, const float* scaled,
-                                 float* next, float* next_scaled,
+                                 const simd::LaneJumps<float>& v,
+                                 double damping, const double* dangling,
+                                 const float* inv, const float* p,
+                                 const float* scaled, float* next,
+                                 float* next_scaled,
                                  std::vector<double>* partials, double* diffs,
                                  const SweepVariant& variant,
                                  util::ThreadPool* pool);

@@ -18,8 +18,8 @@ std::vector<double> NeumannSeries(const WebGraph& graph,
   CHECK_GT(num_terms, 0);
   const uint32_t n = graph.num_nodes();
   // term = (1−c)·(c·Tᵀ)^k·v, starting at k = 0.
-  std::vector<double> term(n);
-  for (uint32_t i = 0; i < n; ++i) term[i] = (1.0 - damping) * jump[i];
+  std::vector<double> term = jump.ToDense();
+  for (double& x : term) x *= 1.0 - damping;
   std::vector<double> sum = term;
   std::vector<double> next(n, 0.0);
   for (int k = 1; k < num_terms; ++k) {

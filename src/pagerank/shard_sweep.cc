@@ -99,10 +99,9 @@ bool ShardRuntime::Matches(const WebGraph& graph, uint32_t num_shards) const {
 }
 
 void ShardRuntime::SweepMulti(const WebGraph& graph, uint32_t k,
-                              const double* v, double damping,
+                              const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,
-                              double* scaled, double* next,
-                              double* next_scaled,
+                              double* scaled, double* next, double* next_scaled,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool) const {
   CHECK_GE(k, 1u);

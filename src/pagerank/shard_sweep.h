@@ -27,6 +27,7 @@
 
 #include "graph/shard.h"
 #include "graph/web_graph.h"
+#include "pagerank/simd_sweep_body.h"
 
 namespace spammass::util {
 class ThreadPool;
@@ -66,10 +67,12 @@ class ShardRuntime {
   /// `next_scaled` are ghost-extended (extended_rows() * k); rows [0, n)
   /// carry the usual scaled iterate and the ghost region is refreshed from
   /// them by the exchange phase at the start of every sweep, so its
-  /// between-sweep contents are irrelevant (lane compaction safe).
-  void SweepMulti(const graph::WebGraph& graph, uint32_t k, const double* v,
-                  double damping, const double* dangling, const double* p,
-                  double* scaled, double* next, double* next_scaled,
+  /// between-sweep contents are irrelevant (lane compaction safe). As in
+  /// the kernel, `next` may equal `p` (an in-place sweep).
+  void SweepMulti(const graph::WebGraph& graph, uint32_t k,
+                  const simd::LaneJumps<double>& v, double damping,
+                  const double* dangling, const double* p, double* scaled,
+                  double* next, double* next_scaled,
                   std::vector<double>* partials, double* diffs,
                   util::ThreadPool* pool) const;
 

@@ -54,6 +54,7 @@ void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
   __m256d diff[kBlocks];
   for (uint32_t b = 0; b < kBlocks; ++b) diff[b] = _mm256_setzero_pd();
   const uint64_t edge_limit = in_offsets[end];
+  JumpCursor<K, double> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     __m256d acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = _mm256_setzero_pd();
@@ -81,7 +82,7 @@ void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
-    const double* vrow = args.v + base;
+    const double* vrow = jump.Row(y);
     const double* prow = args.p + base;
     double* nrow = args.next + base;
     const __m256d w =
@@ -131,6 +132,7 @@ void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
     diff_hi[b] = _mm256_setzero_pd();
   }
   const uint64_t edge_limit = in_offsets[end];
+  JumpCursor<K, float> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     __m256 acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = _mm256_setzero_ps();
@@ -157,7 +159,7 @@ void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
-    const float* vrow = args.v + base;
+    const float* vrow = jump.Row(y);
     const float* prow = args.p + base;
     float* nrow = args.next + base;
     const __m256 w = args.next_scaled != nullptr
@@ -204,6 +206,7 @@ void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
   const __m256d dsign_mask = _mm256_set1_pd(-0.0);
   __m256d diff = _mm256_setzero_pd();
   const uint64_t edge_limit = in_offsets[end];
+  JumpCursor<K, float> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     __m128 acc = _mm_setzero_ps();
     if constexpr (Compressed) {
@@ -226,7 +229,7 @@ void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
-    const __m128 vy = _mm_loadu_ps(args.v + base);
+    const __m128 vy = _mm_loadu_ps(jump.Row(y));
     const __m128 py = _mm_loadu_ps(args.p + base);
     const __m128 out = _mm_fmadd_ps(vy, mv, _mm_mul_ps(c, acc));
     diff = _mm256_add_pd(

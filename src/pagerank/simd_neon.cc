@@ -33,6 +33,7 @@ void NeonSweepF64(const SweepArgs<double>& args, double* diff_slot,
   for (uint32_t b = 0; b < kBlocks; ++b) mv[b] = vld1q_f64(args.m + b * 2);
   float64x2_t diff[kBlocks];
   for (uint32_t b = 0; b < kBlocks; ++b) diff[b] = vdupq_n_f64(0.0);
+  JumpCursor<K, double> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     float64x2_t acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = vdupq_n_f64(0.0);
@@ -59,8 +60,9 @@ void NeonSweepF64(const SweepArgs<double>& args, double* diff_slot,
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
+    const double* vrow = jump.Row(y);
     for (uint32_t b = 0; b < kBlocks; ++b) {
-      const float64x2_t vy = vld1q_f64(args.v + base + b * 2);
+      const float64x2_t vy = vld1q_f64(vrow + b * 2);
       const float64x2_t py = vld1q_f64(args.p + base + b * 2);
       const float64x2_t out = vfmaq_f64(vmulq_f64(c, acc[b]), vy, mv[b]);
       diff[b] = vaddq_f64(diff[b], vabsq_f64(vsubq_f64(out, py)));
@@ -93,6 +95,7 @@ void NeonSweepF32(const SweepArgs<float>& args, double* diff_slot,
     diff_lo[b] = vdupq_n_f64(0.0);
     diff_hi[b] = vdupq_n_f64(0.0);
   }
+  JumpCursor<K, float> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     float32x4_t acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = vdupq_n_f32(0.0f);
@@ -118,8 +121,9 @@ void NeonSweepF32(const SweepArgs<float>& args, double* diff_slot,
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
+    const float* vrow = jump.Row(y);
     for (uint32_t b = 0; b < kBlocks; ++b) {
-      const float32x4_t vy = vld1q_f32(args.v + base + b * 4);
+      const float32x4_t vy = vld1q_f32(vrow + b * 4);
       const float32x4_t py = vld1q_f32(args.p + base + b * 4);
       const float32x4_t out = vfmaq_f32(vmulq_f32(c, acc[b]), vy, mv[b]);
       const float64x2_t out_lo = vcvt_f64_f32(vget_low_f32(out));

@@ -19,6 +19,7 @@
 #ifndef SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
 #define SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -51,6 +52,43 @@ constexpr std::array<Fn, kMaxSweepLanes> LaneWidthTable(
   }(std::make_integer_sequence<uint32_t, kMaxSweepLanes>{});
 }
 
+/// The k lanes' jump vectors of one batch, stored by their support (see
+/// JumpVector): lane j holds fill[j] at every node outside `ids`, the
+/// ascending union of the lanes' supports, and rows[i·k + j] at node
+/// ids[i]. The core-based jumps are non-zero on a few percent of the
+/// hosts, so this table replaces an n·k array a sweep would stream.
+template <typename Real>
+struct LaneJumps {
+  const Real* fill = nullptr;
+  const NodeId* ids = nullptr;
+  const Real* rows = nullptr;
+  uint64_t count = 0;
+};
+
+/// Reads a LaneJumps table alongside a sweep that visits nodes in
+/// ascending order from `begin`: Row(y) is node y's K-lane jump row, the
+/// same values an interleaved n·K array would hold at y·K.
+template <uint32_t K, typename Real>
+class JumpCursor {
+ public:
+  JumpCursor(const LaneJumps<Real>& jumps, NodeId begin)
+      : jumps_(jumps),
+        next_(static_cast<uint64_t>(
+            std::lower_bound(jumps.ids, jumps.ids + jumps.count, begin) -
+            jumps.ids)) {}
+
+  const Real* Row(NodeId y) {
+    if (next_ < jumps_.count && jumps_.ids[next_] == y) {
+      return jumps_.rows + (next_++) * K;
+    }
+    return jumps_.fill;
+  }
+
+ private:
+  LaneJumps<Real> jumps_;
+  uint64_t next_;
+};
+
 /// Everything one sweep range needs, precomputed by the kernel entry point
 /// so every variant sees identical inputs. Lane j of node x lives at
 /// x·k + j in each interleaved array.
@@ -65,14 +103,17 @@ struct SweepArgs {
   const uint8_t* comp_bytes = nullptr;
   /// Inverse out-degrees in the sweep precision (0 for dangling nodes).
   const Real* inv = nullptr;
-  /// Jump vectors, interleaved.
-  const Real* v = nullptr;
+  /// Jump vectors, by support.
+  LaneJumps<Real> v;
   /// Damping factor c.
   Real c = Real(0);
   /// Hoisted per-lane jump multiplier m[j] = (1−c) + c·dangling[j].
   const Real* m = nullptr;
   const Real* p = nullptr;
   const Real* scaled = nullptr;
+  /// May equal `p`: a body reads row y of `p` only to compute row y, and
+  /// reads it before storing row y of `next`, so the sweep can update the
+  /// iterate in place.
   Real* next = nullptr;
   /// Nullable: when set, receives next · inv (the pre-scaled iterate).
   Real* next_scaled = nullptr;
@@ -129,6 +170,7 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
   const uint64_t* in_offsets = args.in_offsets;
   const Real c = args.c;
   const uint64_t edge_end = in_offsets[end];
+  JumpCursor<K, Real> jump(args.v, begin);
   double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
     Real in_sum[K];
@@ -152,7 +194,7 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
         for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
       }
     }
-    const Real* vrow = args.v + static_cast<uint64_t>(y) * K;
+    const Real* vrow = jump.Row(y);
     const Real* prow = args.p + static_cast<uint64_t>(y) * K;
     Real* nrow = args.next + static_cast<uint64_t>(y) * K;
     if (args.next_scaled != nullptr) {

@@ -182,15 +182,23 @@ void ExtractLane(const util::LaneVector<double>& flat, uint64_t n, uint32_t k,
 }
 
 /// Removes the columns NOT listed in `keep` (ascending) from the
-/// interleaved (n × k) buffer, packing the survivors to width keep.size().
-void CompactLanes(util::LaneVector<double>* flat, uint64_t n, uint32_t k,
+/// interleaved (rows × k) buffer `flat`, packing the survivors to width
+/// keep.size().
+void CompactLanes(double* flat, uint64_t rows, uint32_t k,
                   const std::vector<uint32_t>& keep) {
   const auto kk = static_cast<uint32_t>(keep.size());
-  for (uint64_t x = 0; x < n; ++x) {
-    const double* in = flat->data() + x * k;
-    double* out = flat->data() + x * kk;
+  for (uint64_t x = 0; x < rows; ++x) {
+    const double* in = flat + x * k;
+    double* out = flat + x * kk;
     for (uint32_t j = 0; j < kk; ++j) out[j] = in[keep[j]];
   }
+}
+
+/// Narrows each value of `in` to float32.
+std::vector<float> NarrowToF32(const std::vector<double>& in) {
+  std::vector<float> out(in.size());
+  for (size_t i = 0; i < in.size(); ++i) out[i] = static_cast<float>(in[i]);
+  return out;
 }
 
 /// Mixed-precision pre-phase (SweepPrecision::kMixedF32): runs float32
@@ -200,6 +208,8 @@ void CompactLanes(util::LaneVector<double>* flat, uint64_t n, uint32_t k,
 /// loop. No lane is ever marked converged here (only float64 sweeps decide
 /// convergence), no lane is compacted (the phase is short), and the budget
 /// of max_iterations − 1 guarantees at least one float64 refinement sweep.
+/// Like the float64 loop it sweeps the iterate in place, reading the jumps
+/// through a float32 narrowing of the batch's jump table.
 /// Returns the number of sweeps spent, which the caller uses as the
 /// float64 loop's starting iteration index; per-lane iteration counts and
 /// residual history are updated in place.
@@ -207,27 +217,26 @@ int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
                            const SolverOptions& opt,
                            const kernel::SweepVariant& variant,
                            bool redistribute, util::LaneVector<double>* cur,
-                           const util::LaneVector<double>& vflat,
+                           const kernel::LaneJumpTable<double>& jumps,
                            std::vector<PageRankResult>* results,
                            SolverWorkspace* ws, util::ThreadPool* pool) {
   const double switch_tol =
       std::max(opt.f32_switch_tolerance, opt.tolerance);
   util::LaneVector<float>& fcur = ws->iterate_f32();
-  util::LaneVector<float>& fnext = ws->next_f32();
   util::LaneVector<float>& fscaled = ws->scaled_f32();
   util::LaneVector<float>& fscaled_next = ws->scaled_next_f32();
-  util::LaneVector<float>& fvflat = ws->jump_flat_f32();
   std::vector<float>& finv = ws->inv_out_f32();
   fcur.resize(n * k);
-  fnext.resize(n * k);
   fscaled.resize(n * k);
   fscaled_next.resize(n * k);
-  fvflat.resize(n * k);
   kernel::InvOutDegreesF32(graph, &finv);
   for (uint64_t i = 0; i < n * k; ++i) {
     fcur[i] = static_cast<float>((*cur)[i]);
-    fvflat[i] = static_cast<float>(vflat[i]);
   }
+  const std::vector<float> ffill = NarrowToF32(jumps.fill);
+  const std::vector<float> frows = NarrowToF32(jumps.rows);
+  const simd::LaneJumps<float> fjumps{ffill.data(), jumps.ids.data(),
+                                      frows.data(), jumps.ids.size()};
   kernel::ScaleByInvOutDegreeF32(static_cast<uint32_t>(n), k, finv.data(),
                                  fcur.data(), fscaled.data(), pool);
 
@@ -246,10 +255,9 @@ int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
                               pool);
     }
     kernel::WeightedJacobiSweepMultiF32(
-        graph, k, fvflat.data(), opt.damping, dangling.data(), finv.data(),
-        fcur.data(), fscaled.data(), fnext.data(), fscaled_next.data(),
+        graph, k, fjumps, opt.damping, dangling.data(), finv.data(),
+        fcur.data(), fscaled.data(), fcur.data(), fscaled_next.data(),
         &ws->node_partials(), diffs.data(), variant, pool);
-    fcur.swap(fnext);
     fscaled.swap(fscaled_next);
     SweepsCounter()->Increment();
 
@@ -303,24 +311,25 @@ std::vector<PageRankResult> SolveJacobiBatch(
   const uint64_t scaled_rows =
       shard_rt != nullptr ? shard_rt->extended_rows() : n;
 
+  // The lane state is three n·k arrays: the iterate, which every sweep
+  // overwrites in place, and the double-buffered scaled iterate the
+  // gather reads. The jumps live in a table over their supports.
   util::LaneVector<double>& cur = ws->iterate();
-  util::LaneVector<double>& next = ws->next();
   util::LaneVector<double>& scaled = ws->scaled();
   util::LaneVector<double>& scaled_next = ws->scaled_next();
-  util::LaneVector<double>& vflat = ws->jump_flat();
   cur.resize(n * k);
-  next.resize(n * k);
   scaled.resize(scaled_rows * k);
   scaled_next.resize(scaled_rows * k);
-  vflat.resize(n * k);
+  kernel::LaneJumpTable<double> table = kernel::BuildLaneJumps(jumps);
 
-  for (uint64_t x = 0; x < n; ++x) {
-    for (uint32_t j = 0; j < k; ++j) {
-      vflat[x * k + j] = (*jumps[j])[static_cast<NodeId>(x)];
-    }
-  }
   // Algorithm 1: p[0] <- v.
-  std::copy(vflat.begin(), vflat.end(), cur.begin());
+  for (uint64_t x = 0; x < n; ++x) {
+    std::copy(table.fill.begin(), table.fill.end(), cur.data() + x * k);
+  }
+  for (uint64_t s = 0; s < table.ids.size(); ++s) {
+    const double* row = table.rows.data() + s * k;
+    std::copy(row, row + k, cur.data() + uint64_t{table.ids[s]} * k);
+  }
 
   const bool redistribute =
       opt.dangling == DanglingPolicy::kRedistributeToJump;
@@ -337,15 +346,14 @@ std::vector<PageRankResult> SolveJacobiBatch(
   // the float64 loop below then starts at the pre-phase's iteration count.
   int start_iter = 0;
   if (opt.precision == SweepPrecision::kMixedF32) {
-    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, variant,
-                                        redistribute, &cur, vflat, &results,
-                                        ws, pool);
+    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, variant, redistribute,
+                                        &cur, table, &results, ws, pool);
   }
 
   uint32_t live = k;
   // Seed the scaled iterate once; each sweep then emits next_scaled
-  // alongside next (same values ScaleByInvOutDegree would produce), so the
-  // full-pass rescale never runs again.
+  // alongside the new iterate (same values ScaleByInvOutDegree would
+  // produce), so the full-pass rescale never runs again.
   kernel::ScaleByInvOutDegree(graph, live, cur.data(), scaled.data(), pool);
   if (!redistribute) dangling.fill(0.0);
   for (int i = start_iter; i < opt.max_iterations && live > 0; ++i) {
@@ -354,17 +362,16 @@ std::vector<PageRankResult> SolveJacobiBatch(
                            dangling.data(), pool);
     }
     if (shard_rt != nullptr) {
-      shard_rt->SweepMulti(graph, live, vflat.data(), opt.damping,
+      shard_rt->SweepMulti(graph, live, table.View(), opt.damping,
                            dangling.data(), cur.data(), scaled.data(),
-                           next.data(), scaled_next.data(),
+                           cur.data(), scaled_next.data(),
                            &ws->node_partials(), diffs.data(), pool);
     } else {
       kernel::WeightedJacobiSweepMulti(
-          graph, live, vflat.data(), opt.damping, dangling.data(),
-          cur.data(), scaled.data(), next.data(), scaled_next.data(),
+          graph, live, table.View(), opt.damping, dangling.data(),
+          cur.data(), scaled.data(), cur.data(), scaled_next.data(),
           &ws->node_partials(), diffs.data(), variant, pool);
     }
-    cur.swap(next);
     scaled.swap(scaled_next);
     SweepsCounter()->Increment();
 
@@ -384,9 +391,10 @@ std::vector<PageRankResult> SolveJacobiBatch(
     }
     if (keep.size() < live) {
       // Compact the surviving lanes; the dropped ones stop costing sweeps.
-      CompactLanes(&cur, n, live, keep);
-      CompactLanes(&scaled, n, live, keep);
-      CompactLanes(&vflat, n, live, keep);
+      CompactLanes(cur.data(), n, live, keep);
+      CompactLanes(scaled.data(), n, live, keep);
+      CompactLanes(table.fill.data(), 1, live, keep);
+      CompactLanes(table.rows.data(), table.ids.size(), live, keep);
       for (uint32_t j = 0; j < keep.size(); ++j) {
         lane_ids[j] = lane_ids[keep[j]];
       }
@@ -423,7 +431,8 @@ PageRankResult SolveGaussSeidel(const WebGraph& graph, const JumpVector& jump,
   SPAMMASS_TRACE_SPAN("pagerank.solve", "method",
                       omega == 1.0 ? "gauss-seidel" : "sor");
   PageRankResult result;
-  result.scores = jump.values();
+  const std::vector<double> v = jump.ToDense();
+  result.scores = v;
   std::vector<double>& p = result.scores;
   const double c = opt.damping;
   const auto inv_out = graph.InvOutDegrees();
@@ -437,7 +446,7 @@ PageRankResult SolveGaussSeidel(const WebGraph& graph, const JumpVector& jump,
       for (NodeId x : graph.InNeighbors(y)) {
         in_sum += p[x] * inv_out[x];
       }
-      const double vy = jump[y];
+      const double vy = v[y];
       double next;
       if (redistribute) {
         const bool y_dangling = graph.IsDangling(y);
@@ -493,12 +502,12 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
   const kernel::SweepVariant variant = ResolveVariant(opt);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
-  // Normalize the jump distribution.
-  util::LaneVector<double>& v = ws->jump_flat();
-  v.assign(jump.values().begin(), jump.values().end());
-  double vnorm = 0;
-  for (double x : v) vnorm += x;
-  for (double& x : v) x /= vnorm;
+  // Normalize the jump distribution: every entry divided by the
+  // left-to-right sum of all n entries, which JumpVector::Norm computes.
+  kernel::LaneJumpTable<double> v = kernel::BuildLaneJumps({&jump});
+  const double vnorm = jump.Norm();
+  for (double& x : v.fill) x /= vnorm;
+  for (double& x : v.rows) x /= vnorm;
 
   util::LaneVector<double>& p = ws->iterate();
   util::LaneVector<double>& next = ws->next();
@@ -514,7 +523,7 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
                          &dangling, pool);
     // ‖p‖ stays 1, so the teleport term is (1−c)·v·1ᵀp = (1−c)·v.
     double sweep_diff = 0;  // pre-normalization; the residual below is used
-    kernel::WeightedJacobiSweepMulti(graph, 1, v.data(), c, &dangling,
+    kernel::WeightedJacobiSweepMulti(graph, 1, v.View(), c, &dangling,
                                      p.data(), scaled.data(), next.data(),
                                      /*next_scaled=*/nullptr,
                                      &ws->node_partials(), &sweep_diff,

@@ -46,7 +46,7 @@ Status ValidateJumpValues(const std::vector<double>& values,
 
 Status ValidateJumpVector(const JumpVector& jump, bool require_stochastic,
                           double tolerance) {
-  return ValidateJumpValues(jump.values(), require_stochastic, tolerance);
+  return ValidateJumpValues(jump.ToDense(), require_stochastic, tolerance);
 }
 
 Status ValidateSolverResult(const graph::WebGraph& graph,

@@ -87,11 +87,12 @@ class SolverWorkspace {
   // kernel-level tests and benches can drive sweeps directly. The
   // interleaved lane buffers are util::LaneVector: their data() is
   // cache-line aligned, so each gathered row touches the fewest lines.
+  // The Jacobi sweeps update `iterate` in place; only power iteration,
+  // whose residual compares against the previous iterate, sizes `next`.
   util::LaneVector<double>& iterate() { return iterate_; }
   util::LaneVector<double>& next() { return next_; }
   util::LaneVector<double>& scaled() { return scaled_; }
   util::LaneVector<double>& scaled_next() { return scaled_next_; }
-  util::LaneVector<double>& jump_flat() { return jump_flat_; }
   std::vector<double>& node_partials() { return node_partials_; }
   std::vector<double>& dangling_partials() { return dangling_partials_; }
   std::vector<double>& reduce_partials() { return reduce_partials_; }
@@ -100,10 +101,8 @@ class SolverWorkspace {
   // (SweepPrecision::kMixedF32): lane storage in float halves the sweep's
   // memory traffic; inv_out_f32 caches the narrowed inverse out-degrees.
   util::LaneVector<float>& iterate_f32() { return iterate_f32_; }
-  util::LaneVector<float>& next_f32() { return next_f32_; }
   util::LaneVector<float>& scaled_f32() { return scaled_f32_; }
   util::LaneVector<float>& scaled_next_f32() { return scaled_next_f32_; }
-  util::LaneVector<float>& jump_flat_f32() { return jump_flat_f32_; }
   std::vector<float>& inv_out_f32() { return inv_out_f32_; }
 
   /// Bumps the solve counter (called by the solvers).
@@ -116,21 +115,20 @@ class SolverWorkspace {
   // Cached sharded-sweep runtime (see EnsureShardRuntime).
   std::unique_ptr<ShardRuntime> shard_runtime_;
 
-  // Interleaved k-wide buffers (n·k): current/next iterate and the
-  // double-buffered scaled iterate (the sweep writes next_scaled alongside
-  // next, so the rescale pass runs once per solve, not once per sweep);
-  // jump_flat holds the k jump vectors.
+  // Interleaved k-wide buffers (n·k): the iterate, swept in place, and
+  // the double-buffered scaled iterate (the sweep writes next_scaled
+  // alongside the iterate, so the rescale pass runs once per solve, not
+  // once per sweep). `next` is power iteration's previous iterate. The
+  // jump vectors are not here: a sweep reads them through a table over
+  // their supports (kernel::LaneJumpTable), built per batch.
   util::LaneVector<double> iterate_;
   util::LaneVector<double> next_;
   util::LaneVector<double> scaled_;
   util::LaneVector<double> scaled_next_;
-  util::LaneVector<double> jump_flat_;
   // float32 twins for the mixed-precision pre-phase.
   util::LaneVector<float> iterate_f32_;
-  util::LaneVector<float> next_f32_;
   util::LaneVector<float> scaled_f32_;
   util::LaneVector<float> scaled_next_f32_;
-  util::LaneVector<float> jump_flat_f32_;
   std::vector<float> inv_out_f32_;
   // Chunk-indexed partials for the deterministic reductions.
   std::vector<double> node_partials_;

@@ -51,7 +51,7 @@ std::vector<double> ReferenceJacobi(const WebGraph& g, const JumpVector& v,
                                     double c, bool redistribute,
                                     int iterations) {
   const NodeId n = g.num_nodes();
-  std::vector<double> p(v.values());
+  std::vector<double> p = v.ToDense();
   std::vector<double> next(n);
   for (int i = 0; i < iterations; ++i) {
     double dangling = 0;
@@ -109,7 +109,8 @@ TEST(KernelEquivalenceTest, SingleSweepMatchesReference) {
   const double dangling = 0.0;  // kLeak
   double diff = 0;
   kernel::ScaleByInvOutDegree(g, 1, p.data(), scaled.data(), nullptr);
-  kernel::WeightedJacobiSweepMulti(g, 1, v.values().data(), 0.85, &dangling,
+  const kernel::LaneJumpTable<double> jumps = kernel::BuildLaneJumps({&v});
+  kernel::WeightedJacobiSweepMulti(g, 1, jumps.View(), 0.85, &dangling,
                                    p.data(), scaled.data(), next.data(),
                                    next_scaled.data(), &partials, &diff,
                                    nullptr);

@@ -186,12 +186,9 @@ void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
       {"next", ws.next().data()},
       {"scaled", ws.scaled().data()},
       {"scaled_next", ws.scaled_next().data()},
-      {"jump_flat", ws.jump_flat().data()},
       {"iterate_f32", ws.iterate_f32().data()},
-      {"next_f32", ws.next_f32().data()},
       {"scaled_f32", ws.scaled_f32().data()},
       {"scaled_next_f32", ws.scaled_next_f32().data()},
-      {"jump_flat_f32", ws.jump_flat_f32().data()},
   };
   for (const auto& buffer : buffers) {
     ASSERT_NE(buffer.data, nullptr) << buffer.name << " after " << when;
@@ -215,6 +212,11 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
       JumpVector::Uniform(small.num_nodes()),
       JumpVector::Core(small.num_nodes(), {1, 3, 5})};
   ASSERT_TRUE(pagerank::ComputePageRankMulti(small, pair, mixed, &ws).ok());
+  // Only power iteration sizes `next`.
+  SolverOptions power = mixed;
+  power.method = pagerank::Method::kPowerIteration;
+  power.precision = pagerank::SweepPrecision::kFloat64;
+  ASSERT_TRUE(pagerank::ComputePageRank(small, pair[0], power, &ws).ok());
   ExpectLaneBuffersAligned(ws, "first resize");
 
   WebGraph big = MakeSyntheticGraph(500, 2500, /*seed=*/1);
@@ -229,7 +231,6 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
 
   ws.iterate().swap(ws.next());
   ws.scaled().swap(ws.scaled_next());
-  ws.iterate_f32().swap(ws.next_f32());
   ws.scaled_f32().swap(ws.scaled_next_f32());
   ExpectLaneBuffersAligned(ws, "swap");
 
@@ -243,6 +244,29 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
   ASSERT_EQ(testutil::CompactionWidths(batch.value()),
             testutil::AllWidths());
   ExpectLaneBuffersAligned(ws, "compaction 16 -> 1");
+}
+
+TEST(SolverWorkspaceTest, JacobiLaneStateIsThreeArrays) {
+  // A 16-lane f64 Jacobi solve sweeps its iterate in place and reads the
+  // jumps from a table over their supports, so the iterate and the two
+  // scaled buffers are the only n·k arrays it sizes.
+  WebGraph g = MakeSyntheticGraph(500, 2500, /*seed=*/1);
+  const uint64_t n = g.num_nodes();
+  const uint64_t k = pagerank::kernel::kMaxVectorsPerSweep;
+  SolverOptions opt;
+  opt.tolerance = 1e-13;
+  opt.max_iterations = 2000;
+  SolverWorkspace ws;
+  auto batch = pagerank::ComputePageRankMulti(
+      g, testutil::EveryWidthJumps(g.num_nodes()), opt, &ws);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(ws.iterate().size(), n * k);
+  EXPECT_EQ(ws.scaled().size(), n * k);
+  EXPECT_EQ(ws.scaled_next().size(), n * k);
+  EXPECT_TRUE(ws.next().empty());
+  EXPECT_TRUE(ws.iterate_f32().empty());
+  EXPECT_TRUE(ws.scaled_f32().empty());
+  EXPECT_TRUE(ws.scaled_next_f32().empty());
 }
 
 TEST(SolverWorkspaceTest, PreSpawnedPoolConstructor) {
