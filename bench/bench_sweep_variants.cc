@@ -4,9 +4,7 @@
 // delta/varint-compressed) at the k=4 lane count the two-solve mass
 // estimation plus TrustRank batch actually issues — on a power-law web
 // whose working set defeats the last-level cache, so the sweep is
-// memory-bound and byte savings translate to wall-clock. Also times the
-// locality reorderings (degree-descending, BFS) both as a preprocessing
-// cost and as a sweep-speed effect.
+// memory-bound and byte savings translate to wall-clock.
 //
 // Every variant entry carries a `bytes_per_edge` counter: the traffic
 // model documented in docs/performance.md (successor-id bytes per edge,
@@ -21,7 +19,6 @@
 
 #include "bench_json_main.h"
 #include "graph/graph_builder.h"
-#include "graph/reorder.h"
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/simd.h"
@@ -34,7 +31,6 @@ namespace spammass {
 namespace {
 
 using graph::NodeId;
-using graph::ReorderKind;
 using graph::WebGraph;
 using pagerank::JumpVector;
 using pagerank::SimdPolicy;
@@ -188,52 +184,6 @@ void BM_SweepSimdF32Compressed(benchmark::State& state) {
   RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32, true);
 }
 BENCHMARK(BM_SweepSimdF32Compressed)->Unit(benchmark::kMillisecond);
-
-// ---- Locality reordering: preprocessing cost and sweep effect. ----
-
-void BM_ReorderCompute(benchmark::State& state) {
-  const WebGraph& g = VariantGraph();
-  const auto kind =
-      state.range(0) == 0 ? ReorderKind::kDegreeDesc : ReorderKind::kBfs;
-  for (auto _ : state) {
-    graph::Reordering r = graph::ComputeReordering(g, kind);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(graph::ReorderKindToString(kind));
-}
-BENCHMARK(BM_ReorderCompute)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void RunReorderedSweep(benchmark::State& state, ReorderKind kind) {
-  static WebGraph* degree_graph = nullptr;
-  static WebGraph* bfs_graph = nullptr;
-  WebGraph** slot =
-      kind == ReorderKind::kDegreeDesc ? &degree_graph : &bfs_graph;
-  if (*slot == nullptr) {
-    graph::Reordering r = graph::ComputeReordering(VariantGraph(), kind);
-    *slot = new WebGraph(graph::ApplyReordering(VariantGraph(), r));
-  }
-  const WebGraph& g = **slot;
-  const auto& jumps = VariantJumps();  // equivariant: timing only
-  const auto opt =
-      VariantOptions(SimdPolicy::kScalar, SweepPrecision::kFloat64, false);
-  pagerank::SolverWorkspace ws;
-  for (auto _ : state) {
-    auto r = pagerank::ComputePageRankMulti(g, jumps, opt, &ws);
-    CHECK_OK(r.status());
-    benchmark::DoNotOptimize(r.value());
-  }
-  state.SetLabel(graph::ReorderKindToString(kind));
-}
-
-void BM_SweepReorderedDegree(benchmark::State& state) {
-  RunReorderedSweep(state, ReorderKind::kDegreeDesc);
-}
-BENCHMARK(BM_SweepReorderedDegree)->Unit(benchmark::kMillisecond);
-
-void BM_SweepReorderedBfs(benchmark::State& state) {
-  RunReorderedSweep(state, ReorderKind::kBfs);
-}
-BENCHMARK(BM_SweepReorderedBfs)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace spammass

@@ -14,8 +14,9 @@ using pagerank::JumpVector;
 using util::Result;
 using util::Status;
 
-Result<std::vector<NodeId>> SelectSeedsByInversePageRank(
-    const WebGraph& graph, uint32_t k, const pagerank::SolverOptions& solver,
+Result<SeedSelection> SelectTrustRankSeeds(
+    const WebGraph& graph, uint32_t candidates, const LabelStore* oracle,
+    const pagerank::SolverOptions& solver,
     pagerank::SolverWorkspace* workspace) {
   if (graph.num_nodes() == 0) {
     return Status::InvalidArgument("empty graph");
@@ -28,17 +29,26 @@ Result<std::vector<NodeId>> SelectSeedsByInversePageRank(
   seed_solver.compressed_gather = false;
   auto pr = pagerank::ComputeUniformPageRank(reversed, seed_solver, workspace);
   if (!pr.ok()) return pr.status();
-  const std::vector<double>& scores = pr.value().scores;
+  SeedSelection selection;
+  selection.inverse_pagerank = std::move(pr.value());
+  const std::vector<double>& scores = selection.inverse_pagerank.scores;
   std::vector<NodeId> order(graph.num_nodes());
   std::iota(order.begin(), order.end(), 0u);
-  uint32_t take = std::min<uint32_t>(k, graph.num_nodes());
+  uint32_t take = std::min<uint32_t>(candidates, graph.num_nodes());
   std::partial_sort(order.begin(), order.begin() + take, order.end(),
                     [&scores](NodeId a, NodeId b) {
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;
                     });
   order.resize(take);
-  return order;
+  for (NodeId s : order) {
+    if (oracle == nullptr || oracle->IsGood(s)) selection.seeds.push_back(s);
+  }
+  if (selection.seeds.empty()) {
+    return Status::FailedPrecondition(
+        "oracle rejected every seed candidate; enlarge seed_candidates");
+  }
+  return selection;
 }
 
 Result<std::vector<double>> ComputeTrustRank(
@@ -72,20 +82,13 @@ Result<TrustRankResult> RunTrustRank(const WebGraph& graph,
   // the transposed and forward graphs can share it.
   pagerank::SolverWorkspace local;
   pagerank::SolverWorkspace* ws = workspace != nullptr ? workspace : &local;
-  auto candidates = SelectSeedsByInversePageRank(
-      graph, options.seed_candidates, options.solver, ws);
-  if (!candidates.ok()) return candidates.status();
+  auto selection = SelectTrustRankSeeds(
+      graph, options.seed_candidates,
+      options.filter_seeds_by_oracle ? &labels : nullptr, options.solver, ws);
+  if (!selection.ok()) return selection.status();
 
   TrustRankResult result;
-  for (NodeId s : candidates.value()) {
-    if (!options.filter_seeds_by_oracle || labels.IsGood(s)) {
-      result.seeds.push_back(s);
-    }
-  }
-  if (result.seeds.empty()) {
-    return Status::FailedPrecondition(
-        "oracle rejected every seed candidate; enlarge seed_candidates");
-  }
+  result.seeds = std::move(selection.value().seeds);
   auto trust = ComputeTrustRank(graph, result.seeds, options.solver, ws);
   if (!trust.ok()) return trust.status();
   result.trust = std::move(trust.value());

@@ -35,12 +35,25 @@ struct TrustRankResult {
   std::vector<double> trust;
 };
 
+/// TrustRank seeds plus the inverse-PageRank solve that ranked them.
+struct SeedSelection {
+  /// Candidates that survived the oracle filter, best-ranked first.
+  std::vector<graph::NodeId> seeds;
+  /// PageRank of the transposed graph (its convergence reaches the run
+  /// manifest as the "trustrank_seed_selection" solve).
+  pagerank::PageRankResult inverse_pagerank;
+};
+
 /// Selects seed candidates by inverse PageRank — PageRank on the transposed
 /// graph — so that seeds are pages from which many pages are quickly
-/// reachable. Returns the top `k` nodes (k clamped to n).
-util::Result<std::vector<graph::NodeId>> SelectSeedsByInversePageRank(
-    const graph::WebGraph& graph, uint32_t k,
-    const pagerank::SolverOptions& solver,
+/// reachable: the top `candidates` nodes (clamped to n), ties broken by
+/// lower id. A non-null `oracle` then keeps only the candidates it labels
+/// good (the TrustRank paper has a human oracle inspect them); a null one
+/// keeps them all. Fails with FailedPrecondition when the oracle rejects
+/// every candidate.
+util::Result<SeedSelection> SelectTrustRankSeeds(
+    const graph::WebGraph& graph, uint32_t candidates,
+    const LabelStore* oracle, const pagerank::SolverOptions& solver,
     pagerank::SolverWorkspace* workspace = nullptr);
 
 /// Computes TrustRank with the given explicit seed set: a biased PageRank
@@ -50,10 +63,10 @@ util::Result<std::vector<double>> ComputeTrustRank(
     const pagerank::SolverOptions& solver,
     pagerank::SolverWorkspace* workspace = nullptr);
 
-/// Full pipeline: inverse-PageRank seed selection, oracle filtering against
-/// `labels`, then trust propagation. The two PageRank solves (inverse and
-/// forward) share one solver workspace — pass `workspace` to extend the
-/// reuse across repeated TrustRank runs.
+/// Full pipeline: SelectTrustRankSeeds (with `labels` as the oracle when
+/// options.filter_seeds_by_oracle is set), then trust propagation. The two
+/// PageRank solves (inverse and forward) share one solver workspace — pass
+/// `workspace` to extend the reuse across repeated TrustRank runs.
 util::Result<TrustRankResult> RunTrustRank(const graph::WebGraph& graph,
                                            const LabelStore& labels,
                                            const TrustRankOptions& options,

@@ -127,8 +127,18 @@ LaneJumpTable<double> BuildLaneJumps(
 
 namespace {
 
+/// The default-variant sweep body over node range [begin, end) for one
+/// chunk. diff_slot[j] receives the range's L1 difference for lane j;
+/// `next_scaled` may be null.
+using SweepRangeFn = void (*)(const WebGraph& graph,
+                              const simd::LaneJumps<double>& v, double damping,
+                              const double* dangling, const double* p,
+                              const double* scaled, double* next,
+                              double* next_scaled, double* diff_slot,
+                              NodeId begin, NodeId end);
+
 /// One sweep of K interleaved lanes over node range [begin, end),
-/// gathering through `sources` and prefetching each gathered row
+/// gathering through graph.Sources() and prefetching each gathered row
 /// kPrefetchEdges edges ahead (simd_sweep_body.h). Every width in
 /// [1, kMaxVectorsPerSweep] is instantiated (PickSweepRange), so the lane
 /// loops always have a constant trip count. The per-lane arithmetic —
@@ -136,13 +146,13 @@ namespace {
 /// specializations only unroll, never reassociate. Row y of `p` is read
 /// before row y of `next` is stored, so `next` may equal `p`.
 template <uint32_t K>
-void SweepRange(const WebGraph& graph, const NodeId* sources,
-                const simd::LaneJumps<double>& v, double c,
-                const double* dangling, const double* p, const double* scaled,
-                double* next, double* next_scaled, double* diff_slot,
-                NodeId begin, NodeId end) {
+void SweepRange(const WebGraph& graph, const simd::LaneJumps<double>& v,
+                double c, const double* dangling, const double* p,
+                const double* scaled, double* next, double* next_scaled,
+                double* diff_slot, NodeId begin, NodeId end) {
   const double* inv = graph.InvOutDegrees().data();
   const uint64_t* in_offsets = graph.InOffsets().data();
+  const NodeId* sources = graph.Sources().data();
   // Per-lane jump multiplier, hoisted out of the node loop:
   //   c·(in_sum + vy·d) + (1−c)·vy  =  c·in_sum + vy·((1−c) + c·d).
   // Computed identically by every chunk and every K path, so the
@@ -185,8 +195,9 @@ void SweepRange(const WebGraph& graph, const NodeId* sources,
   for (uint32_t j = 0; j < K; ++j) diff_slot[j] = diff[j];
 }
 
-}  // namespace
-
+/// The body for k lanes, k in [1, kMaxVectorsPerSweep]: one compile-time
+/// instantiation per width, so every batch width the solver produces —
+/// lane compaction included — runs fully unrolled lane loops.
 SweepRangeFn PickSweepRange(uint32_t k) {
   CHECK_GE(k, 1u);
   CHECK_LE(k, kMaxVectorsPerSweep);
@@ -194,6 +205,8 @@ SweepRangeFn PickSweepRange(uint32_t k) {
       [](auto width) { return &SweepRange<decltype(width)::value>; });
   return kTable[k - 1];
 }
+
+}  // namespace
 
 void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
                               const simd::LaneJumps<double>& v, double damping,
@@ -206,9 +219,8 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
   const NodeId n = graph.num_nodes();
   const uint64_t chunks = NumChunks(n);
   partials->assign(chunks * k, 0.0);
-  const NodeId* sources = graph.Sources().data();
   ForEachChunk(pool, n, [&](uint64_t c, uint64_t begin, uint64_t end) {
-    sweep(graph, sources, v, damping, dangling, p, scaled, next, next_scaled,
+    sweep(graph, v, damping, dangling, p, scaled, next, next_scaled,
           partials->data() + c * k, static_cast<NodeId>(begin),
           static_cast<NodeId>(end));
   });

@@ -160,25 +160,6 @@ void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool);
 
-/// The default-variant sweep body over node range [begin, end) for one
-/// chunk, gathering through `sources`: graph.Sources() for the plain
-/// sweep above, a ShardPlan's shard-local sources (shard_sweep.cc) for
-/// the sharded one. Both therefore run the same instructions on the same
-/// edge sequence. diff_slot[j] receives the range's L1 difference for
-/// lane j; `next_scaled` may be null.
-using SweepRangeFn = void (*)(const graph::WebGraph& graph,
-                              const graph::NodeId* sources,
-                              const simd::LaneJumps<double>& v, double damping,
-                              const double* dangling, const double* p,
-                              const double* scaled, double* next,
-                              double* next_scaled, double* diff_slot,
-                              graph::NodeId begin, graph::NodeId end);
-
-/// The body for k lanes, k in [1, kMaxVectorsPerSweep]: one compile-time
-/// instantiation per width, so every batch width the solver produces —
-/// lane compaction included — runs fully unrolled lane loops.
-SweepRangeFn PickSweepRange(uint32_t k);
-
 /// Variant-selecting overload: `variant` picks the instruction set and the
 /// edge encoding. The default variant routes through the exact code path
 /// of the overload above (bit-identical results); vectorized and

@@ -131,11 +131,10 @@ inline constexpr uint64_t kPrefetchEdges = 64;
 /// Prefetches every cache line of the K-lane row of `scaled` that the
 /// gather reads at edge e + kPrefetchEdges, unless that edge lies at or
 /// past `edge_end` — the chunk's last edge, in_offsets[end] — so `sources`
-/// is never read past the chunk (nor past a shard's local slice). With
-/// the workspace's line-aligned buffers a row whose size divides or is a
-/// multiple of the line never straddles one, so its line starts suffice;
-/// other widths also prefetch the row's last byte. A prefetch changes no
-/// value, only when the row arrives.
+/// is never read past the chunk. With the workspace's line-aligned buffers
+/// a row whose size divides or is a multiple of the line never straddles
+/// one, so its line starts suffice; other widths also prefetch the row's
+/// last byte. A prefetch changes no value, only when the row arrives.
 template <uint32_t K, typename Real>
 inline void PrefetchGatherRow(const Real* scaled, const NodeId* sources,
                               uint64_t e, uint64_t edge_end) {

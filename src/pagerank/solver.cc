@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pagerank/kernel.h"
-#include "pagerank/shard_sweep.h"
 #include "pagerank/solver_validate.h"
 #include "util/debug.h"
 #include "util/logging.h"
@@ -301,16 +300,6 @@ std::vector<PageRankResult> SolveJacobiBatch(
   SPAMMASS_TRACE_SPAN("pagerank.solve", "method", "jacobi", "lanes", k);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
-  // Sharded mode (opt.shards > 1): the sweeps run through a cached
-  // ShardRuntime, and the two scaled buffers grow a ghost region the
-  // exchange phase refreshes every sweep. Everything else — seeding,
-  // convergence, lane compaction — is shard-oblivious, because rows
-  // [0, n) of every buffer mean exactly what they mean unsharded.
-  ShardRuntime* shard_rt =
-      opt.shards > 1 ? ws->EnsureShardRuntime(graph, opt.shards) : nullptr;
-  const uint64_t scaled_rows =
-      shard_rt != nullptr ? shard_rt->extended_rows() : n;
-
   // The lane state is three n·k arrays: the iterate, which every sweep
   // overwrites in place, and the double-buffered scaled iterate the
   // gather reads. The jumps live in a table over their supports.
@@ -318,8 +307,8 @@ std::vector<PageRankResult> SolveJacobiBatch(
   util::LaneVector<double>& scaled = ws->scaled();
   util::LaneVector<double>& scaled_next = ws->scaled_next();
   cur.resize(n * k);
-  scaled.resize(scaled_rows * k);
-  scaled_next.resize(scaled_rows * k);
+  scaled.resize(n * k);
+  scaled_next.resize(n * k);
   kernel::LaneJumpTable<double> table = kernel::BuildLaneJumps(jumps);
 
   // Algorithm 1: p[0] <- v.
@@ -361,17 +350,10 @@ std::vector<PageRankResult> SolveJacobiBatch(
       kernel::DanglingSums(graph, live, cur.data(), &ws->dangling_partials(),
                            dangling.data(), pool);
     }
-    if (shard_rt != nullptr) {
-      shard_rt->SweepMulti(graph, live, table.View(), opt.damping,
-                           dangling.data(), cur.data(), scaled.data(),
-                           cur.data(), scaled_next.data(),
-                           &ws->node_partials(), diffs.data(), pool);
-    } else {
-      kernel::WeightedJacobiSweepMulti(
-          graph, live, table.View(), opt.damping, dangling.data(),
-          cur.data(), scaled.data(), cur.data(), scaled_next.data(),
-          &ws->node_partials(), diffs.data(), variant, pool);
-    }
+    kernel::WeightedJacobiSweepMulti(
+        graph, live, table.View(), opt.damping, dangling.data(), cur.data(),
+        scaled.data(), cur.data(), scaled_next.data(), &ws->node_partials(),
+        diffs.data(), variant, pool);
     scaled.swap(scaled_next);
     SweepsCounter()->Increment();
 
@@ -609,30 +591,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
   if (options.precision == SweepPrecision::kMixedF32 &&
       !(options.f32_switch_tolerance >= 0.0)) {
     return Status::InvalidArgument("f32_switch_tolerance must be >= 0");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  // Sharded sweeps exist to make the bit-exact reference scale; the
-  // vectorized / narrowed / compressed sweep bodies have no shard-local
-  // gather, so combining them is rejected rather than silently unsharded.
-  // Sequential Gauss-Seidel/SOR ignore shards (like num_threads).
-  if (options.shards > 1 && options.method == Method::kPowerIteration) {
-    return Status::InvalidArgument(
-        "shards > 1 supports the Jacobi method only");
-  }
-  if (options.shards > 1 && options.method == Method::kJacobi) {
-    if (options.simd != SimdPolicy::kScalar) {
-      return Status::InvalidArgument(
-          "shards > 1 requires the scalar simd policy");
-    }
-    if (options.precision != SweepPrecision::kFloat64) {
-      return Status::InvalidArgument("shards > 1 requires f64 precision");
-    }
-    if (options.compressed_gather) {
-      return Status::InvalidArgument(
-          "shards > 1 is incompatible with compressed_gather");
-    }
   }
   if (options.compressed_gather) {
     if (options.method != Method::kJacobi &&

@@ -76,7 +76,7 @@ struct SolverOptions {
   /// Relaxation factor for kSor; must lie in (0, 2). Ignored otherwise.
   double sor_omega = 1.1;
   /// Worker threads for the out-of-place sweeps (each output entry depends
-  /// only on the previous iterate, so rows shard cleanly). 1 = serial.
+  /// only on the previous iterate, so rows split cleanly). 1 = serial.
   /// kJacobi and kPowerIteration parallelize — with bit-identical scores
   /// AND residuals for every thread count (deterministic chunked
   /// reductions, pagerank/kernel.h); the sequential-dependency
@@ -104,17 +104,6 @@ struct SolverOptions {
   /// max(f32_switch_tolerance, tolerance). Near the float32 unit roundoff
   /// by default; raising it shifts work to the float64 phase.
   double f32_switch_tolerance = 1e-6;
-  /// Host-range shard count for the Jacobi sweep (pagerank/shard_sweep.h):
-  /// the node range is partitioned into this many contiguous shards, each
-  /// sweeping against its own compact working set with boundary rank
-  /// exchanged through ghost slots — the cache-blocking/out-of-core mode.
-  /// 1 (the default) is the unsharded kernel. Sharded scores and residuals
-  /// are bit-identical to unsharded for every shard and thread count.
-  /// Jacobi + scalar f64 + plain gather only: shards > 1 rejects other
-  /// simd/precision/compressed_gather settings, and the sequential
-  /// Gauss-Seidel/SOR sweeps ignore it (like num_threads). Use
-  /// graph::PickShardCount to size it from the cache budget.
-  uint32_t shards = 1;
 
   /// The solver configuration shared by the eval pipeline, the CLI
   /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-10 /

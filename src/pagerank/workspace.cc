@@ -1,16 +1,6 @@
 #include "pagerank/workspace.h"
 
-#include "pagerank/shard_sweep.h"
-
 namespace spammass::pagerank {
-
-SolverWorkspace::SolverWorkspace() = default;
-
-SolverWorkspace::SolverWorkspace(uint32_t num_threads) {
-  EnsurePool(num_threads);
-}
-
-SolverWorkspace::~SolverWorkspace() = default;
 
 util::ThreadPool* SolverWorkspace::EnsurePool(uint32_t num_threads) {
   if (num_threads <= 1) return nullptr;
@@ -20,15 +10,6 @@ util::ThreadPool* SolverWorkspace::EnsurePool(uint32_t num_threads) {
     pool_threads_ = num_threads;
   }
   return pool_.get();
-}
-
-ShardRuntime* SolverWorkspace::EnsureShardRuntime(
-    const graph::WebGraph& graph, uint32_t num_shards) {
-  if (shard_runtime_ == nullptr ||
-      !shard_runtime_->Matches(graph, num_shards)) {
-    shard_runtime_ = std::make_unique<ShardRuntime>(graph, num_shards);
-  }
-  return shard_runtime_.get();
 }
 
 }  // namespace spammass::pagerank

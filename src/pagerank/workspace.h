@@ -33,28 +33,18 @@
 #include "util/cache_aligned.h"
 #include "util/thread_pool.h"
 
-namespace spammass::graph {
-class WebGraph;
-}  // namespace spammass::graph
-
 namespace spammass::pagerank {
-
-class ShardRuntime;
 
 /// Reusable thread pool + scratch vectors for the solvers in solver.h.
 class SolverWorkspace {
  public:
   /// Workspace with no pool yet; one is created lazily the first time a
-  /// solve requests num_threads > 1. Out-of-line (like every special
-  /// member): member cleanup needs ShardRuntime complete.
-  SolverWorkspace();
-
-  ~SolverWorkspace();
+  /// solve requests num_threads > 1.
+  SolverWorkspace() = default;
 
   /// Workspace with a pool for `num_threads` pre-spawned (avoids paying
-  /// thread startup inside the first timed solve). Out-of-line, like the
-  /// destructor: member cleanup needs ShardRuntime complete.
-  explicit SolverWorkspace(uint32_t num_threads);
+  /// thread startup inside the first timed solve).
+  explicit SolverWorkspace(uint32_t num_threads) { EnsurePool(num_threads); }
 
   SolverWorkspace(const SolverWorkspace&) = delete;
   SolverWorkspace& operator=(const SolverWorkspace&) = delete;
@@ -70,14 +60,6 @@ class SolverWorkspace {
 
   /// Worker count of the cached pool (0 when none exists).
   uint32_t pool_threads() const { return pool_threads_; }
-
-  /// Returns a ShardRuntime (pagerank/shard_sweep.h) for this graph at
-  /// this shard count, building one on the first call and on any
-  /// (graph, num_shards) change — the ShardPlan is the expensive part, so
-  /// repeated sharded solves over one graph pay it once. The graph must
-  /// outlive the returned runtime's use.
-  ShardRuntime* EnsureShardRuntime(const graph::WebGraph& graph,
-                                   uint32_t num_shards);
 
   /// Number of solves that have run through this workspace (diagnostics).
   uint64_t solve_count() const { return solve_count_; }
@@ -112,8 +94,6 @@ class SolverWorkspace {
   std::unique_ptr<util::ThreadPool> pool_;
   uint32_t pool_threads_ = 0;
   uint64_t solve_count_ = 0;
-  // Cached sharded-sweep runtime (see EnsureShardRuntime).
-  std::unique_ptr<ShardRuntime> shard_runtime_;
 
   // Interleaved k-wide buffers (n·k): the iterate, swept in place, and
   // the double-buffered scaled iterate (the sweep writes next_scaled

@@ -1,7 +1,5 @@
 #include "pipeline/context.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -83,51 +81,23 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
   }
 
   // TrustRank seed selection runs first: its solve is over the TRANSPOSED
-  // graph and cannot join the forward stream. Semantics replicate
-  // core::SelectSeedsByInversePageRank + the oracle filter of RunTrustRank
-  // (inlined so the solve's iteration count reaches the manifest).
+  // graph and cannot join the forward stream.
   std::vector<NodeId> trust_seeds;
   if (solve_trust) {
-    if (web.num_nodes() == 0) {
-      return Status::InvalidArgument("empty graph");
-    }
     obs::ScopedStageTimer timer("trustrank_seed_selection", &stage_timings_);
-    graph::WebGraph reversed = web.Transposed();
-    // The transposed graph is a throwaway; encoding its in-adjacency just
-    // to honor compressed_gather would cost the O(m) varint pass the
-    // option exists to avoid. Solve the seed ranking plain.
-    pagerank::SolverOptions seed_solver = cfg.solver;
-    seed_solver.compressed_gather = false;
-    auto inverse =
-        pagerank::ComputeUniformPageRank(reversed, seed_solver, &workspace_);
-    if (!inverse.ok()) return inverse.status();
-    const std::vector<double>& scores = inverse.value().scores;
-    std::vector<NodeId> order(web.num_nodes());
-    std::iota(order.begin(), order.end(), 0u);
-    uint32_t take =
-        std::min<uint32_t>(cfg.trustrank.seed_candidates, web.num_nodes());
-    std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                      [&scores](NodeId a, NodeId b) {
-                        if (scores[a] != scores[b]) {
-                          return scores[a] > scores[b];
-                        }
-                        return a < b;
-                      });
-    order.resize(take);
     // The oracle filter needs ground truth; without labels every candidate
     // is kept (the TrustRank paper's human inspection has no stand-in).
-    const bool filter =
-        cfg.trustrank.filter_seeds_by_oracle && source_->has_labels;
-    for (NodeId s : order) {
-      if (!filter || source_->web.labels.IsGood(s)) trust_seeds.push_back(s);
-    }
-    if (trust_seeds.empty()) {
-      return Status::FailedPrecondition(
-          "oracle rejected every seed candidate; enlarge seed_candidates");
-    }
+    const core::LabelStore* oracle =
+        cfg.trustrank.filter_seeds_by_oracle && source_->has_labels
+            ? &source_->web.labels
+            : nullptr;
+    auto selection = core::SelectTrustRankSeeds(
+        web, cfg.trustrank.seed_candidates, oracle, cfg.solver, &workspace_);
+    if (!selection.ok()) return selection.status();
+    trust_seeds = std::move(selection.value().seeds);
     solve_stats_.emplace_back(
         "trustrank_seed_selection",
-        pagerank::SolveStats::FromResult(inverse.value()));
+        pagerank::SolveStats::FromResult(selection.value().inverse_pagerank));
   }
 
   // Every forward solve the requested artifacts need, as ONE multi-RHS

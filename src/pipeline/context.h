@@ -21,7 +21,6 @@
 #include "core/spam_mass.h"
 #include "core/trustrank.h"
 #include "graph/graph_stats.h"
-#include "graph/reorder.h"
 #include "obs/stage_timer.h"
 #include "pagerank/solver.h"
 #include "pagerank/workspace.h"
@@ -57,14 +56,6 @@ struct PipelineConfig {
   core::DetectorConfig detection;
   TrustRankDetectorConfig trustrank;
   core::DegreeOutlierConfig degree_outlier;
-  /// Locality-aware vertex reordering applied before the solves
-  /// (graph/reorder.h). The detectors run on the permuted graph; the
-  /// pipeline driver maps every node-indexed output back through the
-  /// inverse permutation, so verdicts, candidates and the returned source
-  /// graph always speak original node IDs. Spam mass, relative mass and
-  /// verdicts are permutation-invariant (pipeline_variant_equivalence
-  /// tests); only memory locality changes.
-  graph::ReorderKind reorder = graph::ReorderKind::kNone;
 };
 
 /// What a detector (or driver) needs computed. Fields are cumulative

@@ -46,11 +46,9 @@ std::string BuildManifestJson(const ManifestInputs& inputs) {
   json.KV("precision",
           pagerank::SweepPrecisionToString(config.solver.precision));
   json.KV("compressed_gather", config.solver.compressed_gather);
-  json.KV("shards", config.solver.shards);
   json.EndObject();
   json.KV("gamma", config.gamma);
   json.KV("scale_core_jump", config.scale_core_jump);
-  json.KV("reorder", graph::ReorderKindToString(config.reorder));
   json.Key("detection").BeginObject();
   json.KV("relative_mass_threshold",
           config.detection.relative_mass_threshold);

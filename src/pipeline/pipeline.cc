@@ -1,42 +1,13 @@
 #include "pipeline/pipeline.h"
 
-#include <algorithm>
 #include <memory>
 
-#include "graph/reorder.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 
 namespace spammass::pipeline {
 
 using util::Result;
-
-namespace {
-
-/// Builds the permuted working copy the detectors run on when the config
-/// requests a reordering: graph rows, labels and good core all move to the
-/// new IDs together, so every artifact computed downstream is the same
-/// mathematical object under a relabeling.
-LoadedGraph PermuteLoadedGraph(const LoadedGraph& loaded,
-                               const graph::Reordering& reordering) {
-  const uint32_t n = loaded.web.graph.num_nodes();
-  LoadedGraph permuted;
-  permuted.web.graph = graph::ApplyReordering(loaded.web.graph, reordering);
-  if (loaded.web.labels.num_nodes() == n) {
-    permuted.web.labels = core::LabelStore(n);
-    for (graph::NodeId x = 0; x < n; ++x) {
-      permuted.web.labels.Set(reordering.perm[x], loaded.web.labels.Get(x));
-    }
-  }
-  permuted.good_core = graph::MapNodeIds(loaded.good_core, reordering.perm);
-  std::sort(permuted.good_core.begin(), permuted.good_core.end());
-  permuted.format = loaded.format;
-  permuted.has_labels = loaded.has_labels;
-  permuted.description = loaded.description;
-  return permuted;
-}
-
-}  // namespace
 
 Result<PipelineRun> RunDetectors(
     LoadedGraph loaded, const PipelineConfig& config,
@@ -53,26 +24,11 @@ Result<PipelineRun> RunDetectors(
     detectors.push_back(std::move(detector.value()));
   }
 
-  // Optional locality pass: detectors run over the permuted copy; every
-  // node-indexed output is mapped back below, and run.source stays the
-  // original-ID graph.
-  const bool reordered = config.reorder != graph::ReorderKind::kNone;
-  graph::Reordering reordering;
-  LoadedGraph permuted;
-  StageTiming reorder_timing{"reorder", 0, {}};
-  if (reordered) {
-    obs::ScopedStageTimer timer("reorder", nullptr);
-    timer.span().Arg("kind", graph::ReorderKindToString(config.reorder));
-    reordering = graph::ComputeReordering(loaded.web.graph, config.reorder);
-    permuted = PermuteLoadedGraph(loaded, reordering);
-    reorder_timing.seconds = timer.Seconds();
-  }
-  LoadedGraph& working = reordered ? permuted : loaded;
   if (config.solver.compressed_gather) {
-    working.web.graph.BuildCompressedInAdjacency();
+    loaded.web.graph.BuildCompressedInAdjacency();
   }
 
-  PipelineContext context(working, config);
+  PipelineContext context(loaded, config);
   ArtifactNeeds needs;
   for (const auto& detector : detectors) {
     needs = needs.Union(detector->Needs(context));
@@ -90,29 +46,12 @@ Result<PipelineRun> RunDetectors(
     auto output = detector->Run(context);
     if (!output.ok()) return output.status();
     output.value().seconds = timer.Seconds();
-    if (reordered) {
-      // Back to original IDs: verdict x lives at permuted slot perm[x];
-      // candidate nodes are permuted IDs, so they map through inverse.
-      DetectorOutput& out = output.value();
-      const uint32_t n = loaded.web.graph.num_nodes();
-      if (out.flagged.size() == n) {
-        std::vector<bool> flagged_orig(n);
-        for (graph::NodeId x = 0; x < n; ++x) {
-          flagged_orig[x] = out.flagged[reordering.perm[x]];
-        }
-        out.flagged = std::move(flagged_orig);
-      }
-      for (core::SpamCandidate& candidate : out.candidates) {
-        candidate.node = reordering.inverse[candidate.node];
-      }
-    }
     run.detectors.push_back(std::move(output.value()));
   }
 
   // The load stage predates this function (the source was loaded by the
   // caller), so it carries wall time only — no hardware counts.
   run.stages.push_back({"load", loaded.load_seconds, {}});
-  if (reordered) run.stages.push_back(reorder_timing);
   for (const StageTiming& stage : context.stage_timings()) {
     run.stages.push_back(stage);
   }

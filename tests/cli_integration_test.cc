@@ -21,9 +21,17 @@ namespace {
 
 class CliTest : public ::testing::Test {
  protected:
-  static std::string Dir() { return testing::TempDir() + "/cli_test"; }
+  /// This case's own working directory. Each case may run as a separate
+  /// process (ctest -j), so cases share no files, not even the captured
+  /// stdout/stderr.
+  static std::string Dir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + "/cli_test/" + info->test_suite_name() +
+           "." + info->name();
+  }
 
-  static void SetUpTestSuite() {
+  void SetUp() override {
     std::string mkdir = "mkdir -p " + Dir();
     ASSERT_EQ(std::system(mkdir.c_str()), 0);
   }
@@ -220,9 +228,9 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
   ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-paged " + d +
                 "/prom.smwg --out-core " + d + "/prom.core"),
             0);
-  // The acceptance path: a mapped sharded run exporting Prometheus text.
+  // The acceptance path: a mapped threaded run exporting Prometheus text.
   ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --method jacobi "
-                "--threads 2 --shards 2 "
+                "--threads 2 "
                 "--detectors spam_mass --core " + d + "/prom.core "
                 "--manifest " + d + "/prom_manifest.json "
                 "--metrics-format prom --metrics-out " + d +
@@ -238,9 +246,6 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
         "# TYPE graph_mmap_mapped_bytes gauge",
         "graph_mmap_resident_bytes ",
         "graph_mmap_resident_bytes_targets ",
-        "pagerank_shard_boundary_bytes_total ",
-        "pagerank_shard_ghost_gathers_total ",
-        "pagerank_shard_sweep_seconds_bucket{le=\"+Inf\"} ",
         "process_resource_samples_total "}) {
     EXPECT_NE(prom.find(needle), std::string::npos)
         << "prom output missing " << needle << "\n" << prom;
@@ -273,7 +278,10 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
 
 TEST_F(CliTest, MetricsFormatRejectsUnknown) {
   const std::string d = Dir();
-  EXPECT_NE(Run("stats --edges " + d + "/web.edges --metrics-format xml"),
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 7 --out-edges " + d +
+                "/mf.edges --out-core " + d + "/mf.core"),
+            0);
+  EXPECT_NE(Run("stats --edges " + d + "/mf.edges --metrics-format xml"),
             0);
   EXPECT_NE(ReadFile("stderr.txt").find("metrics-format"),
             std::string::npos);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/graph_builder.h"
 #include "synth/paper_graphs.h"
 
@@ -13,7 +15,7 @@ namespace {
 using core::ComputeTrustRank;
 using core::RankByTrust;
 using core::RunTrustRank;
-using core::SelectSeedsByInversePageRank;
+using core::SelectTrustRankSeeds;
 using core::TrustRankOptions;
 using graph::GraphBuilder;
 using graph::NodeId;
@@ -64,19 +66,43 @@ TEST(TrustRankTest, InversePageRankPrefersBroadReach) {
   GraphBuilder b(6);
   for (NodeId i = 1; i < 6; ++i) b.AddEdge(0, i);
   WebGraph g = b.Build();
-  auto seeds = SelectSeedsByInversePageRank(g, 2, Precise());
-  ASSERT_TRUE(seeds.ok());
-  ASSERT_EQ(seeds.value().size(), 2u);
-  EXPECT_EQ(seeds.value()[0], 0u);
+  auto selection = SelectTrustRankSeeds(g, 2, nullptr, Precise());
+  ASSERT_TRUE(selection.ok());
+  ASSERT_EQ(selection.value().seeds.size(), 2u);
+  EXPECT_EQ(selection.value().seeds[0], 0u);
 }
 
 TEST(TrustRankTest, SeedCountClampedToGraph) {
   GraphBuilder b(3);
   b.AddEdge(0, 1);
   WebGraph g = b.Build();
-  auto seeds = SelectSeedsByInversePageRank(g, 100, Precise());
-  ASSERT_TRUE(seeds.ok());
-  EXPECT_EQ(seeds.value().size(), 3u);
+  auto selection = SelectTrustRankSeeds(g, 100, nullptr, Precise());
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection.value().seeds.size(), 3u);
+}
+
+TEST(TrustRankTest, SeedOracleKeepsGoodCandidatesInRankOrder) {
+  // Star: node 0 outranks the leaves, which tie and break by lower id.
+  GraphBuilder b(6);
+  for (NodeId i = 1; i < 6; ++i) b.AddEdge(0, i);
+  WebGraph g = b.Build();
+  auto all = SelectTrustRankSeeds(g, 4, nullptr, Precise());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all.value().seeds, (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_TRUE(all.value().inverse_pagerank.converged);
+  EXPECT_EQ(all.value().inverse_pagerank.scores.size(), 6u);
+
+  core::LabelStore oracle(6);
+  oracle.Set(0, core::NodeLabel::kSpam);
+  oracle.Set(2, core::NodeLabel::kUnknown);
+  auto good = SelectTrustRankSeeds(g, 4, &oracle, Precise());
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good.value().seeds, (std::vector<NodeId>{1, 3}));
+
+  for (NodeId x = 0; x < 6; ++x) oracle.Set(x, core::NodeLabel::kSpam);
+  auto none = SelectTrustRankSeeds(g, 4, &oracle, Precise());
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {

@@ -1,7 +1,8 @@
 // A 16-lane jump batch whose lanes converge at 16 distinct sweeps, so a
 // fused Jacobi solve compacts its working set through every batch width
 // from 16 down to 1 — each width runs its own compile-time sweep body.
-// Shared by the multi-vector and sharded-sweep bit-identity suites.
+// Shared by the multi-vector, in-place-sweep and workspace bit-identity
+// suites.
 
 #ifndef SPAMMASS_TESTS_EVERY_WIDTH_BATCH_H_
 #define SPAMMASS_TESTS_EVERY_WIDTH_BATCH_H_

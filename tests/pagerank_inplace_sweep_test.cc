@@ -4,10 +4,9 @@
 // separate `next` buffer swapped in after every sweep, and the per-lane
 // formula c·in_sum + v·((1−c) + c·d) with chunked residuals — bit for bit:
 // scores, iteration counts and every residual of every lane, at every
-// batch width, under both dangling policies, for 1 and 4 threads and 1
-// and 4 shards. The 4-thread runs write disjoint rows of the shared
-// iterate concurrently; the name puts the suite under the CI
-// thread-sanitizer job's filter.
+// batch width, under both dangling policies, for 1 and 4 threads. The
+// 4-thread runs write disjoint rows of the shared iterate concurrently;
+// the name puts the suite under the CI thread-sanitizer job's filter.
 
 #include <gtest/gtest.h>
 
@@ -204,8 +203,7 @@ void ExpectSameResult(const PageRankResult& got, const PageRankResult& want) {
 }
 
 TEST(ParallelJacobiInPlaceTest, MatchesDenseReferenceAtEveryWidth) {
-  // n = 3000 gives 12 reduction chunks, so 4 shards and 4 threads each
-  // own several.
+  // n = 3000 gives 12 reduction chunks, so 4 threads each own several.
   const WebGraph g = MakeSyntheticGraph(3000, 15000, /*seed=*/91);
   ASSERT_GT(g.num_dangling(), 0u);
   const std::vector<JumpVector> jumps = MixedLaneJumps(g.num_nodes());
@@ -221,21 +219,17 @@ TEST(ParallelJacobiInPlaceTest, MatchesDenseReferenceAtEveryWidth) {
     const std::vector<PageRankResult> want =
         DenseReferenceJacobi(g, jumps, base);
     for (uint32_t threads : {1u, 4u}) {
-      for (uint32_t shards : {1u, 4u}) {
-        SCOPED_TRACE("redistribute = " + std::to_string(redistribute) +
-                     ", threads = " + std::to_string(threads) +
-                     ", shards = " + std::to_string(shards));
-        SolverOptions opt = base;
-        opt.num_threads = threads;
-        opt.shards = shards;
-        auto got = pagerank::ComputePageRankMulti(g, jumps, opt);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(testutil::CompactionWidths(got.value()),
-                  testutil::AllWidths());
-        for (size_t j = 0; j < jumps.size(); ++j) {
-          SCOPED_TRACE("lane " + std::to_string(j));
-          ExpectSameResult(got.value()[j], want[j]);
-        }
+      SCOPED_TRACE("redistribute = " + std::to_string(redistribute) +
+                   ", threads = " + std::to_string(threads));
+      SolverOptions opt = base;
+      opt.num_threads = threads;
+      auto got = pagerank::ComputePageRankMulti(g, jumps, opt);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(testutil::CompactionWidths(got.value()),
+                testutil::AllWidths());
+      for (size_t j = 0; j < jumps.size(); ++j) {
+        SCOPED_TRACE("lane " + std::to_string(j));
+        ExpectSameResult(got.value()[j], want[j]);
       }
     }
   }

@@ -195,37 +195,33 @@ TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
   // look-ahead passes the last edge. A read past `sources` is what the
   // sanitizer build catches; the results must keep each body's contract
   // against the standalone default solve: bit-identical for the scalar
-  // f64 bodies (plain, compressed, sharded), within FMA rounding for the
+  // f64 bodies (plain and compressed), within FMA rounding for the
   // vector bodies, and within the solver tolerance for mixed f32.
   struct Variant {
     const char* name;
     pagerank::SimdPolicy simd;
     pagerank::SweepPrecision precision;
     bool compressed;
-    uint32_t shards;
     double max_abs_diff;  // 0: bit-identical
   };
   using pagerank::SimdPolicy;
   using pagerank::SweepPrecision;
   const Variant variants[] = {
-      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, false, 1,
+      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, false,
        0.0},
       {"scalar f64 compressed", SimdPolicy::kScalar,
-       SweepPrecision::kFloat64, true, 1, 0.0},
-      {"scalar f64 sharded", SimdPolicy::kScalar, SweepPrecision::kFloat64,
-       false, 2, 0.0},
-      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, false, 1,
-       1e-9},
+       SweepPrecision::kFloat64, true, 0.0},
+      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, false, 1e-9},
       {"auto f64 compressed", SimdPolicy::kAuto, SweepPrecision::kFloat64,
-       true, 1, 1e-9},
+       true, 1e-9},
       {"scalar mixed-f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32,
-       false, 1, 1e-8},
+       false, 1e-8},
       {"scalar mixed-f32 compressed", SimdPolicy::kScalar,
-       SweepPrecision::kMixedF32, true, 1, 1e-8},
+       SweepPrecision::kMixedF32, true, 1e-8},
       {"auto mixed-f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32, false,
-       1, 1e-8},
+       1e-8},
       {"auto mixed-f32 compressed", SimdPolicy::kAuto,
-       SweepPrecision::kMixedF32, true, 1, 1e-8},
+       SweepPrecision::kMixedF32, true, 1e-8},
   };
   SolverOptions reference;
   reference.tolerance = 1e-12;
@@ -245,7 +241,6 @@ TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
       opt.simd = variant.simd;
       opt.precision = variant.precision;
       opt.compressed_gather = variant.compressed;
-      opt.shards = variant.shards;
       for (uint32_t k = 1; k <= jumps.size(); ++k) {
         SCOPED_TRACE(graph_name + ", " + variant.name + ", k = " +
                      std::to_string(k));

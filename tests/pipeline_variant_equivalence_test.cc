@@ -1,35 +1,30 @@
 // End-to-end variant equivalence: the Figure-4-style detection outcome —
 // who is flagged, which candidates surface, their ordering — must be
 // identical across every sweep variant (SIMD, mixed precision, compressed
-// gather) and every vertex reordering, because those are storage/traversal
-// choices, not model changes. Also the permutation-invariance property
-// test: spam mass, relative mass and verdicts are invariant under random,
-// degree and BFS node permutations for Jacobi and Gauss-Seidel at 1 and 4
-// threads.
+// gather), because those are storage/traversal choices, not model changes.
+// Also the permutation-invariance property test: spam mass and relative
+// mass are invariant under a random node permutation for Jacobi and
+// Gauss-Seidel at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/spam_mass.h"
-#include "graph/reorder.h"
 #include "pagerank/simd.h"
 #include "pagerank/solver.h"
 #include "pipeline/context.h"
 #include "pipeline/graph_source.h"
 #include "pipeline/pipeline.h"
-#include "util/random.h"
+#include "relabel.h"
 
 namespace spammass {
 namespace {
 
 using graph::NodeId;
-using graph::Reordering;
-using graph::ReorderKind;
 using graph::WebGraph;
 using pagerank::SimdPolicy;
 using pagerank::SweepPrecision;
@@ -81,7 +76,7 @@ void ExpectSameVerdicts(const pipeline::PipelineRun& want,
 TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
   // Guard for this whole suite: every candidate's relative mass must sit a
   // safe distance from the τ threshold, so tolerance-level perturbations
-  // (FMA contraction, f32 pre-phases, traversal reordering) cannot flip a
+  // (FMA contraction, f32 pre-phases, compressed gathers) cannot flip a
   // verdict and the exact-equality assertions below are meaningful.
   pipeline::PipelineConfig config = BaseConfig();
   auto run = RunScenario(config);
@@ -138,50 +133,6 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
   }
 }
 
-TEST(PipelineVariantEquivalenceTest, ReorderingsPreserveDetection) {
-  auto baseline = RunScenario(BaseConfig());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  for (ReorderKind kind : {ReorderKind::kDegreeDesc, ReorderKind::kBfs}) {
-    pipeline::PipelineConfig config = BaseConfig();
-    config.reorder = kind;
-    auto run = RunScenario(config);
-    const std::string label = graph::ReorderKindToString(kind);
-    ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
-    ExpectSameVerdicts(baseline.value(), run.value(), label);
-    // The returned source graph is the ORIGINAL, not the permuted copy.
-    pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.03, 17);
-    auto reference = source.Load();
-    ASSERT_TRUE(reference.ok());
-    ASSERT_EQ(run.value().source.graph().num_nodes(),
-              reference.value().graph().num_nodes());
-    for (NodeId x = 0; x < reference.value().graph().num_nodes(); ++x) {
-      auto a = run.value().source.graph().OutNeighbors(x);
-      auto b = reference.value().graph().OutNeighbors(x);
-      ASSERT_EQ(a.size(), b.size()) << label << " node " << x;
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-          << label << " node " << x;
-    }
-  }
-}
-
-TEST(PipelineVariantEquivalenceTest, ReorderingWithVariantsCombined) {
-  auto baseline = RunScenario(BaseConfig());
-  ASSERT_TRUE(baseline.ok());
-
-  pipeline::PipelineConfig config = BaseConfig();
-  config.reorder = ReorderKind::kDegreeDesc;
-  config.solver.compressed_gather = true;
-  if (simd::Best() != simd::Level::kScalar) {
-    config.solver.simd = SimdPolicy::kAuto;
-  }
-  config.solver.precision = SweepPrecision::kMixedF32;
-  config.solver.num_threads = 4;
-  auto run = RunScenario(config);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ExpectSameVerdicts(baseline.value(), run.value(), "combined");
-}
-
 TEST(PipelineVariantEquivalenceTest, TrustRankRunsUnderCompressedGather) {
   // Regression: TrustRank's seed selection solves inverse PageRank on a
   // throwaway transposed graph, which has no compressed in-adjacency; the
@@ -206,14 +157,12 @@ TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   config.solver.simd = SimdPolicy::kAuto;
   config.solver.precision = SweepPrecision::kMixedF32;
   config.solver.compressed_gather = true;
-  config.reorder = ReorderKind::kBfs;
   auto run = RunScenario(config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string& json = run.value().manifest_json;
-  for (const char* needle :
-       {"\"simd\":\"auto\"", "\"precision\":\"mixed-f32\"",
-        "\"compressed_gather\":true", "\"reorder\":\"bfs\"",
-        "\"name\":\"reorder\""}) {
+  for (const char* needle : {"\"simd\":\"auto\"",
+                             "\"precision\":\"mixed-f32\"",
+                             "\"compressed_gather\":true"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }
@@ -246,39 +195,20 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
       core::EstimateSpamMass(g, loaded.value().good_core, options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
 
-  // Three permutations: the two locality orders plus a seeded random one.
-  std::vector<std::pair<std::string, Reordering>> permutations;
-  permutations.emplace_back(
-      "degree", graph::ComputeReordering(g, ReorderKind::kDegreeDesc));
-  permutations.emplace_back("bfs",
-                            graph::ComputeReordering(g, ReorderKind::kBfs));
-  Reordering random;
-  random.perm.resize(n);
-  std::iota(random.perm.begin(), random.perm.end(), 0u);
-  util::Rng rng(99);
-  for (uint32_t x = n; x > 1; --x) {
-    std::swap(random.perm[x - 1], random.perm[rng.UniformIndex(x)]);
-  }
-  random.inverse.resize(n);
-  for (NodeId x = 0; x < n; ++x) random.inverse[random.perm[x]] = x;
-  permutations.emplace_back("random", std::move(random));
-
-  for (const auto& [label, reordering] : permutations) {
-    WebGraph permuted = graph::ApplyReordering(g, reordering);
-    std::vector<NodeId> permuted_core =
-        graph::MapNodeIds(loaded.value().good_core, reordering.perm);
-    std::sort(permuted_core.begin(), permuted_core.end());
-    auto got = core::EstimateSpamMass(permuted, permuted_core, options);
-    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-    for (NodeId x = 0; x < n; ++x) {
-      const NodeId y = reordering.perm[x];
-      EXPECT_NEAR(base.value().relative_mass[x],
-                  got.value().relative_mass[y], 1e-6)
-          << label << " node " << x;
-      EXPECT_NEAR(base.value().absolute_mass[x],
-                  got.value().absolute_mass[y], 1e-10)
-          << label << " node " << x;
-    }
+  const std::vector<NodeId> perm = testutil::RandomPermutation(n, 99);
+  WebGraph permuted = testutil::Relabel(g, perm);
+  std::vector<NodeId> permuted_core;
+  for (NodeId x : loaded.value().good_core) permuted_core.push_back(perm[x]);
+  std::sort(permuted_core.begin(), permuted_core.end());
+  auto got = core::EstimateSpamMass(permuted, permuted_core, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (NodeId x = 0; x < n; ++x) {
+    EXPECT_NEAR(base.value().relative_mass[x],
+                got.value().relative_mass[perm[x]], 1e-6)
+        << "node " << x;
+    EXPECT_NEAR(base.value().absolute_mass[x],
+                got.value().absolute_mass[perm[x]], 1e-10)
+        << "node " << x;
   }
 }
 

@@ -23,8 +23,6 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
   * compressed_gather_speedup_k4 / mixed_precision_speedup_k4 /
     full_variant_speedup_k4: the scalar/f64/plain sweep over the
     compressed, mixed-f32, and simd+f32+compressed variants
-  * reorder_degree_sweep_speedup / reorder_bfs_sweep_speedup:
-        crawl-order sweep over the locality-reordered sweep
     plus `bytes_per_edge`: the modelled traffic counters of the plain
     f64 sweep vs. the f32+compressed sweep and the relative reduction.
 
@@ -36,6 +34,14 @@ Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
         BM_TransposeSerial / BM_TransposeParallel/<k>
   * binary_load_v2_speedup:
         BM_BinaryLoadV1 / BM_BinaryLoadV2
+  * mmap_load_speedup (300k-node power-law web, ~50 MB CSR; target ≥10×):
+        BM_PagedLoadHeap / BM_PagedLoadMmap
+    (full-validation heap load of a v2.2 file over the zero-copy
+    sample-checksum mmap load of the same file)
+  * mmap_vs_v2_load_speedup (same web):
+        BM_BinaryLoadV2Heap / BM_PagedLoadMmap
+    (the legacy v2 streaming load over the paged mmap load — the
+    end-to-end win of migrating a deployment to the paged container)
 
 Suite `pipeline` (bench_pipeline, shared synthetic web):
 
@@ -44,21 +50,6 @@ Suite `pipeline` (bench_pipeline, shared synthetic web):
     (the artifact cache sharing one base PageRank solve between spam mass
     and TrustRank, with every forward solve fused into one multi-RHS
     stream, vs. each detector preparing its own context)
-
-Suite `shard` (bench_shard, 300k-node power-law web, ~50 MB CSR):
-
-  * mmap_load_speedup (the PR 8 acceptance metric, target ≥10×):
-        BM_PagedLoadHeap / BM_PagedLoadMmap
-    (full-validation heap load of a v2.2 file over the zero-copy
-    sample-checksum mmap load of the same file)
-  * mmap_vs_v2_load_speedup:
-        BM_BinaryLoadV2Heap / BM_PagedLoadMmap
-    (the legacy v2 streaming load over the paged mmap load — the
-    end-to-end win of migrating a deployment to the paged container)
-  * shard_sweep_speedup_S<k>:
-        BM_ShardedSweep/1 / BM_ShardedSweep/<k>
-    (unsharded multi-RHS Jacobi over the k-shard run, 4 threads; bit-
-    identical results by construction, so this is pure locality effect)
 
 Suite `obs` (bench_obs, 100k-node random web): ratios here are overhead
 factors (instrumented time / hooks-off baseline time), not speedups —
@@ -133,10 +124,6 @@ SOLVER_RATIO_PAIRS = [
      "BM_SweepScalarF32Plain"),
     ("full_variant_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepSimdF32Compressed"),
-    ("reorder_degree_sweep_speedup", "BM_SweepScalarF64Plain",
-     "BM_SweepReorderedDegree"),
-    ("reorder_bfs_sweep_speedup", "BM_SweepScalarF64Plain",
-     "BM_SweepReorderedBfs"),
 ]
 
 GRAPH_RATIO_PAIRS = [
@@ -153,19 +140,13 @@ GRAPH_RATIO_PAIRS = [
     ("graph_transpose_parallel_speedup_T8", "BM_TransposeSerial",
      "BM_TransposeParallel/8"),
     ("binary_load_v2_speedup", "BM_BinaryLoadV1", "BM_BinaryLoadV2"),
+    ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
+    ("mmap_vs_v2_load_speedup", "BM_BinaryLoadV2Heap", "BM_PagedLoadMmap"),
 ]
 
 PIPELINE_RATIO_PAIRS = [
     ("pipeline_two_detector_cache_speedup", "BM_TwoDetectorsIndependentRuns",
      "BM_TwoDetectorsSharedContext"),
-]
-
-SHARD_RATIO_PAIRS = [
-    ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
-    ("mmap_vs_v2_load_speedup", "BM_BinaryLoadV2Heap", "BM_PagedLoadMmap"),
-    ("shard_sweep_speedup_S2", "BM_ShardedSweep/1", "BM_ShardedSweep/2"),
-    ("shard_sweep_speedup_S4", "BM_ShardedSweep/1", "BM_ShardedSweep/4"),
-    ("shard_sweep_speedup_S8", "BM_ShardedSweep/1", "BM_ShardedSweep/8"),
 ]
 
 # Overhead factors: instrumented entry over the hooks-off baseline. The
@@ -216,10 +197,6 @@ SUITES = {
     "obs": {
         "binaries": ["bench_obs"],
         "ratios": OBS_RATIO_PAIRS,
-    },
-    "shard": {
-        "binaries": ["bench_shard"],
-        "ratios": SHARD_RATIO_PAIRS,
     },
 }
 

@@ -47,13 +47,8 @@ LAYER_CONFIG = {
     # instrument itself with metrics/trace spans, while obs itself may
     # reach only util.
     #
-    # Units worth calling out because their placement is a decision, not
-    # an accident (the checker enforces both):
-    #   * graph/shard — the host-range partitioner lives in graph, NOT
-    #     pagerank, so it must not include pagerank headers. The sweep's
-    #     reduction-chunk alignment is passed in as a plain integer
-    #     parameter; the sweep loop that consumes the plan sits one layer
-    #     up in pagerank/shard_sweep.
+    # A unit worth calling out because its placement is a decision, not
+    # an accident (the checker enforces it):
     #   * util/mmap_file — the mmap wrapper is plain util; graph/graph_io
     #     builds the zero-copy v2.2 loader on top of it.
     "layers": {

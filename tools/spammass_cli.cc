@@ -26,7 +26,6 @@
 #include "eval/metrics.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
-#include "graph/reorder.h"
 #include "graph/site_aggregation.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -212,11 +211,6 @@ void DefineSolverFlags(util::FlagParser* flags) {
   flags->DefineBool("compressed-gather",
                     "gather in-edges from the delta+varint compressed "
                     "adjacency (built on load; Jacobi/power only)");
-  flags->Define("shards", "1",
-                "host-range shard count for the Jacobi sweep: each shard "
-                "sweeps its own compact working set, exchanging boundary "
-                "rank between sweeps; scores stay bit-identical to "
-                "--shards=1 (Jacobi + scalar f64 only)");
 }
 
 util::Result<pagerank::SolverOptions> SolverFromFlags(
@@ -238,7 +232,6 @@ util::Result<pagerank::SolverOptions> SolverFromFlags(
   if (!precision.ok()) return precision.status();
   solver.precision = precision.value();
   solver.compressed_gather = flags.GetBool("compressed-gather");
-  solver.shards = static_cast<uint32_t>(flags.GetInt("shards"));
   return solver;
 }
 
@@ -681,9 +674,6 @@ int CmdRun(int argc, const char* const* argv) {
   DefineSolverFlags(&flags);
   flags.Define("tau", "0.98", "relative-mass threshold (Algorithm 2)");
   flags.Define("rho", "10", "scaled-PageRank threshold (Algorithm 2)");
-  flags.Define("reorder", "none",
-               "locality-aware vertex reordering before the solves: none | "
-               "degree | bfs | rcm (outputs stay in original node IDs)");
   flags.DefineBool("mmap",
                    "map file graphs zero-copy (paged v2.2 containers only)");
   ObsSession::DefineFlags(&flags);
@@ -704,9 +694,6 @@ int CmdRun(int argc, const char* const* argv) {
   if (!config.ok()) return Fail(config.status());
   config.value().detection.relative_mass_threshold = flags.GetDouble("tau");
   config.value().detection.scaled_pagerank_threshold = flags.GetDouble("rho");
-  auto reorder = graph::ReorderKindFromString(flags.GetString("reorder"));
-  if (!reorder.ok()) return Fail(reorder.status());
-  config.value().reorder = reorder.value();
 
   std::vector<std::string> detector_names;
   for (const std::string& name : util::Split(flags.GetString("detectors"),
