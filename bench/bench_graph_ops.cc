@@ -1,13 +1,12 @@
 // Micro-benchmarks of the graph substrate: CSR construction (serial and
-// ThreadPool-parallel), transpose, binary load (v1 per-record vs v2
-// bulk-array, and the heap loaders vs the zero-copy v2.2 mmap load), BFS,
-// statistics, and synthetic-web generation throughput.
+// ThreadPool-parallel), transpose, v2.2 binary load (the full-validation
+// heap load vs the zero-copy mmap load), BFS, statistics, and
+// synthetic-web generation throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_json_main.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -25,8 +24,7 @@ namespace spammass {
 namespace {
 
 // The ingest benchmarks run on a ~100k-node, ~800k-edge random web — the
-// scale the PR's acceptance numbers (build/transpose speedup at 4 threads,
-// v2-vs-v1 load) are quoted at.
+// scale the build/transpose speedups at 4 threads are quoted at.
 constexpr uint32_t kIngestNodes = 100000;
 constexpr double kIngestMeanDegree = 8.0;
 
@@ -152,45 +150,10 @@ BENCHMARK(BM_TransposeParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// -- Binary format: v1 per-record load vs v2 bulk-array load -----------------
-
-void BM_BinaryLoadV1(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_v1.bin");
-  CHECK_OK(graph::WriteBinaryV1(IngestGraph(), path));
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value().num_edges());
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryLoadV1)->Unit(benchmark::kMillisecond);
-
-void BM_BinaryLoadV2(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_v2.bin");
-  CHECK_OK(graph::WriteBinary(IngestGraph(), path));
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value().num_edges());
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryLoadV2)->Unit(benchmark::kMillisecond);
-
-void BM_BinaryWriteV2(benchmark::State& state) {
-  std::string path = BenchTempPath("spammass_bench_graph_w.bin");
-  for (auto _ : state) {
-    CHECK_OK(graph::WriteBinary(IngestGraph(), path));
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_BinaryWriteV2)->Unit(benchmark::kMillisecond);
-
-// -- Paged container: heap loaders vs the zero-copy mmap load ----------------
+// -- Paged container: heap load vs the zero-copy mmap load ------------------
 // A power-law web (hub-heavy sources, uniform targets) whose CSR is tens of
-// megabytes, so the full-validation heap reads are measurable against the
-// O(1) mmap load (`mmap_load_speedup`, `mmap_vs_v2_load_speedup`).
+// megabytes, so the full-validation heap read is measurable against the
+// mmap load (`mmap_load_speedup`).
 
 const graph::WebGraph& LoadGraph() {
   static const graph::WebGraph* g = [] {
@@ -210,17 +173,8 @@ const graph::WebGraph& LoadGraph() {
   return *g;
 }
 
-/// The load graph serialized once per format; later iterations reuse the
-/// files (the writes are not part of any timed region).
-const std::string& LoadV2Path() {
-  static const std::string* path = [] {
-    auto* p = new std::string(BenchTempPath("spammass_bench_load_v2.smwg"));
-    CHECK_OK(graph::WriteBinary(LoadGraph(), *p));
-    return p;
-  }();
-  return *path;
-}
-
+/// The load graph serialized once; later iterations reuse the file (the
+/// write is not part of any timed region).
 const std::string& LoadV22Path() {
   static const std::string* path = [] {
     auto* p = new std::string(BenchTempPath("spammass_bench_load_v22.smwg"));
@@ -229,16 +183,6 @@ const std::string& LoadV22Path() {
   }();
   return *path;
 }
-
-void BM_BinaryLoadV2Heap(benchmark::State& state) {
-  const std::string& path = LoadV2Path();
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value());
-  }
-}
-BENCHMARK(BM_BinaryLoadV2Heap)->Unit(benchmark::kMillisecond);
 
 void BM_PagedLoadHeap(benchmark::State& state) {
   const std::string& path = LoadV22Path();

@@ -126,31 +126,21 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path,
 namespace {
 
 constexpr char kMagic[4] = {'S', 'M', 'W', 'G'};
-constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersionCurrent = 2;
 constexpr uint32_t kFlagHostNames = 1u << 0;
-// Format 2.1: optional delta+varint compressed in-adjacency section
-// (csr_codec.h) between the CSR arrays and the host-name blob. The former
-// reserved header word doubles as the minor version — written as 1 only
-// when the section is present, so plain v2 files stay byte-identical to
-// minor-version-0 output and old readers only reject files that actually
-// carry the new section.
-constexpr uint32_t kFlagCompressedIn = 1u << 1;
-// Format 2.2: page-aligned paged layout for mmap loading. The flag and the
-// minor version are both set so pre-2.2 readers reject paged files with a
-// clean "unknown header flags" error instead of misparsing the section
-// table as CSR data.
+// Format 2.2, the page-aligned paged layout. The flag and the minor version
+// are both set so readers of the removed 2.0/2.1 layouts rejected paged
+// files with a clean "unknown header flags" error instead of misparsing the
+// section table as CSR data.
 constexpr uint32_t kFlagPaged = 1u << 2;
-constexpr uint32_t kMinorPlain = 0;
-constexpr uint32_t kMinorCompressed = 1;
 constexpr uint32_t kMinorPaged = 2;
 
 // v2.2 geometry: the header page and every section start on a 4 KiB
 // boundary (the ubiquitous page size; mappings of the file are at least
 // page-aligned, so each section pointer is safely castable to its element
-// type). Section checksums cover the full body (verified in debug and on
-// the ReadBinary heap path) and a bounded head+tail sample (always
-// verified, catches truncation and localized corruption at O(1) cost).
+// type). Section checksums cover the full body (verified in debug and by
+// ReadBinary) and a bounded head+tail sample (always verified, catches
+// truncation and localized corruption at O(1) cost).
 constexpr uint64_t kPageSize = 4096;
 constexpr uint64_t kSampleBytes = 64 * 1024;
 constexpr uint64_t kHeaderChecksumOffset = kPageSize - 8;
@@ -171,245 +161,6 @@ enum SectionKind : uint32_t {
 constexpr uint64_t AlignUp(uint64_t v) {
   return (v + kPageSize - 1) / kPageSize * kPageSize;
 }
-
-template <typename T>
-void WritePod(std::ofstream& f, const T& v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& f, T* v) {
-  f.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(f);
-}
-
-/// Forwards every write into the running whole-file checksum. The digest
-/// itself is written with WritePod (it must not hash itself).
-class ChecksummingWriter {
- public:
-  explicit ChecksummingWriter(std::ofstream& f) : f_(f) {}
-
-  void Write(const void* data, size_t size) {
-    hasher_.Update(data, size);
-    f_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-  }
-
-  template <typename T>
-  void WriteValue(const T& v) {
-    Write(&v, sizeof(v));
-  }
-
-  uint64_t digest() const { return hasher_.digest(); }
-
- private:
-  std::ofstream& f_;
-  util::Fnv1a64x8 hasher_;
-};
-
-/// Bulk-reads `count` elements into a vector and feeds them to `hasher`.
-template <typename T>
-bool ReadArray(std::ifstream& f, util::Fnv1a64x8* hasher, uint64_t count,
-               std::vector<T>* out) {
-  out->resize(count);
-  const size_t bytes = static_cast<size_t>(count) * sizeof(T);
-  f.read(reinterpret_cast<char*>(out->data()),
-         static_cast<std::streamsize>(bytes));
-  if (!f) return false;
-  hasher->Update(out->data(), bytes);
-  return true;
-}
-
-Result<WebGraph> ReadBinaryV1(std::ifstream& f, const std::string& path) {
-  uint64_t num_nodes = 0, num_edges = 0;
-  if (!ReadPod(f, &num_nodes) || !ReadPod(f, &num_edges)) {
-    return Status::IoError(path + ": truncated header");
-  }
-  if (num_nodes >= kInvalidNode) {
-    return Status::OutOfRange(path + ": node count exceeds 32-bit range");
-  }
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(num_edges);
-  for (uint64_t u = 0; u < num_nodes; ++u) {
-    uint64_t deg = 0;
-    if (!ReadPod(f, &deg)) return Status::IoError(path + ": truncated");
-    for (uint64_t i = 0; i < deg; ++i) {
-      NodeId v = 0;
-      if (!ReadPod(f, &v)) return Status::IoError(path + ": truncated");
-      if (v >= num_nodes) {
-        return Status::OutOfRange(path + ": edge target out of range");
-      }
-      edges.emplace_back(static_cast<NodeId>(u), v);
-    }
-  }
-  if (edges.size() != num_edges) {
-    return Status::InvalidArgument(path + ": edge count mismatch");
-  }
-  return WebGraph::FromSortedEdges(static_cast<NodeId>(num_nodes), edges);
-}
-
-Result<WebGraph> ReadBinaryV22Heap(const std::string& path,
-                                   util::ThreadPool* pool);
-
-Result<WebGraph> ReadBinaryV2(std::ifstream& f, const std::string& path,
-                              uint64_t file_size, util::Fnv1a64x8 hasher,
-                              util::ThreadPool* pool) {
-  // Fixed-width header tail: flags, reserved, node count, edge count.
-  char head[24];
-  f.read(head, sizeof(head));
-  if (!f) return Status::IoError(path + ": truncated header");
-  hasher.Update(head, sizeof(head));
-  uint32_t flags = 0, reserved = 0;
-  uint64_t num_nodes = 0, num_edges = 0;
-  std::memcpy(&flags, head, sizeof(flags));
-  std::memcpy(&reserved, head + 4, sizeof(reserved));
-  std::memcpy(&num_nodes, head + 8, sizeof(num_nodes));
-  std::memcpy(&num_edges, head + 16, sizeof(num_edges));
-  // Paged (v2.2) files re-dispatch to the mmap-backed loader, which
-  // validates everything and copies the arrays to the heap — ReadBinary's
-  // contract is an owned graph regardless of on-disk layout.
-  if ((flags & kFlagPaged) != 0 || reserved == kMinorPaged) {
-    if ((flags & kFlagPaged) == 0 || reserved != kMinorPaged) {
-      return Status::InvalidArgument(path + ": unknown header flags");
-    }
-    return ReadBinaryV22Heap(path, pool);
-  }
-  if ((flags & ~(kFlagHostNames | kFlagCompressedIn)) != 0) {
-    return Status::InvalidArgument(path + ": unknown header flags");
-  }
-  const bool has_names = (flags & kFlagHostNames) != 0;
-  const bool has_compressed = (flags & kFlagCompressedIn) != 0;
-  // The minor version (former reserved word) and the section flag must
-  // agree; anything else is a writer this reader does not know.
-  if (reserved != (has_compressed ? kMinorCompressed : kMinorPlain)) {
-    return Status::InvalidArgument(path + ": unknown header flags");
-  }
-  if (num_nodes >= kInvalidNode) {
-    return Status::OutOfRange(path + ": node count exceeds 32-bit range");
-  }
-
-  // Size sanity before any allocation: the declared arrays plus trailer
-  // must fit the actual file exactly (the compressed section and names add
-  // variable-length blobs, each verified against the remaining bytes as
-  // its size field is read). The per-element bounds also keep the size
-  // arithmetic below from overflowing on garbage counts. Both adjacency
-  // directions are stored, hence the doubled per-node / per-edge
-  // footprints.
-  if (num_nodes > file_size / 16 || num_edges > file_size / 8) {
-    return Status::IoError(path + ": truncated");
-  }
-  const uint64_t csr_end = 32 + 2 * ((num_nodes + 1) * 8 + num_edges * 4);
-  const uint64_t min_size = csr_end +
-                            (has_compressed ? 8 + (num_nodes + 1) * 8 : 0) +
-                            (has_names ? 8 + (num_nodes + 1) * 8 : 0) + 8;
-  if (file_size < min_size) return Status::IoError(path + ": truncated");
-  if (!has_names && !has_compressed && file_size != min_size) {
-    return Status::InvalidArgument(path + ": trailing bytes after payload");
-  }
-
-  std::vector<uint64_t> out_offsets;
-  std::vector<NodeId> targets;
-  std::vector<uint64_t> in_offsets;
-  std::vector<NodeId> sources;
-  if (!ReadArray(f, &hasher, num_nodes + 1, &out_offsets) ||
-      !ReadArray(f, &hasher, num_edges, &targets) ||
-      !ReadArray(f, &hasher, num_nodes + 1, &in_offsets) ||
-      !ReadArray(f, &hasher, num_edges, &sources)) {
-    return Status::IoError(path + ": truncated");
-  }
-
-  CompressedAdjacency compressed;
-  uint64_t compressed_bytes = 0;
-  if (has_compressed) {
-    char section_header[8];
-    f.read(section_header, sizeof(section_header));
-    if (!f) return Status::IoError(path + ": truncated");
-    hasher.Update(section_header, sizeof(section_header));
-    std::memcpy(&compressed_bytes, section_header, sizeof(compressed_bytes));
-    if (compressed_bytes > file_size - min_size) {
-      return Status::InvalidArgument(path +
-                                     ": compressed section size mismatch");
-    }
-    if (!has_names && file_size != min_size + compressed_bytes) {
-      return Status::InvalidArgument(path + ": trailing bytes after payload");
-    }
-    compressed.byte_offsets.clear();
-    if (!ReadArray(f, &hasher, num_nodes + 1, &compressed.byte_offsets) ||
-        !ReadArray(f, &hasher, compressed_bytes, &compressed.bytes)) {
-      return Status::IoError(path + ": truncated");
-    }
-  }
-
-  std::vector<std::string> names;
-  if (has_names) {
-    char blob_header[8];
-    f.read(blob_header, sizeof(blob_header));
-    if (!f) return Status::IoError(path + ": truncated");
-    hasher.Update(blob_header, sizeof(blob_header));
-    uint64_t blob_size = 0;
-    std::memcpy(&blob_size, blob_header, sizeof(blob_size));
-    if (file_size != min_size + compressed_bytes + blob_size) {
-      return Status::InvalidArgument(path + ": host-name blob size mismatch");
-    }
-    std::vector<uint64_t> name_offsets;
-    std::vector<char> blob;
-    if (!ReadArray(f, &hasher, num_nodes + 1, &name_offsets) ||
-        !ReadArray(f, &hasher, blob_size, &blob)) {
-      return Status::IoError(path + ": truncated");
-    }
-    if (name_offsets.front() != 0 || name_offsets.back() != blob_size) {
-      return Status::InvalidArgument(path + ": bad host-name offsets");
-    }
-    names.reserve(num_nodes);
-    for (uint64_t i = 0; i < num_nodes; ++i) {
-      if (name_offsets[i] > name_offsets[i + 1]) {
-        return Status::InvalidArgument(path + ": bad host-name offsets");
-      }
-      names.emplace_back(blob.data() + name_offsets[i],
-                         name_offsets[i + 1] - name_offsets[i]);
-    }
-  }
-
-  uint64_t stored_digest = 0;
-  if (!ReadPod(f, &stored_digest)) {
-    return Status::IoError(path + ": truncated");
-  }
-  if (stored_digest != hasher.digest()) {
-    return Status::InvalidArgument(path + ": checksum mismatch");
-  }
-
-  // The bytes are intact; now check each direction is a well-formed CSR
-  // before adopting (this is the only structural pass — no edge-pair
-  // vector, no re-sort, no transpose rebuild). Well-formedness bounds
-  // every index the algorithms will follow; that the in-arrays really are
-  // the transpose of the out-arrays is an integrity property covered by
-  // the checksum (and fully cross-checked in debug builds, see
-  // WebGraph::FromCsrPair).
-  Status csr = ValidateCsr(static_cast<NodeId>(num_nodes), out_offsets,
-                           targets, "out");
-  if (!csr.ok()) return Status(csr.code(), path + ": " + csr.message());
-  csr = ValidateCsr(static_cast<NodeId>(num_nodes), in_offsets, sources,
-                    "in");
-  if (!csr.ok()) return Status(csr.code(), path + ": " + csr.message());
-  if (has_compressed) {
-    // The section must decode to exactly the in-CSR just validated; only
-    // then may the sweeps trust its unchecked decode path.
-    Status comp = ValidateCompressedAdjacency(
-        compressed, static_cast<NodeId>(num_nodes), in_offsets, sources);
-    if (!comp.ok()) {
-      return Status(comp.code(), path + ": " + comp.message());
-    }
-  }
-
-  WebGraph g = WebGraph::FromCsrPair(
-      static_cast<NodeId>(num_nodes), std::move(out_offsets),
-      std::move(targets), std::move(in_offsets), std::move(sources), pool);
-  if (has_names) g.set_host_names(std::move(names));
-  if (has_compressed) g.AdoptCompressedInAdjacency(std::move(compressed));
-  return g;
-}
-
-// ---- v2.2 paged layout ----------------------------------------------------
 
 /// One row of the v2.2 section table (40 bytes on disk, see
 /// docs/graph_format.md).
@@ -497,12 +248,12 @@ std::span<const T> SectionSpan(const uint8_t* base, const SectionEntry& e) {
 /// (it indexes solver arrays), both CSR directions in full (ValidateCsr:
 /// the sweeps and the transpose index through them), and the host-name
 /// sections in full (they are copied anyway). With `full_validate` —
-/// debug builds and the ReadBinary heap path — every full-section
-/// checksum and the derived-array validator run too. Release mmap loads
-/// otherwise trust the inverse out-degrees past their sample checksums,
-/// and the two directions are not cross-checked against each other; this
-/// is the same trust model v2 applies to the transpose property
-/// (docs/graph_format.md, "v2.2 trust model").
+/// debug builds and ReadBinary — every full-section checksum and the
+/// derived-array validator run too. Release mmap loads otherwise trust the
+/// inverse out-degrees past their sample checksums, and the two directions
+/// are not cross-checked against each other (docs/graph_format.md, "v2.2
+/// trust model"). Files of the removed v1, v2.0 and v2.1 containers are
+/// rejected by name.
 Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   auto open = util::MmapFile::Open(path);
   if (!open.ok()) return open.status();
@@ -510,37 +261,55 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   m.file = std::make_shared<util::MmapFile>(std::move(open).value());
   const uint8_t* base = m.file->data();
   const uint64_t file_size = m.file->size();
+  if (file_size < sizeof(kMagic) ||
+      std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument(path + ": not a spammass binary graph");
+  }
+  // The version and minor words are read ahead of the header checksum only
+  // to name a removed container: those files have no header page, so the
+  // checksum or the size gate below would reject them with a message that
+  // says nothing about why. v1 wrote version 1 (and is at least 24 bytes
+  // long); v2.0 and v2.1 wrote version 2 with minor 0 or 1.
+  uint32_t version = 0, minor = 0;
+  if (file_size >= 16) {
+    std::memcpy(&version, base + 4, 4);
+    std::memcpy(&minor, base + 12, 4);
+  }
+  if (version == 1 || (version == kVersionCurrent && minor < kMinorPaged)) {
+    return Status::InvalidArgument(
+        path + (version == 1 ? ": SMWG v1" : ": SMWG v2.0/v2.1") +
+        " file; only v2.2 paged graphs are read. Convert it with a build "
+        "that still reads it (spammass_cli convert --edges <file> "
+        "--format paged), see docs/graph_format.md, \"Removed versions\"");
+  }
   if (file_size < kPageSize) {
     return Status::IoError(path + ": truncated (no v2.2 header page)");
   }
 
-  // Header-page checksum before interpreting any field past the version.
+  // Header-page checksum before interpreting any other header field.
   uint64_t stored_header_digest = 0;
   std::memcpy(&stored_header_digest, base + kHeaderChecksumOffset, 8);
   if (FullSectionDigest(base, kHeaderChecksumOffset) != stored_header_digest) {
     return Status::InvalidArgument(path + ": header page checksum mismatch");
   }
 
-  uint32_t version = 0, flags = 0, minor = 0, section_count = 0;
-  uint32_t page_size = 0;
+  uint32_t flags = 0, section_count = 0, page_size = 0;
   uint64_t num_nodes = 0, num_edges = 0;
-  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a spammass binary graph");
-  }
-  std::memcpy(&version, base + 4, 4);
   std::memcpy(&flags, base + 8, 4);
-  std::memcpy(&minor, base + 12, 4);
   std::memcpy(&num_nodes, base + 16, 8);
   std::memcpy(&num_edges, base + 24, 8);
   std::memcpy(&section_count, base + 32, 4);
   std::memcpy(&page_size, base + 36, 4);
-  if (version != kVersionCurrent || minor != kMinorPaged ||
-      (flags & kFlagPaged) == 0) {
-    return Status::InvalidArgument(path +
-                                   ": not a v2.2 paged graph (use "
-                                   "ReadBinary for v1/v2.0/v2.1 files)");
+  if (version != kVersionCurrent) {
+    return Status::InvalidArgument(path + ": unsupported version " +
+                                   std::to_string(version));
   }
-  if ((flags & ~(kFlagHostNames | kFlagPaged)) != 0) {
+  if (minor != kMinorPaged) {
+    return Status::InvalidArgument(path + ": unsupported minor version " +
+                                   std::to_string(minor));
+  }
+  if ((flags & kFlagPaged) == 0 ||
+      (flags & ~(kFlagHostNames | kFlagPaged)) != 0) {
     return Status::InvalidArgument(path + ": unknown header flags");
   }
   if (page_size != kPageSize) {
@@ -698,78 +467,7 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   return m;
 }
 
-/// ReadBinary's owned-storage path for paged files: full validation, then
-/// the arrays are copied out of a temporary mapping and the derived arrays
-/// rebuilt exactly as for a v2.0 load.
-Result<WebGraph> ReadBinaryV22Heap(const std::string& path,
-                                   util::ThreadPool* pool) {
-  auto mapped = MapV22(path, /*full_validate=*/true);
-  if (!mapped.ok()) return mapped.status();
-  MappedV22& m = mapped.value();
-  WebGraph g = WebGraph::FromCsrPair(
-      m.num_nodes,
-      std::vector<uint64_t>(m.out_offsets.begin(), m.out_offsets.end()),
-      std::vector<NodeId>(m.targets.begin(), m.targets.end()),
-      std::vector<uint64_t>(m.in_offsets.begin(), m.in_offsets.end()),
-      std::vector<NodeId>(m.sources.begin(), m.sources.end()), pool);
-  if (m.has_names) g.set_host_names(std::move(m.names));
-  return g;
-}
-
 }  // namespace
-
-util::Status WriteBinary(const WebGraph& graph, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-  ChecksummingWriter out(f);
-  out.Write(kMagic, sizeof(kMagic));
-  out.WriteValue(kVersionCurrent);
-  const bool has_names = !graph.host_names().empty();
-  const bool has_compressed = graph.has_compressed_in();
-  const uint32_t flags = (has_names ? kFlagHostNames : 0u) |
-                         (has_compressed ? kFlagCompressedIn : 0u);
-  out.WriteValue(flags);
-  // Minor version in the former reserved word; stays 0 (the original
-  // byte pattern) unless the compressed section follows.
-  out.WriteValue(has_compressed ? kMinorCompressed : kMinorPlain);
-  out.WriteValue(static_cast<uint64_t>(graph.num_nodes()));
-  out.WriteValue(graph.num_edges());
-  const auto offsets = graph.OutOffsets();
-  const auto targets = graph.Targets();
-  const auto in_offsets = graph.InOffsets();
-  const auto sources = graph.Sources();
-  out.Write(offsets.data(), offsets.size_bytes());
-  out.Write(targets.data(), targets.size_bytes());
-  out.Write(in_offsets.data(), in_offsets.size_bytes());
-  out.Write(sources.data(), sources.size_bytes());
-  if (has_compressed) {
-    const CompressedAdjacency& compressed = graph.compressed_in();
-    out.WriteValue(static_cast<uint64_t>(compressed.bytes.size()));
-    out.Write(compressed.byte_offsets.data(),
-              compressed.byte_offsets.size() * sizeof(uint64_t));
-    out.Write(compressed.bytes.data(), compressed.bytes.size());
-  }
-  if (has_names) {
-    const auto& names = graph.host_names();
-    std::vector<uint64_t> name_offsets;
-    name_offsets.reserve(names.size() + 1);
-    uint64_t blob_size = 0;
-    name_offsets.push_back(0);
-    for (const std::string& name : names) {
-      blob_size += name.size();
-      name_offsets.push_back(blob_size);
-    }
-    out.WriteValue(blob_size);
-    out.Write(name_offsets.data(), name_offsets.size() * sizeof(uint64_t));
-    std::string blob;
-    blob.reserve(blob_size);
-    for (const std::string& name : names) blob += name;
-    out.Write(blob.data(), blob.size());
-  }
-  WritePod(f, out.digest());
-  if (!f) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
 
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path) {
   SPAMMASS_TRACE_SPAN("graph.write_paged", "path", std::string_view(path));
@@ -892,49 +590,20 @@ util::Result<WebGraph> ReadBinaryMmap(const std::string& path) {
   return g;
 }
 
-util::Status WriteBinaryV1(const WebGraph& graph, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-  f.write(kMagic, sizeof(kMagic));
-  WritePod(f, kVersionLegacy);
-  WritePod(f, static_cast<uint64_t>(graph.num_nodes()));
-  WritePod(f, graph.num_edges());
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    WritePod(f, static_cast<uint64_t>(graph.OutDegree(u)));
-    for (NodeId v : graph.OutNeighbors(u)) WritePod(f, v);
-  }
-  if (!f) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 util::Result<WebGraph> ReadBinary(const std::string& path,
                                   util::ThreadPool* pool) {
   SPAMMASS_TRACE_SPAN("graph.read_binary", "path", std::string_view(path));
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IoError("cannot open: " + path);
-  f.seekg(0, std::ios::end);
-  const auto end_pos = f.tellg();
-  if (end_pos < 0) return Status::IoError(path + ": cannot determine size");
-  const uint64_t file_size = static_cast<uint64_t>(end_pos);
-  f.seekg(0, std::ios::beg);
-
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a spammass binary graph");
-  }
-  uint32_t version = 0;
-  if (!ReadPod(f, &version)) {
-    return Status::IoError(path + ": truncated header");
-  }
-  if (version == kVersionLegacy) return ReadBinaryV1(f, path);
-  if (version != kVersionCurrent) {
-    return Status::InvalidArgument(path + ": unsupported version");
-  }
-  util::Fnv1a64x8 hasher;
-  hasher.Update(magic, sizeof(magic));
-  hasher.Update(&version, sizeof(version));
-  return ReadBinaryV2(f, path, file_size, hasher, pool);
+  auto mapped = MapV22(path, /*full_validate=*/true);
+  if (!mapped.ok()) return mapped.status();
+  MappedV22& m = mapped.value();
+  WebGraph g = WebGraph::FromCsrPair(
+      m.num_nodes,
+      std::vector<uint64_t>(m.out_offsets.begin(), m.out_offsets.end()),
+      std::vector<NodeId>(m.targets.begin(), m.targets.end()),
+      std::vector<uint64_t>(m.in_offsets.begin(), m.in_offsets.end()),
+      std::vector<NodeId>(m.sources.begin(), m.sources.end()), pool);
+  if (m.has_names) g.set_host_names(std::move(m.names));
+  return g;
 }
 
 util::Status WriteHostNames(const WebGraph& graph, const std::string& path) {

@@ -1,22 +1,15 @@
 // Graph (de)serialization. Two formats:
 //   * Text edge list — one "source target" pair per line, '#' comments,
 //     interoperable with common web-graph dumps (e.g. WebGraph/SNAP style).
-//   * Binary — little-endian container (magic "SMWG"). Version 2 dumps
-//     both CSR directions (forward offsets/targets, transposed
-//     offsets/sources, optional host-name blob) as a handful of bulk
-//     writes with a trailing interleaved-FNV checksum, and loads them back
-//     into WebGraph without re-materializing an edge-pair list, re-sorting,
-//     or rebuilding the transpose; see docs/graph_format.md for the byte
-//     layout. Format 2.1 adds an optional checksummed delta+varint
-//     compressed in-adjacency section (csr_codec.h) between the CSR arrays
-//     and the names; files without it remain byte-identical to 2.0
-//     output. Format 2.2 (WriteBinaryV22) is the page-aligned *paged*
-//     layout: a section table in a 4 KiB header page, every array stored
-//     4 KiB-aligned with per-section checksums, so ReadBinaryMmap can back
-//     a WebGraph zero-copy by the mapped file and load in O(1) instead of
-//     O(n+m). Version 1 (per-row records, no checksum, no names) is still
-//     readable for migration.
-// Host names travel inside the v2 binary when present; the companion
+//   * Binary — the little-endian paged container, magic "SMWG" version 2.2
+//     (WriteBinaryV22): a checksummed section table in a 4 KiB header page,
+//     then both CSR directions, the derived solver arrays and the optional
+//     host names, each 4 KiB-aligned with its own checksums. ReadBinaryMmap
+//     backs a WebGraph zero-copy by the mapped file; ReadBinary validates
+//     it in full and copies it onto the heap. See docs/graph_format.md for
+//     the byte layout. The older v1, v2.0 and v2.1 containers are no longer
+//     read or written; both readers reject them by name.
+// Host names travel inside the binary when present; the companion
 // "<id>\t<host>" text map remains available for the text format.
 
 #ifndef SPAMMASS_GRAPH_GRAPH_IO_H_
@@ -44,12 +37,6 @@ util::Status WriteEdgeListText(const WebGraph& graph, const std::string& path);
 util::Result<WebGraph> ReadEdgeListText(const std::string& path,
                                         util::ThreadPool* pool = nullptr);
 
-/// Writes the current binary container (magic "SMWG", version 2): both CSR
-/// directions and, when the graph carries them, the compressed
-/// in-adjacency section (format 2.1) and the host-name blob, ending in a
-/// whole-file checksum.
-util::Status WriteBinary(const WebGraph& graph, const std::string& path);
-
 /// Writes the page-aligned v2.2 container for mmap loading: a 4 KiB header
 /// page holding a checksummed section table, then every array — both CSR
 /// directions plus the derived solver arrays (inverse out-degrees,
@@ -71,24 +58,15 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 /// So a corrupt file is an InvalidArgument, never an out-of-bounds
 /// gather. That is the only O(n+m) step. Debug builds additionally verify
 /// every full-section checksum and validate the derived arrays. Host
-/// names (when present) are copied to the heap. Fails with
-/// InvalidArgument on v1/v2.0/v2.1 files — those load via ReadBinary.
+/// names (when present) are copied to the heap. A v1, v2.0 or v2.1 file
+/// fails with an InvalidArgument that names its version.
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
-/// Writes the legacy version-1 container (per-row degree + target records,
-/// no checksum, no host names). Kept only as a fixture for migration
-/// tests and the v1-vs-v2 load benchmarks; new code writes v2.
-util::Status WriteBinaryV1(const WebGraph& graph, const std::string& path);
-
-/// Reads a binary graph written by WriteBinary (v2), WriteBinaryV22, or
-/// WriteBinaryV1, always into heap-owned storage. Version 2 payloads are
-/// checksum-verified and structurally validated (ValidateCsr on both
-/// directions), then adopted directly as the graph's CSR arrays; only the
-/// cheap derived solver arrays are rebuilt — in parallel when `pool` is
-/// non-null. v2.2 files take the same full-validation path (every section
-/// checksum verified, both CSR directions validated) with the arrays
-/// copied out of a temporary mapping — use ReadBinaryMmap for the
-/// zero-copy load.
+/// Reads a v2.2 file into heap-owned storage. Every check ReadBinaryMmap
+/// makes runs, plus every full-section checksum and the derived-array
+/// validator; the CSR arrays are then copied out of a temporary mapping
+/// and the derived solver arrays rebuilt — in parallel when `pool` is
+/// non-null. Every file ReadBinaryMmap rejects is rejected here too.
 util::Result<WebGraph> ReadBinary(const std::string& path,
                                   util::ThreadPool* pool = nullptr);
 

@@ -47,7 +47,7 @@ Status ValidateCsr(NodeId num_nodes, std::span<const uint64_t> offsets,
           std::to_string(offsets[row + 1]) + ")");
     }
   }
-  // Entry scan. This runs on every checksummed v2 load, where the graph
+  // Entry scan. This runs on every checksummed v2.2 load, where the graph
   // is almost always clean, so the fast path folds all violations into
   // one flag with no data-dependent branches: an ascending compare per
   // adjacent pair, a self-loop compare per entry, and a range check on

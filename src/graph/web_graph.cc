@@ -301,12 +301,6 @@ void WebGraph::BuildCompressedInAdjacency() {
   compressed_in_ = EncodeAdjacency(num_nodes_, in_offsets_v_, sources_v_);
 }
 
-void WebGraph::AdoptCompressedInAdjacency(CompressedAdjacency compressed) {
-  DCHECK_OK(ValidateCompressedAdjacency(compressed, num_nodes_,
-                                        in_offsets_v_, sources_v_));
-  compressed_in_ = std::move(compressed);
-}
-
 bool WebGraph::HasEdge(NodeId x, NodeId y) const {
   auto nbrs = OutNeighbors(x);
   return std::binary_search(nbrs.begin(), nbrs.end(), y);

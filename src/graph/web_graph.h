@@ -73,11 +73,11 @@ class WebGraph {
 
   /// Adopts BOTH adjacency directions — the forward CSR and its transpose
   /// — and only derives the cheap solver-support arrays (inverse
-  /// out-degrees, dangling list). This is the zero-rebuild load path of
-  /// the v2 binary format: no edge scan, no counting sort. Both array
-  /// pairs must individually satisfy ValidateCsr and the in-arrays must be
-  /// the exact transpose of the out-arrays; debug builds CHECK the full
-  /// cross-consistency (ValidateGraph), release builds trust the caller.
+  /// out-degrees, dangling list). This is ReadBinary's load path: no edge
+  /// scan, no counting sort. Both array pairs must individually satisfy
+  /// ValidateCsr and the in-arrays must be the exact transpose of the
+  /// out-arrays; debug builds CHECK the full cross-consistency
+  /// (ValidateGraph), release builds trust the caller.
   static WebGraph FromCsrPair(NodeId num_nodes,
                               std::vector<uint64_t> out_offsets,
                               std::vector<NodeId> targets,
@@ -192,7 +192,7 @@ class WebGraph {
 
   /// Optional delta+varint compressed form of the in-neighbor adjacency
   /// (csr_codec.h), used by the bandwidth-optimized PageRank sweeps when
-  /// SolverOptions::compressed_gather is on. Absent unless built or adopted.
+  /// SolverOptions::compressed_gather is on. Absent unless built.
   bool has_compressed_in() const { return !compressed_in_.empty(); }
   const CompressedAdjacency& compressed_in() const { return compressed_in_; }
 
@@ -200,12 +200,6 @@ class WebGraph {
   /// Idempotent; costs one pass over the edges. Works for mapped graphs
   /// too (the compressed form is heap-owned; v2.2 files don't persist it).
   void BuildCompressedInAdjacency();
-
-  /// Adopts an already-validated compressed in-adjacency (the v2 binary
-  /// loader's zero-rebuild path). The section must decode to exactly the
-  /// in-CSR arrays; debug builds re-validate, release builds trust the
-  /// caller (the loader validates untrusted bytes before adopting).
-  void AdoptCompressedInAdjacency(CompressedAdjacency compressed);
 
   /// Optional per-node host names (empty when unset). When set, the vector
   /// has exactly num_nodes() entries.
@@ -248,7 +242,7 @@ class WebGraph {
   std::shared_ptr<const util::MmapFile> mapping_;
 
   // Optional compressed in-adjacency; empty (one zero offset) unless
-  // BuildCompressedInAdjacency or AdoptCompressedInAdjacency ran.
+  // BuildCompressedInAdjacency ran.
   CompressedAdjacency compressed_in_;
   std::vector<std::string> host_names_;
 

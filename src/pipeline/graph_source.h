@@ -4,7 +4,7 @@
 // LoadedGraph: graph plus whatever ground truth travels with it (labels,
 // good core, host names). On-disk files are format-sniffed by magic
 // ("SMWG" → binary container, printable text → edge list), so every entry
-// point — CLI subcommands, benches, examples — gets the zero-rebuild v2
+// point — CLI subcommands, benches, examples — gets the zero-rebuild v2.2
 // binary loader without opting in.
 
 #ifndef SPAMMASS_PIPELINE_GRAPH_SOURCE_H_
@@ -84,8 +84,8 @@ class GraphSource {
   /// Attaches a good-core node-list file. Ignored for synthetic sources.
   GraphSource& WithCoreFile(std::string path);
 
-  /// Attaches a host-name map for text-format graphs (v2 binary files
-  /// embed names).
+  /// Attaches a host-name map for text-format graphs (binary files embed
+  /// names).
   GraphSource& WithHostNamesFile(std::string path);
 
   /// Uses an explicit in-memory good core (in-memory or file sources).

@@ -1,7 +1,7 @@
-// Streaming checksums for the binary graph container. The v2 container
-// (graph/graph_io.cc, docs/graph_format.md) appends one digest over the
-// whole file so truncation and bit corruption are detected before the CSR
-// arrays are trusted. Neither hash is cryptographic — they guard against
+// Streaming checksums for the binary graph container. The v2.2 container
+// (graph/graph_io.cc, docs/graph_format.md) checksums its header page and
+// every section so truncation and bit corruption are detected before the
+// CSR arrays are trusted. Neither hash is cryptographic — they guard against
 // accidental corruption only.
 
 #ifndef SPAMMASS_UTIL_CHECKSUM_H_
@@ -46,7 +46,7 @@ uint64_t Fnv1a64Digest(const void* data, size_t size);
 /// (eight little-endian bytes). Like the serial form, the result depends
 /// only on the concatenated byte stream, never on Update chunking. Any
 /// single-bit flip flips its word, its lane, and the digest. This is the
-/// whole-file checksum of the v2 binary graph format
+/// header-page and section checksum of the v2.2 binary graph format
 /// (docs/graph_format.md).
 class Fnv1a64x8 {
  public:

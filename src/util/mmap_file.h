@@ -7,7 +7,7 @@
 // The mapping is MAP_PRIVATE + PROT_READ: the file on disk can never be
 // modified through it, and writes through the returned pointers are a
 // fault by construction. Callers that need mutable arrays copy out
-// (see graph::ReadBinary's v2.2 heap path).
+// (see graph::ReadBinary).
 
 #ifndef SPAMMASS_UTIL_MMAP_FILE_H_
 #define SPAMMASS_UTIL_MMAP_FILE_H_

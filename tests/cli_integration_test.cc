@@ -123,7 +123,7 @@ TEST_F(CliTest, RunSubcommandWritesManifestForTextAndBinary) {
 
   // Generate the same graph in both on-disk formats.
   ASSERT_EQ(Run("generate --scale 0.03 --seed 33 --out-edges " + d +
-                "/run.edges --out-binary " + d + "/run.smwg --out-labels " +
+                "/run.edges --out-paged " + d + "/run.smwg --out-labels " +
                 d + "/run.labels --out-core " + d + "/run.core"),
             0);
 
@@ -321,6 +321,23 @@ TEST_F(CliTest, UnknownFlagFails) {
 
 TEST_F(CliTest, HelpSucceeds) {
   EXPECT_EQ(Run("generate --help"), 0);
+}
+
+TEST_F(CliTest, RunRejectsRemovedContainerByName) {
+  // A 24-byte SMWG v1 file (empty graph): magic, version 1, zero node and
+  // edge counts. No writer of that container is left, so the bytes are
+  // spelled out here.
+  const std::string path = Dir() + "/old_v1.smwg";
+  {
+    std::ofstream f(path, std::ios::binary);
+    const char bytes[24] = {'S', 'M', 'W', 'G', 1};
+    f.write(bytes, sizeof(bytes));
+  }
+  EXPECT_EQ(Run("run --graph " + path), 1);
+  const std::string err = ReadFile("stderr.txt");
+  EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+  EXPECT_NE(err.find("SMWG v1"), std::string::npos) << err;
+  EXPECT_NE(err.find("convert"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, MissingInputFileFails) {

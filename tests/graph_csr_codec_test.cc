@@ -1,9 +1,8 @@
 // Delta+varint successor-list codec: round trips over random and
 // adversarial adjacency shapes (empty rows, singletons, maximum deltas),
 // hostile-input rejection (truncation, trailing bytes, out-of-range ids,
-// overlong varints), and the format-2.1 container round trip — a binary
-// file written with the compressed section must load into a graph whose
-// structure AND compressed adjacency equal the plain-file load.
+// overlong varints), and the graph-built compressed in-adjacency checked
+// against the plain CSR it encodes.
 
 #include "graph/csr_codec.h"
 
@@ -11,11 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <vector>
 
 #include "graph/graph_builder.h"
-#include "graph/graph_io.h"
 #include "graph/web_graph.h"
 #include "util/random.h"
 
@@ -186,108 +183,6 @@ TEST(CsrCodecTest, ValidateCatchesMismatches) {
   EXPECT_FALSE(graph::ValidateCompressedAdjacency(compressed, kNodes - 1,
                                                   offsets, flat)
                    .ok());
-}
-
-class CsrCodecIoTest : public ::testing::Test {
- protected:
-  std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/" + name;
-  }
-
-  WebGraph SampleGraph(bool with_names) {
-    util::Rng rng(31);
-    GraphBuilder b(200);
-    for (int e = 0; e < 900; ++e) {
-      auto u = static_cast<NodeId>(rng.UniformIndex(200));
-      auto v = static_cast<NodeId>(rng.UniformIndex(200));
-      if (u != v) b.AddEdge(u, v);
-    }
-    WebGraph g = b.Build();
-    if (with_names) {
-      std::vector<std::string> names(g.num_nodes());
-      for (NodeId x = 0; x < g.num_nodes(); ++x) {
-        names[x] = "host-" + std::to_string(x) + ".example";
-      }
-      g.set_host_names(std::move(names));
-    }
-    return g;
-  }
-};
-
-TEST_F(CsrCodecIoTest, CompressedFileLoadsEquivalentToPlain) {
-  for (bool with_names : {false, true}) {
-    WebGraph plain = SampleGraph(with_names);
-    WebGraph compressed_graph = SampleGraph(with_names);
-    compressed_graph.BuildCompressedInAdjacency();
-
-    const std::string plain_path =
-        TempPath(with_names ? "plain_named.bin" : "plain.bin");
-    const std::string comp_path =
-        TempPath(with_names ? "comp_named.bin" : "comp.bin");
-    ASSERT_TRUE(graph::WriteBinary(plain, plain_path).ok());
-    ASSERT_TRUE(graph::WriteBinary(compressed_graph, comp_path).ok());
-
-    auto from_plain = graph::ReadBinary(plain_path);
-    auto from_comp = graph::ReadBinary(comp_path);
-    ASSERT_TRUE(from_plain.ok()) << from_plain.status().ToString();
-    ASSERT_TRUE(from_comp.ok()) << from_comp.status().ToString();
-
-    const WebGraph& a = from_plain.value();
-    const WebGraph& b = from_comp.value();
-    EXPECT_FALSE(a.has_compressed_in());
-    EXPECT_TRUE(b.has_compressed_in());
-    ASSERT_EQ(a.num_nodes(), b.num_nodes());
-    ASSERT_EQ(a.num_edges(), b.num_edges());
-    for (NodeId x = 0; x < a.num_nodes(); ++x) {
-      auto oa = a.OutNeighbors(x);
-      auto ob = b.OutNeighbors(x);
-      ASSERT_EQ(oa.size(), ob.size());
-      EXPECT_TRUE(std::equal(oa.begin(), oa.end(), ob.begin()));
-      auto ia = a.InNeighbors(x);
-      auto ib = b.InNeighbors(x);
-      ASSERT_EQ(ia.size(), ib.size());
-      EXPECT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin()));
-      if (with_names) EXPECT_EQ(a.HostName(x), b.HostName(x));
-    }
-    // The loaded compressed section checks out against the loaded CSR.
-    EXPECT_TRUE(graph::ValidateCompressedAdjacency(
-                    b.compressed_in(), b.num_nodes(), b.InOffsets(),
-                    b.Sources())
-                    .ok());
-  }
-}
-
-TEST_F(CsrCodecIoTest, CompressedRoundTripPreservesBlobExactly) {
-  WebGraph g = SampleGraph(/*with_names=*/false);
-  g.BuildCompressedInAdjacency();
-  const std::string path = TempPath("blob.bin");
-  ASSERT_TRUE(graph::WriteBinary(g, path).ok());
-  auto loaded = graph::ReadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded.value().has_compressed_in());
-  EXPECT_EQ(loaded.value().compressed_in().bytes, g.compressed_in().bytes);
-  EXPECT_EQ(loaded.value().compressed_in().byte_offsets,
-            g.compressed_in().byte_offsets);
-}
-
-TEST_F(CsrCodecIoTest, TruncatedCompressedSectionRejected) {
-  WebGraph g = SampleGraph(/*with_names=*/false);
-  g.BuildCompressedInAdjacency();
-  const std::string path = TempPath("trunc.bin");
-  ASSERT_TRUE(graph::WriteBinary(g, path).ok());
-
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> contents((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(contents.size(), 16u);
-  contents.resize(contents.size() - 8);
-  const std::string cut_path = TempPath("trunc_cut.bin");
-  {
-    std::ofstream out(cut_path, std::ios::binary);
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  }
-  EXPECT_FALSE(graph::ReadBinary(cut_path).ok());
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// The v2.2 paged container and its zero-copy mmap loader: round trips
-// (with and without host names), heap loading of paged files, migration
-// from the v1/v2 formats, solver equivalence between the mmap and heap
-// load paths, and — the part the trust model rests on — the failure paths.
-// Every corruption test byte-patches a real file and demands a clean
-// error Status: truncation, a misaligned section table entry, a flipped
-// payload byte (sample checksum), and a header that claims more data than
-// the file holds must all be caught during validation, never surface as a
-// SIGBUS from a later array access.
+// The v2.2 paged container and its two readers, the zero-copy mmap load
+// and the heap load: round trips (with and without host names), solver
+// equivalence between the two load paths, and — the part the trust model
+// rests on — the failure paths. Every corruption test byte-patches a real
+// file and demands a clean error Status: truncation, a misaligned section
+// table entry, a flipped payload byte (sample checksum), and a header that
+// claims more data than the file holds must all be caught during
+// validation, never surface as a SIGBUS from a later array access. The
+// rejection table at the end reaches every validation gate through both
+// readers, and files of the removed v1/v2.0/v2.1 containers must be
+// rejected by name.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +48,76 @@ constexpr uint64_t kSectionTableOffset = 40;
 constexpr uint64_t kSectionEntryBytes = 40;
 // Bytes the bounded sample checksum covers at each end of a section.
 constexpr uint64_t kSampleWindowBytes = 64 * 1024;
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.is_open()) << path;
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
+                             std::istreambuf_iterator<char>());
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Little-endian field access into raw file bytes.
+template <typename T>
+T Get(const std::vector<uint8_t>& bytes, uint64_t offset) {
+  T v{};
+  std::memcpy(&v, bytes.data() + offset, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void Put(std::vector<uint8_t>* bytes, uint64_t offset, T v) {
+  std::memcpy(bytes->data() + offset, &v, sizeof(T));
+}
+
+/// Byte offset of section-table entry `i`; its fields sit at +0 kind,
+/// +4 reserved, +8 offset, +16 length, +24 full and +32 sample checksum.
+uint64_t EntryAt(uint32_t i) {
+  return kSectionTableOffset + i * kSectionEntryBytes;
+}
+
+/// Recomputes the header-page checksum after a deliberate header patch,
+/// so the test reaches the validation step it targets instead of
+/// tripping the header-checksum gate first.
+void RepairHeaderChecksum(std::vector<uint8_t>* bytes) {
+  util::Fnv1a64x8 hasher;
+  hasher.Update(bytes->data(), kHeaderChecksumOffset);
+  Put(bytes, kHeaderChecksumOffset, hasher.digest());
+}
+
+/// Reads section-table entry `i`'s (offset, length) out of raw bytes.
+std::pair<uint64_t, uint64_t> SectionGeometry(
+    const std::vector<uint8_t>& bytes, uint32_t i) {
+  return {Get<uint64_t>(bytes, EntryAt(i) + 8),
+          Get<uint64_t>(bytes, EntryAt(i) + 16)};
+}
+
+/// Recomputes section `i`'s full and sample checksums (the sample covers
+/// the first and, past one window, the last kSampleWindowBytes) and then
+/// the header page's, so a patched body reaches the structural gates.
+void RepairSectionChecksums(std::vector<uint8_t>* bytes, uint32_t i) {
+  auto [offset, length] = SectionGeometry(*bytes, i);
+  const uint8_t* body = bytes->data() + offset;
+  util::Fnv1a64x8 full;
+  if (length > 0) full.Update(body, length);
+  util::Fnv1a64x8 sample;
+  const uint64_t head = std::min(length, kSampleWindowBytes);
+  if (head > 0) sample.Update(body, head);
+  if (length > kSampleWindowBytes) {
+    sample.Update(body + (length - kSampleWindowBytes), kSampleWindowBytes);
+  }
+  Put(bytes, EntryAt(i) + 24, full.digest());
+  Put(bytes, EntryAt(i) + 32, sample.digest());
+  RepairHeaderChecksum(bytes);
+}
 
 class GraphMmapTest : public ::testing::Test {
  protected:
@@ -93,43 +166,6 @@ class GraphMmapTest : public ::testing::Test {
     auto bd = b.DanglingNodes();
     EXPECT_TRUE(std::equal(ad.begin(), ad.end(), bd.begin(), bd.end()));
   }
-
-  static std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    EXPECT_TRUE(f.is_open()) << path;
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                               std::istreambuf_iterator<char>());
-    return bytes;
-  }
-
-  static void WriteFileBytes(const std::string& path,
-                             const std::vector<uint8_t>& bytes) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(f.is_open()) << path;
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  }
-
-  /// Recomputes the header-page checksum after a deliberate header patch,
-  /// so the test reaches the validation step it targets instead of
-  /// tripping the header-checksum gate first.
-  static void RepairHeaderChecksum(std::vector<uint8_t>* bytes) {
-    util::Fnv1a64x8 hasher;
-    hasher.Update(bytes->data(), kHeaderChecksumOffset);
-    const uint64_t digest = hasher.digest();
-    std::memcpy(bytes->data() + kHeaderChecksumOffset, &digest, 8);
-  }
-
-  /// Reads section-table entry `i`'s (offset, length) out of raw bytes.
-  static std::pair<uint64_t, uint64_t> SectionGeometry(
-      const std::vector<uint8_t>& bytes, uint32_t i) {
-    uint64_t offset = 0, length = 0;
-    const uint8_t* entry =
-        bytes.data() + kSectionTableOffset + i * kSectionEntryBytes;
-    std::memcpy(&offset, entry + 8, 8);
-    std::memcpy(&length, entry + 16, 8);
-    return {offset, length};
-  }
 };
 
 TEST_F(GraphMmapTest, PagedRoundTripZeroCopy) {
@@ -172,41 +208,6 @@ TEST_F(GraphMmapTest, HeapReaderLoadsPagedFiles) {
   ExpectSameGraph(g, loaded.value());
 }
 
-TEST_F(GraphMmapTest, MigratesV2FilesToPaged) {
-  // The documented migration path: heap-load the old container, rewrite
-  // paged, mmap the result.
-  WebGraph g = SampleGraph(250, 1200, /*with_names=*/true);
-  const std::string v2_path = TempPath("migrate_src.smwg");
-  const std::string v22_path = TempPath("migrate_dst.smwg");
-  ASSERT_TRUE(graph::WriteBinary(g, v2_path).ok());
-
-  auto v2 = graph::ReadBinary(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(graph::WriteBinaryV22(v2.value(), v22_path).ok());
-
-  auto mapped = graph::ReadBinaryMmap(v22_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameGraph(g, mapped.value());
-  for (NodeId x = 0; x < g.num_nodes(); ++x) {
-    EXPECT_EQ(mapped.value().HostName(x), g.HostName(x));
-  }
-}
-
-TEST_F(GraphMmapTest, MigratesV1FilesToPaged) {
-  WebGraph g = SampleGraph(120, 500);
-  const std::string v1_path = TempPath("migrate_v1.smwg");
-  const std::string v22_path = TempPath("migrate_v1_dst.smwg");
-  ASSERT_TRUE(graph::WriteBinaryV1(g, v1_path).ok());
-
-  auto v1 = graph::ReadBinary(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  ASSERT_TRUE(graph::WriteBinaryV22(v1.value(), v22_path).ok());
-
-  auto mapped = graph::ReadBinaryMmap(v22_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameGraph(g, mapped.value());
-}
-
 TEST_F(GraphMmapTest, SolverScoresBitIdenticalToHeapLoad) {
   // The whole point of the mapped representation: the solver cannot tell.
   WebGraph g = SampleGraph();
@@ -232,18 +233,58 @@ TEST_F(GraphMmapTest, SolverScoresBitIdenticalToHeapLoad) {
   }
 }
 
-TEST_F(GraphMmapTest, MmapRejectsNonPagedFiles) {
-  WebGraph g = SampleGraph(100, 400);
-  const std::string path = TempPath("plain_v2.smwg");
-  ASSERT_TRUE(graph::WriteBinary(g, path).ok());
+TEST_F(GraphMmapTest, RejectsRemovedContainersByName) {
+  // Files of the removed containers, spelled out as header bytes since no
+  // writer of them is left: magic, version, then (v2.0/v2.1) flags and
+  // minor version. Their bodies are never read, so they are zeros here.
+  // A v1 file of an empty graph is 24 bytes; a v2.0 file has no header
+  // page, so below 4 KiB it used to fail as truncated and above it as a
+  // header checksum mismatch.
+  struct Removed {
+    const char* file;
+    uint32_t version, flags, minor;
+    uint64_t size;
+    const char* name;
+  };
+  const Removed cases[] = {
+      {"removed_v1.smwg", 1, 0, 0, 24, "SMWG v1"},
+      {"removed_v20_small.smwg", 2, 0, 0, 56, "SMWG v2.0/v2.1"},
+      {"removed_v20_large.smwg", 2, 1, 0, 3 * kPageSize, "SMWG v2.0/v2.1"},
+      {"removed_v21.smwg", 2, 2, 1, 3 * kPageSize, "SMWG v2.0/v2.1"},
+  };
+  for (const Removed& c : cases) {
+    SCOPED_TRACE(c.file);
+    std::vector<uint8_t> bytes(c.size, 0);
+    std::memcpy(bytes.data(), "SMWG", 4);
+    Put(&bytes, 4, c.version);
+    if (c.version == 2) {
+      Put(&bytes, 8, c.flags);
+      Put(&bytes, 12, c.minor);
+    }
+    const std::string path = TempPath(c.file);
+    WriteFileBytes(path, bytes);
 
-  // A v2.0 file has no header page, so whatever CSR bytes sit at the
-  // header-checksum offset fail the very first gate — the point is only
-  // that the rejection is a clean InvalidArgument, never a misparse.
-  auto loaded = graph::ReadBinaryMmap(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
-      << loaded.status().ToString();
+    auto heap = graph::ReadBinary(path);
+    auto mapped = graph::ReadBinaryMmap(path);
+    ASSERT_FALSE(heap.ok());
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(heap.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string message = heap.status().message();
+    EXPECT_NE(message.find(c.name), std::string::npos) << message;
+    EXPECT_NE(message.find("convert --edges"), std::string::npos) << message;
+    EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
+  }
+}
+
+TEST_F(GraphMmapTest, MissingFileIsIoErrorFromBothReaders) {
+  const std::string path = TempPath("no_such_graph.smwg");
+  std::filesystem::remove(path);
+  auto heap = graph::ReadBinary(path);
+  auto mapped = graph::ReadBinaryMmap(path);
+  ASSERT_FALSE(heap.ok());
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(heap.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
 }
 
 TEST_F(GraphMmapTest, RejectsFileTruncatedBelowHeader) {
@@ -369,10 +410,12 @@ class GraphMmapInteriorDamageTest : public GraphMmapTest {
   /// the file's path.
   std::string WritePatched(
       const std::string& name, uint32_t section,
-      const std::function<void(uint8_t* body, uint64_t length)>& patch) {
+      const std::function<void(uint8_t* body, uint64_t length)>& patch,
+      bool with_names = false) {
     const std::string path = TempPath(name);
-    EXPECT_TRUE(
-        graph::WriteBinaryV22(SampleGraph(kNodes, 4 * kNodes), path).ok());
+    EXPECT_TRUE(graph::WriteBinaryV22(
+                    SampleGraph(kNodes, 4 * kNodes, with_names), path)
+                    .ok());
     std::vector<uint8_t> bytes = ReadFileBytes(path);
     auto [offset, length] = SectionGeometry(bytes, section);
     EXPECT_GT(length, 2 * kSampleWindowBytes);
@@ -443,6 +486,61 @@ TEST_F(GraphMmapInteriorDamageTest, RejectsDecreasingInOffsets) {
   ExpectRejected(loaded, "offsets decrease");
 }
 
+TEST_F(GraphMmapInteriorDamageTest, RejectsInteriorHostNameDamage) {
+  // Release mmap loads verify the host-name sections' full checksums
+  // themselves, since the names are copied out anyway.
+  auto loaded = graph::ReadBinaryMmap(WritePatched(
+      "interior_names.smwg", /*section=*/6,
+      [](uint8_t* body, uint64_t length) { body[length / 2] ^= 0x01; },
+      /*with_names=*/true));
+  ExpectRejected(loaded, "host-name checksum mismatch");
+}
+
+TEST_F(GraphMmapInteriorDamageTest, HeapReaderCatchesDamageBetweenSamples) {
+  // The inverse out-degrees are trusted by a release mmap load past their
+  // sample checksums (the v2.2 trust model); ReadBinary verifies the full
+  // checksum of every section, so it refuses the file.
+  const std::string path = WritePatched(
+      "interior_inv_out.smwg", /*section=*/4,
+      [](uint8_t* body, uint64_t length) { body[length / 2] ^= 0x01; });
+  auto heap = graph::ReadBinary(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(heap.status().message().find("section 5 checksum mismatch"),
+            std::string::npos)
+      << heap.status().ToString();
+  EXPECT_EQ(graph::ReadBinaryMmap(path).ok(), !util::kDebugBuild);
+}
+
+TEST_F(GraphMmapTest, HeapReaderValidatesDerivedArrays) {
+  // With every checksum repaired, a wrong inverse out-degree passes the
+  // byte-level gates. ReadBinary (and a debug mmap load) still reject it
+  // through the derived-array validator; a release mmap load trusts it.
+  WebGraph g = SampleGraph();
+  ASSERT_GT(g.OutDegree(0), 0u);
+  const std::string path = TempPath("bad_inv_out.smwg");
+  ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  Put(&bytes, SectionGeometry(bytes, 4).first, 0.125);
+  RepairSectionChecksums(&bytes, 4);
+  WriteFileBytes(path, bytes);
+
+  auto heap = graph::ReadBinary(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(heap.status().message().find("inverse out-degree"),
+            std::string::npos)
+      << heap.status().ToString();
+  auto mapped = graph::ReadBinaryMmap(path);
+  if (util::kDebugBuild) {
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().ToString(), heap.status().ToString());
+  } else {
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ(mapped.value().InvOutDegree(0), 0.125);
+  }
+}
+
 TEST_F(GraphMmapTest, HeapReaderAlsoRejectsCorruptPagedFiles) {
   // The heap path runs full validation; it must reject the same damage.
   WebGraph g = SampleGraph();
@@ -461,6 +559,231 @@ TEST_F(GraphMmapTest, HeapReaderAlsoRejectsCorruptPagedFiles) {
             std::string::npos)
       << loaded.status().ToString();
 }
+
+
+// ---- Every validation gate, through both readers --------------------------
+
+/// One damaged v2.2 file: `patch` edits the bytes of a freshly written
+/// sample graph (with host names when `with_names`), repairing the header
+/// or section checksums where the gate it aims at sits behind them. Both
+/// readers must then fail with `code` and a message holding `message`.
+struct RejectionCase {
+  const char* name;
+  bool with_names;
+  void (*patch)(std::vector<uint8_t>* bytes);
+  util::StatusCode code;
+  const char* message;
+};
+
+/// Header field offsets (docs/graph_format.md).
+constexpr uint64_t kVersionAt = 4, kFlagsAt = 8, kMinorAt = 12;
+constexpr uint64_t kNodesAt = 16, kEdgesAt = 24, kSectionCountAt = 32;
+constexpr uint64_t kPageSizeAt = 36;
+/// Section indices in the canonical order.
+constexpr uint32_t kTargets = 1, kSources = 3, kDangling = 5;
+constexpr uint32_t kNameOffsets = 6;
+
+/// Swaps two 4-byte ids of section `section`, then repairs its checksums.
+void SwapIds(std::vector<uint8_t>* b, uint32_t section, uint64_t i,
+             uint64_t j) {
+  const uint64_t base = SectionGeometry(*b, section).first;
+  const auto a = Get<NodeId>(*b, base + 4 * i);
+  Put(b, base + 4 * i, Get<NodeId>(*b, base + 4 * j));
+  Put(b, base + 4 * j, a);
+  RepairSectionChecksums(b, section);
+}
+
+/// Writes `value` as the index-th element of section `section`, then
+/// repairs its checksums.
+template <typename T>
+void SetElement(std::vector<uint8_t>* b, uint32_t section, uint64_t index,
+                T value) {
+  Put(b, SectionGeometry(*b, section).first + index * sizeof(T), value);
+  RepairSectionChecksums(b, section);
+}
+
+using util::StatusCode;
+using Bytes = std::vector<uint8_t>;
+
+const RejectionCase kRejectionCases[] = {
+    {"BadMagic", false, [](Bytes* b) { (*b)[0] = 'X'; },
+     StatusCode::kInvalidArgument, "not a spammass binary graph"},
+    {"ShorterThanMagic", false, [](Bytes* b) { b->resize(3); },
+     StatusCode::kInvalidArgument, "not a spammass binary graph"},
+    {"TruncatedHeaderPage", false, [](Bytes* b) { b->resize(40); },
+     StatusCode::kIoError, "truncated (no v2.2 header page)"},
+    {"StaleHeaderChecksum", false, [](Bytes* b) { (*b)[kNodesAt] ^= 0x01; },
+     StatusCode::kInvalidArgument, "header page checksum mismatch"},
+    {"UnsupportedVersion", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, kVersionAt, 99);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unsupported version 99"},
+    {"UnsupportedMinorVersion", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, kMinorAt, 3);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unsupported minor version 3"},
+    {"UnknownHeaderFlag", false,
+     [](Bytes* b) {
+       // Bit 1 flagged the removed v2.1 compressed section.
+       Put(b, kFlagsAt, Get<uint32_t>(*b, kFlagsAt) | 2u);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unknown header flags"},
+    {"PagedFlagMissing", false,
+     [](Bytes* b) {
+       Put(b, kFlagsAt, Get<uint32_t>(*b, kFlagsAt) & ~4u);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unknown header flags"},
+    {"UnsupportedPageSize", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, kPageSizeAt, 8192);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unsupported page size"},
+    {"NodeCountBeyond32Bits", false,
+     [](Bytes* b) {
+       Put<uint64_t>(b, kNodesAt, 0xFFFFFFFFu);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kOutOfRange, "node count exceeds 32-bit range"},
+    {"EdgeCountBeyondFile", false,
+     [](Bytes* b) {
+       Put<uint64_t>(b, kEdgesAt, b->size());
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kIoError, "file shorter than header claims"},
+    {"WrongSectionCount", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, kSectionCountAt, 7);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unexpected section count"},
+    {"UnexpectedSectionKind", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, EntryAt(0), 2);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unexpected section table"},
+    {"NonzeroSectionReserved", false,
+     [](Bytes* b) {
+       Put<uint32_t>(b, EntryAt(0) + 4, 1);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "unexpected section table"},
+    {"MisalignedSection", false,
+     [](Bytes* b) {
+       Put(b, EntryAt(kTargets) + 8, SectionGeometry(*b, kTargets).first + 8);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "misaligned section 2"},
+    {"NonCanonicalLayout", false,
+     [](Bytes* b) {
+       Put(b, EntryAt(kTargets) + 8,
+           SectionGeometry(*b, kTargets).first + kPageSize);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "non-canonical section layout"},
+    {"SectionLengthMismatch", false,
+     [](Bytes* b) {
+       Put(b, EntryAt(0) + 16, SectionGeometry(*b, 0).second - 8);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "section 1 length mismatch"},
+    {"DanglingLengthNotWholeIds", false,
+     [](Bytes* b) {
+       Put<uint64_t>(b, EntryAt(kDangling) + 16, 6);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "dangling section malformed"},
+    {"DanglingLongerThanNodeCount", false,
+     [](Bytes* b) {
+       Put(b, EntryAt(kDangling) + 16, (Get<uint64_t>(*b, kNodesAt) + 1) * 4);
+       RepairHeaderChecksum(b);
+     },
+     StatusCode::kInvalidArgument, "dangling section malformed"},
+    {"SectionPastEndOfFile", false, [](Bytes* b) { b->resize(2 * kPageSize); },
+     StatusCode::kIoError, "file shorter than header claims"},
+    {"TrailingBytes", false, [](Bytes* b) { b->resize(b->size() + kPageSize); },
+     StatusCode::kInvalidArgument, "trailing bytes after payload"},
+    {"SampleChecksum", false,
+     [](Bytes* b) {
+       auto [offset, length] = SectionGeometry(*b, kTargets);
+       (*b)[offset + length / 2] ^= 0x40;
+     },
+     StatusCode::kInvalidArgument, "section 2 checksum mismatch"},
+    {"DanglingIdOutOfRange", false,
+     [](Bytes* b) {
+       const auto n = static_cast<NodeId>(Get<uint64_t>(*b, kNodesAt));
+       SetElement(b, kDangling, 0, n);
+     },
+     StatusCode::kInvalidArgument, "dangling section malformed"},
+    {"DanglingNotAscending", false,
+     [](Bytes* b) { SwapIds(b, kDangling, 0, 1); },
+     StatusCode::kInvalidArgument, "dangling section malformed"},
+    {"SourceOutOfRange", false,
+     [](Bytes* b) { SetElement<NodeId>(b, kSources, 0, 0xFFFFFFF0u); },
+     StatusCode::kInvalidArgument, "neighbor 4294967280 out of range"},
+    {"TargetOutOfRange", false,
+     [](Bytes* b) { SetElement<NodeId>(b, kTargets, 0, 0xFFFFFFF0u); },
+     StatusCode::kInvalidArgument, "neighbor 4294967280 out of range"},
+    {"UnsortedTargetRow", false,
+     [](Bytes* b) { SwapIds(b, kTargets, 0, 1); },  // node 0's first two
+     StatusCode::kInvalidArgument, "not strictly ascending"},
+    {"NameOffsetsDoNotStartAtZero", true,
+     [](Bytes* b) { SetElement<uint64_t>(b, kNameOffsets, 0, 1); },
+     StatusCode::kInvalidArgument, "bad host-name offsets"},
+    {"NameOffsetsPastBlob", true,
+     [](Bytes* b) {
+       const uint64_t n = Get<uint64_t>(*b, kNodesAt);
+       const uint64_t base = SectionGeometry(*b, kNameOffsets).first;
+       SetElement(b, kNameOffsets, n, Get<uint64_t>(*b, base + 8 * n) + 1);
+     },
+     StatusCode::kInvalidArgument, "bad host-name offsets"},
+    {"NameOffsetsDecrease", true,
+     [](Bytes* b) {
+       const uint64_t n = Get<uint64_t>(*b, kNodesAt);
+       const uint64_t base = SectionGeometry(*b, kNameOffsets).first;
+       SetElement(b, kNameOffsets, 1, Get<uint64_t>(*b, base + 8 * n));
+     },
+     StatusCode::kInvalidArgument, "bad host-name offsets"},
+};
+
+class GraphRejectionTest
+    : public GraphMmapTest,
+      public ::testing::WithParamInterface<RejectionCase> {};
+
+TEST_P(GraphRejectionTest, BothReadersFailWithTheSameStatus) {
+  const RejectionCase& c = GetParam();
+  const std::string path = TempPath(std::string("reject_") + c.name);
+  WebGraph g = c.with_names ? SampleGraph(300, 1500, /*with_names=*/true)
+                            : SampleGraph();
+  ASSERT_GE(g.OutDegree(0), 2u);  // UnsortedTargetRow swaps node 0's ids
+  ASSERT_GE(g.DanglingNodes().size(), 2u);
+  ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  c.patch(&bytes);
+  WriteFileBytes(path, bytes);
+
+  auto heap = graph::ReadBinary(path);
+  auto mapped = graph::ReadBinaryMmap(path);
+  ASSERT_FALSE(heap.ok());
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(heap.status().code(), c.code) << heap.status().ToString();
+  EXPECT_NE(heap.status().message().find(c.message), std::string::npos)
+      << heap.status().ToString();
+  EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    V22, GraphRejectionTest, ::testing::ValuesIn(kRejectionCases),
+    [](const ::testing::TestParamInfo<RejectionCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace spammass

@@ -60,7 +60,7 @@ TEST(GraphSourceSniffTest, DetectsTextEdgeList) {
 
 TEST(GraphSourceSniffTest, DetectsBinaryMagic) {
   const std::string path = TempPath("sniff_bin.smwg");
-  ASSERT_TRUE(graph::WriteBinary(SmallGraph(), path).ok());
+  ASSERT_TRUE(graph::WriteBinaryV22(SmallGraph(), path).ok());
   auto format = pipeline::SniffGraphFormat(path);
   ASSERT_TRUE(format.ok());
   EXPECT_EQ(format.value(), pipeline::GraphFormat::kBinary);
@@ -100,7 +100,7 @@ TEST(GraphSourceTest, TextAndBinaryLoadIdenticalGraphs) {
   const std::string text_path = TempPath("source_roundtrip.edges");
   const std::string bin_path = TempPath("source_roundtrip.smwg");
   ASSERT_TRUE(graph::WriteEdgeListText(g, text_path).ok());
-  ASSERT_TRUE(graph::WriteBinary(g, bin_path).ok());
+  ASSERT_TRUE(graph::WriteBinaryV22(g, bin_path).ok());
 
   pipeline::GraphSource text_source = pipeline::GraphSource::FromFile(text_path);
   pipeline::GraphSource bin_source = pipeline::GraphSource::FromFile(bin_path);

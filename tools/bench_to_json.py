@@ -32,16 +32,10 @@ Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
         BM_CsrBuildSerial / BM_CsrBuildParallel/<k>
   * graph_transpose_parallel_speedup_T<k>:
         BM_TransposeSerial / BM_TransposeParallel/<k>
-  * binary_load_v2_speedup:
-        BM_BinaryLoadV1 / BM_BinaryLoadV2
   * mmap_load_speedup (300k-node power-law web, ~50 MB CSR; target ≥10×):
         BM_PagedLoadHeap / BM_PagedLoadMmap
     (full-validation heap load of a v2.2 file over the zero-copy
     sample-checksum mmap load of the same file)
-  * mmap_vs_v2_load_speedup (same web):
-        BM_BinaryLoadV2Heap / BM_PagedLoadMmap
-    (the legacy v2 streaming load over the paged mmap load — the
-    end-to-end win of migrating a deployment to the paged container)
 
 Suite `pipeline` (bench_pipeline, shared synthetic web):
 
@@ -139,9 +133,7 @@ GRAPH_RATIO_PAIRS = [
      "BM_TransposeParallel/4"),
     ("graph_transpose_parallel_speedup_T8", "BM_TransposeSerial",
      "BM_TransposeParallel/8"),
-    ("binary_load_v2_speedup", "BM_BinaryLoadV1", "BM_BinaryLoadV2"),
     ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
-    ("mmap_vs_v2_load_speedup", "BM_BinaryLoadV2Heap", "BM_PagedLoadMmap"),
 ]
 
 PIPELINE_RATIO_PAIRS = [

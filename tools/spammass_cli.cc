@@ -2,7 +2,7 @@
 //
 //   generate   synthesize a Yahoo-2004-like host graph to disk
 //   stats      structural statistics of a graph
-//   convert    rewrite a graph between containers (text / v2 / paged v2.2)
+//   convert    rewrite a graph between containers (text / paged v2.2)
 //   pagerank   compute (scaled) PageRank scores
 //   mass       estimate spam mass from a good-core file
 //   detect     run Algorithm 2 and print/save spam candidates
@@ -285,7 +285,6 @@ int CmdGenerate(int argc, const char* const* argv) {
   flags.Define("scale", "0.1", "scenario scale (1.0 ~ 170k hosts)");
   flags.Define("seed", "42", "generator seed");
   flags.Define("out-edges", "web.edges", "edge-list output path");
-  flags.Define("out-binary", "", "optional SMWG binary (v2) output path");
   flags.Define("out-paged", "",
                "optional paged SMWG (v2.2) output path, mmap-loadable "
                "with --mmap");
@@ -307,10 +306,6 @@ int CmdGenerate(int argc, const char* const* argv) {
   util::Status status =
       graph::WriteEdgeListText(w.graph, flags.GetString("out-edges"));
   if (!status.ok()) return Fail(status);
-  if (!flags.GetString("out-binary").empty()) {
-    status = graph::WriteBinary(w.graph, flags.GetString("out-binary"));
-    if (!status.ok()) return Fail(status);
-  }
   if (!flags.GetString("out-paged").empty()) {
     status = graph::WriteBinaryV22(w.graph, flags.GetString("out-paged"));
     if (!status.ok()) return Fail(status);
@@ -391,8 +386,8 @@ int CmdConvert(int argc, const char* const* argv) {
   DefineGraphFlags(&flags);
   flags.Define("out", "web.smwg", "converted graph output path");
   flags.Define("format", "paged",
-               "output container: paged (v2.2, mmap-loadable) | binary "
-               "(v2) | text (edge list)");
+               "output container: paged (v2.2, mmap-loadable) | text "
+               "(edge list)");
   ObsSession::DefineFlags(&flags);
   int code = 0;
   if (!ParseOrHelp(&flags, "convert", argc, argv, &code)) return code;
@@ -408,13 +403,11 @@ int CmdConvert(int argc, const char* const* argv) {
   util::Status status;
   if (format == "paged") {
     status = graph::WriteBinaryV22(g, out);
-  } else if (format == "binary") {
-    status = graph::WriteBinary(g, out);
   } else if (format == "text") {
     status = graph::WriteEdgeListText(g, out);
   } else {
     return Fail(util::Status::InvalidArgument(
-        "unknown --format '" + format + "' (want paged | binary | text)"));
+        "unknown --format '" + format + "' (want paged | text)"));
   }
   if (!status.ok()) return Fail(status);
   std::printf("wrote %s hosts, %s links as %s -> %s\n",
