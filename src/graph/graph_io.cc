@@ -375,7 +375,14 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
     entries[i] = e;
     expected_offset = AlignUp(e.offset + e.length);
   }
-  if (file_size != expected_offset) {
+  // Every section ends inside the file, so a shorter file was cut in the
+  // zero padding after the last one.
+  if (file_size < expected_offset) {
+    return Status::IoError(path +
+                           ": truncated (file ends inside the last "
+                           "section's page padding)");
+  }
+  if (file_size > expected_offset) {
     return Status::InvalidArgument(path + ": trailing bytes after payload");
   }
 

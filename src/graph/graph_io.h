@@ -41,10 +41,8 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path,
 /// page holding a checksummed section table, then every array — both CSR
 /// directions plus the derived solver arrays (inverse out-degrees,
 /// dangling list) and the optional host-name sections — at a 4 KiB-aligned
-/// offset with full and bounded-sample FNV checksums per section. The
-/// compressed in-adjacency is NOT persisted (rebuild on demand with
-/// BuildCompressedInAdjacency); see docs/graph_format.md for the layout
-/// and the v2.2 trust model.
+/// offset with full and bounded-sample FNV checksums per section; see
+/// docs/graph_format.md for the layout and the v2.2 trust model.
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 
 /// Maps a v2.2 file and returns a WebGraph whose arrays are zero-copy

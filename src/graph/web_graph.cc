@@ -296,11 +296,6 @@ void WebGraph::BuildDerivedArrays(util::ThreadPool* pool) {
   SyncViews();
 }
 
-void WebGraph::BuildCompressedInAdjacency() {
-  if (has_compressed_in()) return;
-  compressed_in_ = EncodeAdjacency(num_nodes_, in_offsets_v_, sources_v_);
-}
-
 bool WebGraph::HasEdge(NodeId x, NodeId y) const {
   auto nbrs = OutNeighbors(x);
   return std::binary_search(nbrs.begin(), nbrs.end(), y);

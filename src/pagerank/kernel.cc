@@ -242,19 +242,10 @@ simd::SweepArgs<Real> MakeSweepArgs(const WebGraph& graph, uint32_t k,
                                     double damping, const double* dangling,
                                     const Real* inv, const Real* p,
                                     const Real* scaled, Real* next,
-                                    Real* next_scaled, bool compressed,
-                                    Real* m) {
+                                    Real* next_scaled, Real* m) {
   simd::SweepArgs<Real> args;
   args.in_offsets = graph.InOffsets().data();
-  if (compressed) {
-    CHECK(graph.has_compressed_in())
-        << "compressed sweep variant requires WebGraph::"
-           "BuildCompressedInAdjacency";
-    args.comp_offsets = graph.compressed_in().byte_offsets.data();
-    args.comp_bytes = graph.compressed_in().bytes.data();
-  } else {
-    args.sources = graph.Sources().data();
-  }
+  args.sources = graph.Sources().data();
   args.inv = inv;
   args.v = v;
   args.c = static_cast<Real>(damping);
@@ -310,10 +301,9 @@ void WeightedJacobiSweepMulti(const WebGraph& graph, uint32_t k,
   double m[kMaxVectorsPerSweep];
   const simd::SweepArgs<double> args = MakeSweepArgs<double>(
       graph, k, v, damping, dangling, graph.InvOutDegrees().data(), p,
-      scaled, next, next_scaled, variant.compressed, m);
-  RunVariantSweep<double>(
-      simd::PickSweepF64(variant.level, k, variant.compressed), args, k,
-      graph.num_nodes(), partials, diffs, pool);
+      scaled, next, next_scaled, m);
+  RunVariantSweep<double>(simd::PickSweepF64(variant.level, k), args, k,
+                          graph.num_nodes(), partials, diffs, pool);
 }
 
 void InvOutDegreesF32(const WebGraph& graph, std::vector<float>* out) {
@@ -380,10 +370,9 @@ void WeightedJacobiSweepMultiF32(const WebGraph& graph, uint32_t k,
   float m[kMaxVectorsPerSweep];
   const simd::SweepArgs<float> args =
       MakeSweepArgs<float>(graph, k, v, damping, dangling, inv, p, scaled,
-                           next, next_scaled, variant.compressed, m);
-  RunVariantSweep<float>(
-      simd::PickSweepF32(variant.level, k, variant.compressed), args, k,
-      graph.num_nodes(), partials, diffs, pool);
+                           next, next_scaled, m);
+  RunVariantSweep<float>(simd::PickSweepF32(variant.level, k), args, k,
+                         graph.num_nodes(), partials, diffs, pool);
 }
 
 }  // namespace spammass::pagerank::kernel

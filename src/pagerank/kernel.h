@@ -44,18 +44,13 @@
 
 namespace spammass::pagerank::kernel {
 
-/// Selects the sweep implementation: instruction-set tier (simd.h) and
-/// edge encoding. The default — scalar, plain CSR — is the bit-exact
-/// reference path; every other combination is validated against it by
-/// pagerank_sweep_variant_test.cc. `compressed` requires the graph to
-/// carry a compressed in-adjacency (WebGraph::has_compressed_in).
+/// Selects the sweep implementation by instruction-set tier (simd.h). The
+/// default — scalar — is the bit-exact reference path; every other tier is
+/// validated against it by pagerank_sweep_variant_test.cc.
 struct SweepVariant {
   simd::Level level = simd::Level::kScalar;
-  bool compressed = false;
 
-  bool IsDefault() const {
-    return level == simd::Level::kScalar && !compressed;
-  }
+  bool IsDefault() const { return level == simd::Level::kScalar; }
 };
 
 /// Maximum number of interleaved vectors one sweep advances. Callers batch
@@ -160,11 +155,11 @@ void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool);
 
-/// Variant-selecting overload: `variant` picks the instruction set and the
-/// edge encoding. The default variant routes through the exact code path
-/// of the overload above (bit-identical results); vectorized and
-/// compressed variants preserve each lane's accumulation order but may
-/// differ from the reference by FMA contraction (see simd.h).
+/// Variant-selecting overload: `variant` picks the instruction set. The
+/// default variant routes through the exact code path of the overload
+/// above (bit-identical results); vectorized variants preserve each lane's
+/// accumulation order but may differ from the reference by FMA
+/// contraction (see simd.h).
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
                               const simd::LaneJumps<double>& v, double damping,
                               const double* dangling, const double* p,

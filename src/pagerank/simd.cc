@@ -10,13 +10,13 @@ namespace spammass::pagerank::simd {
 // for the matching architecture. They return nullptr for widths they do
 // not vectorize; this TU then falls back to ScalarSweepRange.
 #if defined(__x86_64__) || defined(_M_X64)
-SweepRangeFn<double> PickAvx2SweepF64(uint32_t k, bool compressed);
-SweepRangeFn<float> PickAvx2SweepF32(uint32_t k, bool compressed);
+SweepRangeFn<double> PickAvx2SweepF64(uint32_t k);
+SweepRangeFn<float> PickAvx2SweepF32(uint32_t k);
 bool Avx2HostSupported();
 #endif
 #if defined(__aarch64__)
-SweepRangeFn<double> PickNeonSweepF64(uint32_t k, bool compressed);
-SweepRangeFn<float> PickNeonSweepF32(uint32_t k, bool compressed);
+SweepRangeFn<double> PickNeonSweepF64(uint32_t k);
+SweepRangeFn<float> PickNeonSweepF32(uint32_t k);
 #endif
 
 const char* LevelToString(Level level) {
@@ -61,50 +61,45 @@ namespace {
 
 /// Scalar instantiation table: one compile-time width per batch width
 /// 1..kMaxSweepLanes, so compacted in-between widths unroll too.
-template <typename Real, bool Compressed>
-SweepRangeFn<Real> PickScalar(uint32_t k) {
+template <typename Real>
+SweepRangeFn<Real> PickScalarSweep(uint32_t k) {
   static constexpr auto kTable =
       LaneWidthTable<SweepRangeFn<Real>>([](auto width) {
-        return &ScalarSweepRange<Real, decltype(width)::value, Compressed>;
+        return &ScalarSweepRange<Real, decltype(width)::value>;
       });
   return kTable[k - 1];
 }
 
-template <typename Real>
-SweepRangeFn<Real> PickScalarSweep(uint32_t k, bool compressed) {
-  return compressed ? PickScalar<Real, true>(k) : PickScalar<Real, false>(k);
-}
-
 }  // namespace
 
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k, bool compressed) {
+SweepRangeFn<double> PickSweepF64(Level level, uint32_t k) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<double> fn = PickAvx2SweepF64(k, compressed)) return fn;
+    if (SweepRangeFn<double> fn = PickAvx2SweepF64(k)) return fn;
   }
 #endif
 #if defined(__aarch64__)
   if (level == Level::kNeon) {
-    if (SweepRangeFn<double> fn = PickNeonSweepF64(k, compressed)) return fn;
+    if (SweepRangeFn<double> fn = PickNeonSweepF64(k)) return fn;
   }
 #endif
   (void)level;
-  return PickScalarSweep<double>(k, compressed);
+  return PickScalarSweep<double>(k);
 }
 
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k, bool compressed) {
+SweepRangeFn<float> PickSweepF32(Level level, uint32_t k) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == Level::kAvx2 && Avx2HostSupported()) {
-    if (SweepRangeFn<float> fn = PickAvx2SweepF32(k, compressed)) return fn;
+    if (SweepRangeFn<float> fn = PickAvx2SweepF32(k)) return fn;
   }
 #endif
 #if defined(__aarch64__)
   if (level == Level::kNeon) {
-    if (SweepRangeFn<float> fn = PickNeonSweepF32(k, compressed)) return fn;
+    if (SweepRangeFn<float> fn = PickNeonSweepF32(k)) return fn;
   }
 #endif
   (void)level;
-  return PickScalarSweep<float>(k, compressed);
+  return PickScalarSweep<float>(k);
 }
 
 }  // namespace spammass::pagerank::simd

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD backends for the multi-RHS sweep. The kernel
 // (kernel.cc) asks this shim for a sweep-range implementation matching the
-// resolved (instruction set, precision, edge encoding, lane count); the
+// resolved (instruction set, precision, lane count); the
 // shim returns a hand-vectorized AVX2/NEON routine when the host supports
 // it and the width has one, otherwise the portable scalar body from
 // simd_sweep_body.h. Dispatch happens once per kernel call — never inside
@@ -39,12 +39,12 @@ bool IsSupported(Level level);
 /// backend applies.
 Level Best();
 
-/// Returns the sweep-range routine for (level, lane count k, compressed
-/// edge encoding) at the given precision. Unsupported or unvectorized
-/// combinations fall back to the scalar body — the returned function is
-/// always valid for k in [1, kMaxSweepLanes].
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k, bool compressed);
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k, bool compressed);
+/// Returns the sweep-range routine for (level, lane count k) at the given
+/// precision. Unsupported or unvectorized combinations fall back to the
+/// scalar body — the returned function is always valid for k in
+/// [1, kMaxSweepLanes].
+SweepRangeFn<double> PickSweepF64(Level level, uint32_t k);
+SweepRangeFn<float> PickSweepF32(Level level, uint32_t k);
 
 }  // namespace spammass::pagerank::simd
 

@@ -39,12 +39,13 @@ namespace {
 // ---- float64 lanes ----
 
 /// K doubles (K ∈ {4, 8, 16}) of one node accumulate in K/4 ymm registers.
-template <uint32_t K, bool Compressed>
+template <uint32_t K>
 void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
                   graph::NodeId begin, graph::NodeId end) {
   static_assert(K % 4 == 0 && K <= kMaxSweepLanes);
   constexpr uint32_t kBlocks = K / 4;
   const uint64_t* in_offsets = args.in_offsets;
+  const graph::NodeId* sources = args.sources;
   const __m256d c = _mm256_set1_pd(args.c);
   const __m256d sign_mask = _mm256_set1_pd(-0.0);
   __m256d mv[kBlocks];
@@ -58,27 +59,11 @@ void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
   for (graph::NodeId y = begin; y < end; ++y) {
     __m256d acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = _mm256_setzero_pd();
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      graph::NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const graph::NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const double* row = args.scaled + static_cast<uint64_t>(src) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = _mm256_add_pd(acc[b], _mm256_loadu_pd(row + b * 4));
-        }
-      }
-    } else {
-      const graph::NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
-        const double* row =
-            args.scaled + static_cast<uint64_t>(sources[e]) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = _mm256_add_pd(acc[b], _mm256_loadu_pd(row + b * 4));
-        }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
+      const double* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t b = 0; b < kBlocks; ++b) {
+        acc[b] = _mm256_add_pd(acc[b], _mm256_loadu_pd(row + b * 4));
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
@@ -113,12 +98,13 @@ void Avx2SweepF64(const SweepArgs<double>& args, double* diff_slot,
 /// K floats (K ∈ {8, 16}) of one node accumulate in K/8 ymm registers;
 /// the L1 difference widens each 8-float block into two double registers
 /// BEFORE subtracting, matching AbsDiff in the scalar body.
-template <uint32_t K, bool Compressed>
+template <uint32_t K>
 void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
                   graph::NodeId begin, graph::NodeId end) {
   static_assert(K % 8 == 0 && K <= kMaxSweepLanes);
   constexpr uint32_t kBlocks = K / 8;
   const uint64_t* in_offsets = args.in_offsets;
+  const graph::NodeId* sources = args.sources;
   const __m256 c = _mm256_set1_ps(args.c);
   __m256 mv[kBlocks];
   for (uint32_t b = 0; b < kBlocks; ++b) {
@@ -136,26 +122,11 @@ void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
   for (graph::NodeId y = begin; y < end; ++y) {
     __m256 acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = _mm256_setzero_ps();
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      graph::NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const graph::NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const float* row = args.scaled + static_cast<uint64_t>(src) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = _mm256_add_ps(acc[b], _mm256_loadu_ps(row + b * 8));
-        }
-      }
-    } else {
-      const graph::NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
-        const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = _mm256_add_ps(acc[b], _mm256_loadu_ps(row + b * 8));
-        }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
+      const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t b = 0; b < kBlocks; ++b) {
+        acc[b] = _mm256_add_ps(acc[b], _mm256_loadu_ps(row + b * 8));
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
@@ -196,11 +167,11 @@ void Avx2SweepF32(const SweepArgs<float>& args, double* diff_slot,
 
 /// K = 4 floats fit one xmm register; the difference accumulator is a
 /// single double register covering all four lanes.
-template <bool Compressed>
 void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
                     graph::NodeId begin, graph::NodeId end) {
   constexpr uint32_t K = 4;
   const uint64_t* in_offsets = args.in_offsets;
+  const graph::NodeId* sources = args.sources;
   const __m128 c = _mm_set1_ps(args.c);
   const __m128 mv = _mm_loadu_ps(args.m);
   const __m256d dsign_mask = _mm256_set1_pd(-0.0);
@@ -209,24 +180,10 @@ void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
   JumpCursor<K, float> jump(args.v, begin);
   for (graph::NodeId y = begin; y < end; ++y) {
     __m128 acc = _mm_setzero_ps();
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      graph::NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const graph::NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        acc = _mm_add_ps(
-            acc, _mm_loadu_ps(args.scaled + static_cast<uint64_t>(src) * K));
-      }
-    } else {
-      const graph::NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
-        acc = _mm_add_ps(acc, _mm_loadu_ps(args.scaled +
-                                           static_cast<uint64_t>(sources[e]) *
-                                               K));
-      }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      PrefetchGatherRow<K>(args.scaled, sources, e, edge_limit);
+      const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      acc = _mm_add_ps(acc, _mm_loadu_ps(row));
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
     const __m128 vy = _mm_loadu_ps(jump.Row(y));
@@ -247,51 +204,27 @@ void Avx2SweepF32x4(const SweepArgs<float>& args, double* diff_slot,
 
 }  // namespace
 
-SweepRangeFn<double> PickAvx2SweepF64(uint32_t k, bool compressed) {
-  if (compressed) {
-    switch (k) {
-      case 4:
-        return Avx2SweepF64<4, true>;
-      case 8:
-        return Avx2SweepF64<8, true>;
-      case 16:
-        return Avx2SweepF64<16, true>;
-      default:
-        return nullptr;
-    }
-  }
+SweepRangeFn<double> PickAvx2SweepF64(uint32_t k) {
   switch (k) {
     case 4:
-      return Avx2SweepF64<4, false>;
+      return Avx2SweepF64<4>;
     case 8:
-      return Avx2SweepF64<8, false>;
+      return Avx2SweepF64<8>;
     case 16:
-      return Avx2SweepF64<16, false>;
+      return Avx2SweepF64<16>;
     default:
       return nullptr;
   }
 }
 
-SweepRangeFn<float> PickAvx2SweepF32(uint32_t k, bool compressed) {
-  if (compressed) {
-    switch (k) {
-      case 4:
-        return Avx2SweepF32x4<true>;
-      case 8:
-        return Avx2SweepF32<8, true>;
-      case 16:
-        return Avx2SweepF32<16, true>;
-      default:
-        return nullptr;
-    }
-  }
+SweepRangeFn<float> PickAvx2SweepF32(uint32_t k) {
   switch (k) {
     case 4:
-      return Avx2SweepF32x4<false>;
+      return Avx2SweepF32x4;
     case 8:
-      return Avx2SweepF32<8, false>;
+      return Avx2SweepF32<8>;
     case 16:
-      return Avx2SweepF32<16, false>;
+      return Avx2SweepF32<16>;
     default:
       return nullptr;
   }

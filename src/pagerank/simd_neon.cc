@@ -22,12 +22,13 @@ namespace {
 
 /// K doubles (K ∈ {4, 8, 16}) of one node accumulate in K/2 128-bit
 /// registers.
-template <uint32_t K, bool Compressed>
+template <uint32_t K>
 void NeonSweepF64(const SweepArgs<double>& args, double* diff_slot,
                   graph::NodeId begin, graph::NodeId end) {
   static_assert(K % 2 == 0 && K <= kMaxSweepLanes);
   constexpr uint32_t kBlocks = K / 2;
   const uint64_t* in_offsets = args.in_offsets;
+  const graph::NodeId* sources = args.sources;
   const float64x2_t c = vdupq_n_f64(args.c);
   float64x2_t mv[kBlocks];
   for (uint32_t b = 0; b < kBlocks; ++b) mv[b] = vld1q_f64(args.m + b * 2);
@@ -37,26 +38,10 @@ void NeonSweepF64(const SweepArgs<double>& args, double* diff_slot,
   for (graph::NodeId y = begin; y < end; ++y) {
     float64x2_t acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = vdupq_n_f64(0.0);
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      graph::NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const graph::NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const double* row = args.scaled + static_cast<uint64_t>(src) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = vaddq_f64(acc[b], vld1q_f64(row + b * 2));
-        }
-      }
-    } else {
-      const graph::NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        const double* row =
-            args.scaled + static_cast<uint64_t>(sources[e]) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = vaddq_f64(acc[b], vld1q_f64(row + b * 2));
-        }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      const double* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t b = 0; b < kBlocks; ++b) {
+        acc[b] = vaddq_f64(acc[b], vld1q_f64(row + b * 2));
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
@@ -80,12 +65,13 @@ void NeonSweepF64(const SweepArgs<double>& args, double* diff_slot,
 
 /// K floats (K ∈ {4, 8, 16}) of one node accumulate in K/4 128-bit
 /// registers; differences widen each half to double before subtracting.
-template <uint32_t K, bool Compressed>
+template <uint32_t K>
 void NeonSweepF32(const SweepArgs<float>& args, double* diff_slot,
                   graph::NodeId begin, graph::NodeId end) {
   static_assert(K % 4 == 0 && K <= kMaxSweepLanes);
   constexpr uint32_t kBlocks = K / 4;
   const uint64_t* in_offsets = args.in_offsets;
+  const graph::NodeId* sources = args.sources;
   const float32x4_t c = vdupq_n_f32(args.c);
   float32x4_t mv[kBlocks];
   for (uint32_t b = 0; b < kBlocks; ++b) mv[b] = vld1q_f32(args.m + b * 4);
@@ -99,25 +85,10 @@ void NeonSweepF32(const SweepArgs<float>& args, double* diff_slot,
   for (graph::NodeId y = begin; y < end; ++y) {
     float32x4_t acc[kBlocks];
     for (uint32_t b = 0; b < kBlocks; ++b) acc[b] = vdupq_n_f32(0.0f);
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      graph::NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const graph::NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const float* row = args.scaled + static_cast<uint64_t>(src) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = vaddq_f32(acc[b], vld1q_f32(row + b * 4));
-        }
-      }
-    } else {
-      const graph::NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
-        for (uint32_t b = 0; b < kBlocks; ++b) {
-          acc[b] = vaddq_f32(acc[b], vld1q_f32(row + b * 4));
-        }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      const float* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t b = 0; b < kBlocks; ++b) {
+        acc[b] = vaddq_f32(acc[b], vld1q_f32(row + b * 4));
       }
     }
     const uint64_t base = static_cast<uint64_t>(y) * K;
@@ -147,51 +118,27 @@ void NeonSweepF32(const SweepArgs<float>& args, double* diff_slot,
 
 }  // namespace
 
-SweepRangeFn<double> PickNeonSweepF64(uint32_t k, bool compressed) {
-  if (compressed) {
-    switch (k) {
-      case 4:
-        return NeonSweepF64<4, true>;
-      case 8:
-        return NeonSweepF64<8, true>;
-      case 16:
-        return NeonSweepF64<16, true>;
-      default:
-        return nullptr;
-    }
-  }
+SweepRangeFn<double> PickNeonSweepF64(uint32_t k) {
   switch (k) {
     case 4:
-      return NeonSweepF64<4, false>;
+      return NeonSweepF64<4>;
     case 8:
-      return NeonSweepF64<8, false>;
+      return NeonSweepF64<8>;
     case 16:
-      return NeonSweepF64<16, false>;
+      return NeonSweepF64<16>;
     default:
       return nullptr;
   }
 }
 
-SweepRangeFn<float> PickNeonSweepF32(uint32_t k, bool compressed) {
-  if (compressed) {
-    switch (k) {
-      case 4:
-        return NeonSweepF32<4, true>;
-      case 8:
-        return NeonSweepF32<8, true>;
-      case 16:
-        return NeonSweepF32<16, true>;
-      default:
-        return nullptr;
-    }
-  }
+SweepRangeFn<float> PickNeonSweepF32(uint32_t k) {
   switch (k) {
     case 4:
-      return NeonSweepF32<4, false>;
+      return NeonSweepF32<4>;
     case 8:
-      return NeonSweepF32<8, false>;
+      return NeonSweepF32<8>;
     case 16:
-      return NeonSweepF32<16, false>;
+      return NeonSweepF32<16>;
     default:
       return nullptr;
   }

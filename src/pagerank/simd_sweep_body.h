@@ -1,8 +1,8 @@
-// Shared sweep-loop body for every (precision, lane-width, edge-encoding)
-// variant of the non-default multi-RHS Jacobi sweeps. simd.cc instantiates
-// the scalar body at every lane width 1..kMaxSweepLanes for the f32 and
-// compressed variants and as the fallback for widths the vector backends
-// do not cover; simd_avx2.cc / simd_neon.cc provide hand-vectorized
+// Shared sweep-loop body for every (precision, lane-width) variant of the
+// non-default multi-RHS Jacobi sweeps. simd.cc instantiates the scalar
+// body at every lane width 1..kMaxSweepLanes for both precisions, as the
+// reference and as the fallback for widths the vector backends do not
+// cover; simd_avx2.cc / simd_neon.cc provide hand-vectorized
 // overrides registered through simd.h. Keeping the loop in one header
 // guarantees every scalar variant computes the exact expressions
 // documented in kernel.h — specializations only unroll or vectorize
@@ -26,8 +26,14 @@
 #include <type_traits>
 #include <utility>
 
-#include "graph/csr_codec.h"
 #include "util/cache_aligned.h"
+
+namespace spammass::graph {
+/// Node identifier; identical to the WebGraph declaration (web_graph.h),
+/// redeclared so the vector TUs, compiled with -mavx2 -mfma, include no
+/// graph header and so emit no copy of its inline functions.
+using NodeId = uint32_t;
+}  // namespace spammass::graph
 
 namespace spammass::pagerank::simd {
 
@@ -94,13 +100,10 @@ class JumpCursor {
 /// x·k + j in each interleaved array.
 template <typename Real>
 struct SweepArgs {
-  /// In-CSR: offsets always present (they carry the in-degrees); exactly
-  /// one of `sources` (plain) or `comp_offsets`+`comp_bytes` (compressed)
-  /// is non-null.
+  /// In-CSR: row y's in-neighbors are sources[in_offsets[y] ..
+  /// in_offsets[y + 1]).
   const uint64_t* in_offsets = nullptr;
   const NodeId* sources = nullptr;
-  const uint64_t* comp_offsets = nullptr;
-  const uint8_t* comp_bytes = nullptr;
   /// Inverse out-degrees in the sweep precision (0 for dangling nodes).
   const Real* inv = nullptr;
   /// Jump vectors, by support.
@@ -119,7 +122,7 @@ struct SweepArgs {
   Real* next_scaled = nullptr;
 };
 
-/// Software-prefetch look-ahead of the plain gather, in edges. The source
+/// Software-prefetch look-ahead of the gather, in edges. The source
 /// ids are data-dependent, so the hardware prefetcher cannot follow the
 /// gathered `scaled` rows; prefetching the row kPrefetchEdges edges ahead
 /// overlaps the L3/DRAM misses of consecutive edges. A compile-time
@@ -162,11 +165,12 @@ inline double AbsDiff(float a, float b) {
 /// Portable sweep over node range [begin, end) of K interleaved lanes.
 /// diff_slot[j] receives the range's L1 difference for lane j, accumulated
 /// in double.
-template <typename Real, uint32_t K, bool Compressed>
+template <typename Real, uint32_t K>
 void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
                       NodeId begin, NodeId end) {
   static_assert(K >= 1 && K <= kMaxSweepLanes);
   const uint64_t* in_offsets = args.in_offsets;
+  const NodeId* sources = args.sources;
   const Real c = args.c;
   const uint64_t edge_end = in_offsets[end];
   JumpCursor<K, Real> jump(args.v, begin);
@@ -174,24 +178,10 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
   for (NodeId y = begin; y < end; ++y) {
     Real in_sum[K];
     for (uint32_t j = 0; j < K; ++j) in_sum[j] = Real(0);
-    if constexpr (Compressed) {
-      const uint8_t* cp = args.comp_bytes + args.comp_offsets[y];
-      const uint64_t degree = in_offsets[y + 1] - in_offsets[y];
-      NodeId prev = 0;
-      for (uint64_t e = 0; e < degree; ++e) {
-        const NodeId src = prev + graph::DecodeVarint32Unchecked(&cp);
-        prev = src + 1;
-        const Real* row = args.scaled + static_cast<uint64_t>(src) * K;
-        for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
-      }
-    } else {
-      const NodeId* sources = args.sources;
-      for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
-        PrefetchGatherRow<K>(args.scaled, sources, e, edge_end);
-        const Real* row =
-            args.scaled + static_cast<uint64_t>(sources[e]) * K;
-        for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
-      }
+    for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
+      PrefetchGatherRow<K>(args.scaled, sources, e, edge_end);
+      const Real* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
     }
     const Real* vrow = jump.Row(y);
     const Real* prow = args.p + static_cast<uint64_t>(y) * K;

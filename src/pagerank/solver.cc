@@ -160,7 +160,6 @@ kernel::SweepVariant ResolveVariant(const SolverOptions& opt) {
       variant.level = simd::Level::kNeon;
       break;
   }
-  variant.compressed = opt.compressed_gather;
   return variant;
 }
 
@@ -593,16 +592,9 @@ Status CheckGraphAndOptions(const WebGraph& graph,
     return Status::InvalidArgument("f32_switch_tolerance must be >= 0");
   }
   if (options.compressed_gather) {
-    if (options.method != Method::kJacobi &&
-        options.method != Method::kPowerIteration) {
-      return Status::InvalidArgument(
-          "compressed_gather requires the Jacobi or power-iteration method");
-    }
-    if (!graph.has_compressed_in()) {
-      return Status::FailedPrecondition(
-          "compressed_gather requires a graph with a compressed "
-          "in-adjacency (WebGraph::BuildCompressedInAdjacency)");
-    }
+    return Status::InvalidArgument(
+        "compressed_gather was removed; every sweep gathers from the plain "
+        "in-CSR, so leave it false");
   }
   return Status::OK();
 }

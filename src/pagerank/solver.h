@@ -92,12 +92,10 @@ struct SolverOptions {
   SimdPolicy simd = SimdPolicy::kScalar;
   /// Lane-storage precision of the Jacobi sweep (see SweepPrecision).
   SweepPrecision precision = SweepPrecision::kFloat64;
-  /// Gather in-edges from the graph's delta+varint compressed adjacency
-  /// (WebGraph::has_compressed_in must hold) instead of the plain source
-  /// array — ~4→~1.2 bytes of edge traffic per visit on power-law webs.
-  /// Decoding changes no floating-point operation, so compressed f64
-  /// scalar sweeps stay bit-identical to the reference. Jacobi and
-  /// power-iteration only.
+  /// Vestigial: the compressed gather was removed, so no sweep reads this
+  /// and the solver rejects `true` as InvalidArgument. It stays only
+  /// because perfbench/perfbench.cc still assigns it `false`; it goes when
+  /// the next benchmark change drops that line.
   bool compressed_gather = false;
   /// Mixed-precision switch point: the float32 pre-phase hands over to
   /// float64 once every lane's residual drops below

@@ -45,7 +45,6 @@ std::string BuildManifestJson(const ManifestInputs& inputs) {
   json.KV("simd", pagerank::SimdPolicyToString(config.solver.simd));
   json.KV("precision",
           pagerank::SweepPrecisionToString(config.solver.precision));
-  json.KV("compressed_gather", config.solver.compressed_gather);
   json.EndObject();
   json.KV("gamma", config.gamma);
   json.KV("scale_core_jump", config.scale_core_jump);

@@ -24,10 +24,6 @@ Result<PipelineRun> RunDetectors(
     detectors.push_back(std::move(detector.value()));
   }
 
-  if (config.solver.compressed_gather) {
-    loaded.web.graph.BuildCompressedInAdjacency();
-  }
-
   PipelineContext context(loaded, config);
   ArtifactNeeds needs;
   for (const auto& detector : detectors) {

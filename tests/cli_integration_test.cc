@@ -317,6 +317,11 @@ TEST_F(CliTest, UnknownCommandFails) {
 
 TEST_F(CliTest, UnknownFlagFails) {
   EXPECT_NE(Run("stats --bogus-flag 3"), 0);
+  // A removed flag is rejected by name, not ignored.
+  EXPECT_EQ(Run("run --compressed-gather"), 1);
+  const std::string err = ReadFile("stderr.txt");
+  EXPECT_NE(err.find("unknown flag --compressed-gather"), std::string::npos)
+      << err;
 }
 
 TEST_F(CliTest, HelpSucceeds) {

@@ -606,7 +606,7 @@ using util::StatusCode;
 using Bytes = std::vector<uint8_t>;
 
 const RejectionCase kRejectionCases[] = {
-    {"BadMagic", false, [](Bytes* b) { (*b)[0] = 'X'; },
+    {"BadMagicNumber", false, [](Bytes* b) { (*b)[0] = 'X'; },
      StatusCode::kInvalidArgument, "not a spammass binary graph"},
     {"ShorterThanMagic", false, [](Bytes* b) { b->resize(3); },
      StatusCode::kInvalidArgument, "not a spammass binary graph"},
@@ -708,6 +708,16 @@ const RejectionCase kRejectionCases[] = {
      StatusCode::kInvalidArgument, "dangling section malformed"},
     {"SectionPastEndOfFile", false, [](Bytes* b) { b->resize(2 * kPageSize); },
      StatusCode::kIoError, "file shorter than header claims"},
+    {"TruncatedInLastSectionPadding", false,
+     [](Bytes* b) {
+       // Cut right after the last section's payload, inside the zero
+       // padding up to the next page boundary.
+       const uint32_t last = Get<uint32_t>(*b, kSectionCountAt) - 1;
+       auto [offset, length] = SectionGeometry(*b, last);
+       b->resize(offset + length);
+     },
+     StatusCode::kIoError,
+     "truncated (file ends inside the last section's page padding)"},
     {"TrailingBytes", false, [](Bytes* b) { b->resize(b->size() + kPageSize); },
      StatusCode::kInvalidArgument, "trailing bytes after payload"},
     {"SampleChecksum", false,

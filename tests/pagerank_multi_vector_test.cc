@@ -174,7 +174,6 @@ std::vector<std::pair<std::string, WebGraph>> PrefetchBoundaryGraphs() {
     if (u != v) tail.AddEdge(u, v);
   }
   graphs.emplace_back("empty trailing rows and last chunk", tail.Build());
-  for (auto& [name, g] : graphs) g.BuildCompressedInAdjacency();
   return graphs;
 }
 
@@ -195,33 +194,22 @@ TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
   // look-ahead passes the last edge. A read past `sources` is what the
   // sanitizer build catches; the results must keep each body's contract
   // against the standalone default solve: bit-identical for the scalar
-  // f64 bodies (plain and compressed), within FMA rounding for the
-  // vector bodies, and within the solver tolerance for mixed f32.
+  // f64 body, within FMA rounding for the vector bodies, and within the
+  // solver tolerance for mixed f32.
   struct Variant {
     const char* name;
     pagerank::SimdPolicy simd;
     pagerank::SweepPrecision precision;
-    bool compressed;
     double max_abs_diff;  // 0: bit-identical
   };
   using pagerank::SimdPolicy;
   using pagerank::SweepPrecision;
   const Variant variants[] = {
-      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, false,
-       0.0},
-      {"scalar f64 compressed", SimdPolicy::kScalar,
-       SweepPrecision::kFloat64, true, 0.0},
-      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, false, 1e-9},
-      {"auto f64 compressed", SimdPolicy::kAuto, SweepPrecision::kFloat64,
-       true, 1e-9},
+      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, 0.0},
+      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, 1e-9},
       {"scalar mixed-f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32,
-       false, 1e-8},
-      {"scalar mixed-f32 compressed", SimdPolicy::kScalar,
-       SweepPrecision::kMixedF32, true, 1e-8},
-      {"auto mixed-f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32, false,
        1e-8},
-      {"auto mixed-f32 compressed", SimdPolicy::kAuto,
-       SweepPrecision::kMixedF32, true, 1e-8},
+      {"auto mixed-f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32, 1e-8},
   };
   SolverOptions reference;
   reference.tolerance = 1e-12;
@@ -240,7 +228,6 @@ TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
       SolverOptions opt = reference;
       opt.simd = variant.simd;
       opt.precision = variant.precision;
-      opt.compressed_gather = variant.compressed;
       for (uint32_t k = 1; k <= jumps.size(); ++k) {
         SCOPED_TRACE(graph_name + ", " + variant.name + ", k = " +
                      std::to_string(k));

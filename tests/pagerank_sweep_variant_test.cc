@@ -1,8 +1,6 @@
 // Sweep-variant validation matrix. The default configuration (scalar
-// instruction set, float64 lanes, plain CSR) is the bit-exact reference;
-// this suite pins every other combination against it:
-//   * compressed gather changes no floating-point operation, so
-//     compressed+scalar+f64 must be BITWISE identical to the reference,
+// instruction set, float64 lanes) is the bit-exact reference; this suite
+// pins every other combination against it:
 //   * vectorized sweeps preserve per-lane accumulation order and may
 //     differ only by FMA contraction — near-equality with a tight bound,
 //   * mixed-f32 runs float32 pre-sweeps but always refines in float64, so
@@ -76,8 +74,6 @@ class SweepVariantTest : public ::testing::Test {
  protected:
   void SetUp() override {
     graph_ = MakeGraph(900, 5400, /*seed=*/101);
-    compressed_graph_ = MakeGraph(900, 5400, /*seed=*/101);
-    compressed_graph_.BuildCompressedInAdjacency();
     jumps_ = MakeJumps(graph_.num_nodes(), 4, /*seed=*/5);
   }
 
@@ -102,25 +98,8 @@ class SweepVariantTest : public ::testing::Test {
   }
 
   WebGraph graph_;
-  WebGraph compressed_graph_;
   std::vector<JumpVector> jumps_;
 };
-
-TEST_F(SweepVariantTest, CompressedScalarF64BitIdenticalToReference) {
-  for (auto policy : {pagerank::DanglingPolicy::kLeak,
-                      pagerank::DanglingPolicy::kRedistributeToJump}) {
-    SolverOptions ref = BaseOptions();
-    ref.dangling = policy;
-    SolverOptions comp = ref;
-    comp.compressed_gather = true;
-    auto want = Solve(graph_, ref);
-    auto got = Solve(compressed_graph_, comp);
-    ASSERT_EQ(want.size(), got.size());
-    for (size_t j = 0; j < want.size(); ++j) {
-      EXPECT_TRUE(BitIdentical(want[j], got[j])) << "lane " << j;
-    }
-  }
-}
 
 TEST_F(SweepVariantTest, SimdMatchesScalarWithinFmaTolerance) {
   if (simd::Best() == simd::Level::kScalar) {
@@ -128,19 +107,15 @@ TEST_F(SweepVariantTest, SimdMatchesScalarWithinFmaTolerance) {
   }
   SolverOptions ref = BaseOptions();
   auto want = Solve(graph_, ref);
-  for (bool compressed : {false, true}) {
-    SolverOptions vec = BaseOptions();
-    vec.simd = SimdPolicy::kAuto;
-    vec.compressed_gather = compressed;
-    auto got = Solve(compressed ? compressed_graph_ : graph_, vec);
-    ASSERT_EQ(want.size(), got.size());
-    for (size_t j = 0; j < want.size(); ++j) {
-      for (size_t x = 0; x < want[j].size(); ++x) {
-        // Same accumulation order; only FMA contraction differs.
-        EXPECT_NEAR(got[j][x], want[j][x], 1e-9)
-            << "lane " << j << " node " << x
-            << " compressed=" << compressed;
-      }
+  SolverOptions vec = BaseOptions();
+  vec.simd = SimdPolicy::kAuto;
+  auto got = Solve(graph_, vec);
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t j = 0; j < want.size(); ++j) {
+    for (size_t x = 0; x < want[j].size(); ++x) {
+      // Same accumulation order; only FMA contraction differs.
+      EXPECT_NEAR(got[j][x], want[j][x], 1e-9)
+          << "lane " << j << " node " << x;
     }
   }
 }
@@ -150,25 +125,21 @@ TEST_F(SweepVariantTest, MixedF32MeetsToleranceContract) {
   ref.tolerance = 1e-10;
   auto want = Solve(graph_, ref);
   for (auto simd_policy : {SimdPolicy::kScalar, SimdPolicy::kAuto}) {
-    for (bool compressed : {false, true}) {
-      SolverOptions mixed = ref;
-      mixed.precision = SweepPrecision::kMixedF32;
-      mixed.simd = simd_policy;
-      mixed.compressed_gather = compressed;
-      const WebGraph& g = compressed ? compressed_graph_ : graph_;
-      auto results = pagerank::ComputePageRankMulti(g, jumps_, mixed);
-      ASSERT_TRUE(results.ok()) << results.status().ToString();
-      for (size_t j = 0; j < results.value().size(); ++j) {
-        const auto& r = results.value()[j];
-        // The final sweeps are float64: the convergence contract holds.
-        EXPECT_TRUE(r.converged) << "lane " << j;
-        EXPECT_LT(r.residual, mixed.tolerance) << "lane " << j;
-        for (size_t x = 0; x < r.scores.size(); ++x) {
-          // Both solves land within solver tolerance of the same fixed
-          // point; the residual bounds the distance via the contraction.
-          EXPECT_NEAR(r.scores[x], want[j][x], 1e-8)
-              << "lane " << j << " node " << x;
-        }
+    SolverOptions mixed = ref;
+    mixed.precision = SweepPrecision::kMixedF32;
+    mixed.simd = simd_policy;
+    auto results = pagerank::ComputePageRankMulti(graph_, jumps_, mixed);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    for (size_t j = 0; j < results.value().size(); ++j) {
+      const auto& r = results.value()[j];
+      // The final sweeps are float64: the convergence contract holds.
+      EXPECT_TRUE(r.converged) << "lane " << j;
+      EXPECT_LT(r.residual, mixed.tolerance) << "lane " << j;
+      for (size_t x = 0; x < r.scores.size(); ++x) {
+        // Both solves land within solver tolerance of the same fixed
+        // point; the residual bounds the distance via the contraction.
+        EXPECT_NEAR(r.scores[x], want[j][x], 1e-8)
+            << "lane " << j << " node " << x;
       }
     }
   }
@@ -178,25 +149,21 @@ TEST_F(SweepVariantTest, EveryVariantThreadCountDeterministic) {
   struct Case {
     SimdPolicy simd;
     SweepPrecision precision;
-    bool compressed;
   };
   const Case cases[] = {
-      {SimdPolicy::kScalar, SweepPrecision::kFloat64, false},
-      {SimdPolicy::kScalar, SweepPrecision::kFloat64, true},
-      {SimdPolicy::kAuto, SweepPrecision::kFloat64, false},
-      {SimdPolicy::kAuto, SweepPrecision::kMixedF32, true},
+      {SimdPolicy::kScalar, SweepPrecision::kFloat64},
+      {SimdPolicy::kAuto, SweepPrecision::kFloat64},
+      {SimdPolicy::kAuto, SweepPrecision::kMixedF32},
   };
   for (const Case& c : cases) {
     SolverOptions opt = BaseOptions();
     opt.simd = c.simd;
     opt.precision = c.precision;
-    opt.compressed_gather = c.compressed;
-    const WebGraph& g = c.compressed ? compressed_graph_ : graph_;
     opt.num_threads = 1;
-    auto serial = Solve(g, opt);
+    auto serial = Solve(graph_, opt);
     for (uint32_t threads : {2u, 4u, 8u}) {
       opt.num_threads = threads;
-      auto parallel = Solve(g, opt);
+      auto parallel = Solve(graph_, opt);
       ASSERT_EQ(serial.size(), parallel.size());
       for (size_t j = 0; j < serial.size(); ++j) {
         EXPECT_TRUE(BitIdentical(serial[j], parallel[j]))
@@ -224,12 +191,6 @@ TEST_F(SweepVariantTest, PowerIterationSupportsVariants) {
   ref.tolerance = 1e-12;
   auto want = pagerank::ComputeUniformPageRank(graph_, ref);
   ASSERT_TRUE(want.ok());
-
-  SolverOptions comp = ref;
-  comp.compressed_gather = true;
-  auto got = pagerank::ComputeUniformPageRank(compressed_graph_, comp);
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(BitIdentical(want.value().scores, got.value().scores));
 
   if (simd::Best() != simd::Level::kScalar) {
     SolverOptions vec = ref;
@@ -261,18 +222,11 @@ TEST_F(SweepVariantTest, InvalidCombinationsRejected) {
   mixed_gs.precision = SweepPrecision::kMixedF32;
   EXPECT_FALSE(pagerank::ComputePageRank(graph_, v, mixed_gs).ok());
 
-  // Compressed gather needs the graph to carry the compressed adjacency.
+  // The vestigial compressed_gather option is rejected, not ignored.
   SolverOptions comp = BaseOptions();
   comp.compressed_gather = true;
-  auto missing = pagerank::ComputePageRank(graph_, v, comp);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), util::StatusCode::kFailedPrecondition);
-
-  // ... and is not defined for the sequential sweeps.
-  SolverOptions comp_gs = comp;
-  comp_gs.method = Method::kGaussSeidel;
-  EXPECT_FALSE(
-      pagerank::ComputePageRank(compressed_graph_, v, comp_gs).ok());
+  EXPECT_EQ(pagerank::ComputePageRank(graph_, v, comp).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(SweepVariantTest, StringConversionsRoundTrip) {

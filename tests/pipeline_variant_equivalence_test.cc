@@ -1,7 +1,7 @@
 // End-to-end variant equivalence: the Figure-4-style detection outcome —
 // who is flagged, which candidates surface, their ordering — must be
-// identical across every sweep variant (SIMD, mixed precision, compressed
-// gather), because those are storage/traversal choices, not model changes.
+// identical across every sweep variant (SIMD, mixed precision), because
+// those are storage/instruction-set choices, not model changes.
 // Also the permutation-invariance property test: spam mass and relative
 // mass are invariant under a random node permutation for Jacobi and
 // Gauss-Seidel at 1 and 4 threads.
@@ -76,7 +76,7 @@ void ExpectSameVerdicts(const pipeline::PipelineRun& want,
 TEST(PipelineVariantEquivalenceTest, BaselineVerdictMarginsAreRobust) {
   // Guard for this whole suite: every candidate's relative mass must sit a
   // safe distance from the τ threshold, so tolerance-level perturbations
-  // (FMA contraction, f32 pre-phases, compressed gathers) cannot flip a
+  // (FMA contraction, f32 pre-phases) cannot flip a
   // verdict and the exact-equality assertions below are meaningful.
   pipeline::PipelineConfig config = BaseConfig();
   auto run = RunScenario(config);
@@ -110,59 +110,33 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
     const char* label;
     SimdPolicy simd;
     SweepPrecision precision;
-    bool compressed;
   };
   std::vector<Case> cases = {
-      {"compressed", SimdPolicy::kScalar, SweepPrecision::kFloat64, true},
-      {"mixed_f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32, false},
+      {"mixed_f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32},
   };
   if (simd::Best() != simd::Level::kScalar) {
-    cases.push_back(
-        {"simd", SimdPolicy::kAuto, SweepPrecision::kFloat64, false});
-    cases.push_back({"simd_f32_compressed", SimdPolicy::kAuto,
-                     SweepPrecision::kMixedF32, true});
+    cases.push_back({"simd", SimdPolicy::kAuto, SweepPrecision::kFloat64});
+    cases.push_back({"simd_f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32});
   }
   for (const Case& c : cases) {
     pipeline::PipelineConfig config = BaseConfig();
     config.solver.simd = c.simd;
     config.solver.precision = c.precision;
-    config.solver.compressed_gather = c.compressed;
     auto run = RunScenario(config);
     ASSERT_TRUE(run.ok()) << c.label << ": " << run.status().ToString();
     ExpectSameVerdicts(baseline.value(), run.value(), c.label);
   }
 }
 
-TEST(PipelineVariantEquivalenceTest, TrustRankRunsUnderCompressedGather) {
-  // Regression: TrustRank's seed selection solves inverse PageRank on a
-  // throwaway transposed graph, which has no compressed in-adjacency; the
-  // seed solve must drop compressed_gather rather than fail the whole run.
-  // Scalar f64 compressed gather reads the identical sources in the
-  // identical order, so the full run stays bit-identical to plain.
-  pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.03, 17);
-  auto plain = pipeline::RunDetectors(source, BaseConfig(),
-                                      {"spam_mass", "trustrank"});
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  pipeline::PipelineConfig config = BaseConfig();
-  config.solver.compressed_gather = true;
-  auto compressed =
-      pipeline::RunDetectors(source, config, {"spam_mass", "trustrank"});
-  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
-  ExpectSameVerdicts(plain.value(), compressed.value(), "trustrank");
-}
-
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   pipeline::PipelineConfig config = BaseConfig();
   config.solver.simd = SimdPolicy::kAuto;
   config.solver.precision = SweepPrecision::kMixedF32;
-  config.solver.compressed_gather = true;
   auto run = RunScenario(config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string& json = run.value().manifest_json;
-  for (const char* needle : {"\"simd\":\"auto\"",
-                             "\"precision\":\"mixed-f32\"",
-                             "\"compressed_gather\":true"}) {
+  for (const char* needle :
+       {"\"simd\":\"auto\"", "\"precision\":\"mixed-f32\""}) {
     EXPECT_NE(json.find(needle), std::string::npos)
         << "manifest missing " << needle << "\n" << json;
   }

@@ -20,11 +20,10 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
   * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
         BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-  * compressed_gather_speedup_k4 / mixed_precision_speedup_k4 /
-    full_variant_speedup_k4: the scalar/f64/plain sweep over the
-    compressed, mixed-f32, and simd+f32+compressed variants
-    plus `bytes_per_edge`: the modelled traffic counters of the plain
-    f64 sweep vs. the f32+compressed sweep and the relative reduction.
+  * mixed_precision_speedup_k4 / full_variant_speedup_k4: the
+    scalar/f64 sweep over the mixed-f32 and simd+f32 variants
+    plus `bytes_per_edge`: the modelled traffic counters of the f64
+    sweep vs. the f32 sweep and the relative reduction.
 
 Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
 
@@ -112,12 +111,10 @@ SOLVER_RATIO_PAIRS = [
      "BM_FusedMultiSolve/8"),
     ("simd_multi_rhs_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepSimdF64Plain"),
-    ("compressed_gather_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepScalarF64Compressed"),
     ("mixed_precision_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepScalarF32Plain"),
     ("full_variant_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepSimdF32Compressed"),
+     "BM_SweepSimdF32Plain"),
 ]
 
 GRAPH_RATIO_PAIRS = [
@@ -294,13 +291,13 @@ def bytes_per_edge_summary(merged):
         if "bytes_per_edge" in entry:
             counters[entry["name"]] = entry["bytes_per_edge"]
     plain = counters.get("BM_SweepScalarF64Plain")
-    packed = counters.get("BM_SweepScalarF32Compressed")
-    if not plain or packed is None:
+    narrow = counters.get("BM_SweepScalarF32Plain")
+    if not plain or narrow is None:
         return None
     return {
         "plain_f64": plain,
-        "compressed_f32": packed,
-        "reduction": 1.0 - packed / plain,
+        "plain_f32": narrow,
+        "reduction": 1.0 - narrow / plain,
     }
 
 

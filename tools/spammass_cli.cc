@@ -208,9 +208,6 @@ void DefineSolverFlags(util::FlagParser* flags) {
                 "(Jacobi/power only; forcing an unsupported level fails)");
   flags->Define("precision", pagerank::SweepPrecisionToString(preset.precision),
                 "sweep lane precision: f64 | mixed-f32 (Jacobi only)");
-  flags->DefineBool("compressed-gather",
-                    "gather in-edges from the delta+varint compressed "
-                    "adjacency (built on load; Jacobi/power only)");
 }
 
 util::Result<pagerank::SolverOptions> SolverFromFlags(
@@ -231,7 +228,6 @@ util::Result<pagerank::SolverOptions> SolverFromFlags(
       pagerank::SweepPrecisionFromString(flags.GetString("precision"));
   if (!precision.ok()) return precision.status();
   solver.precision = precision.value();
-  solver.compressed_gather = flags.GetBool("compressed-gather");
   return solver;
 }
 
