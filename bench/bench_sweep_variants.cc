@@ -1,15 +1,15 @@
-// Bandwidth-variant matrix for the multi-RHS sweep: every combination of
-// instruction set (scalar vs. the best vector backend) and lane precision
-// (f64 vs. mixed f32) at the k=4 lane count the two-solve mass estimation
-// plus TrustRank batch actually issues — on a power-law web whose working
-// set defeats the last-level cache, so the sweep is memory-bound and byte
-// savings translate to wall-clock.
+// The two sweep bodies of the multi-RHS Jacobi solve, scalar and AVX2,
+// at the k=4 lane count the two-solve mass estimation plus TrustRank batch
+// actually issues — on a power-law web whose working set defeats the
+// last-level cache. The scalar run pins the body with
+// simd::ScopedLevelOverride, so both reach their body through
+// simd::PickSweep; the two give the same bits, so they run the same number
+// of sweeps. Each entry repeats five times, and tools/bench_to_json.py
+// pairs the medians into simd_multi_rhs_speedup_k4 for BENCH_solver.json.
 //
-// Every variant entry carries a `bytes_per_edge` counter: the traffic
-// model documented in docs/performance.md (4 successor-id bytes per edge
-// plus k lane reads at the storage width).
-// tools/bench_to_json.py pairs the entries into speedup ratios and a
-// bytes-per-edge reduction for BENCH_solver.json.
+// Every entry carries a `bytes_per_edge` counter: the traffic model
+// documented in docs/performance.md (4 successor-id bytes per edge plus k
+// f64 lane reads).
 
 #include <benchmark/benchmark.h>
 
@@ -32,8 +32,6 @@ namespace {
 using graph::NodeId;
 using graph::WebGraph;
 using pagerank::JumpVector;
-using pagerank::SimdPolicy;
-using pagerank::SweepPrecision;
 namespace simd = pagerank::simd;
 
 constexpr uint32_t kLanes = 4;
@@ -82,35 +80,27 @@ const std::vector<JumpVector>& VariantJumps() {
   return *jumps;
 }
 
-pagerank::SolverOptions VariantOptions(SimdPolicy simd_policy,
-                                       SweepPrecision precision) {
+pagerank::SolverOptions VariantOptions() {
   pagerank::SolverOptions opt;
   opt.method = pagerank::Method::kJacobi;
   opt.tolerance = 1e-10;
   opt.max_iterations = 500;
-  opt.simd = simd_policy;
-  opt.precision = precision;
   return opt;
 }
 
 /// Modelled sweep traffic per edge (docs/performance.md): the 4-byte
-/// successor id plus k lane-value reads at the storage width.
-double BytesPerEdge(SweepPrecision precision) {
-  const double lane_width =
-      precision == SweepPrecision::kMixedF32 ? sizeof(float) : sizeof(double);
-  return sizeof(NodeId) + static_cast<double>(kLanes) * lane_width;
-}
+/// successor id plus k f64 lane-value reads.
+constexpr double kBytesPerEdge = sizeof(NodeId) + kLanes * sizeof(double);
 
-void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
-                SweepPrecision precision) {
-  if (simd_policy == SimdPolicy::kAuto &&
-      simd::Best() == simd::Level::kScalar) {
-    state.SkipWithError("no vector backend on this host");
+void RunBody(benchmark::State& state, simd::Level level) {
+  if (level != simd::Level::kScalar && simd::Best() != level) {
+    state.SkipWithError("host lacks this instruction set");
     return;
   }
+  const simd::ScopedLevelOverride pin(level);
   const WebGraph& g = VariantGraph();
   const auto& jumps = VariantJumps();
-  const auto opt = VariantOptions(simd_policy, precision);
+  const auto opt = VariantOptions();
   pagerank::SolverWorkspace ws;
   int sweeps = 0;
   for (auto _ : state) {
@@ -121,28 +111,22 @@ void RunVariant(benchmark::State& state, SimdPolicy simd_policy,
   }
   state.counters["sweeps"] = sweeps;
   state.counters["lanes"] = kLanes;
-  state.counters["bytes_per_edge"] = BytesPerEdge(precision);
+  state.counters["bytes_per_edge"] = kBytesPerEdge;
 }
 
 void BM_SweepScalarF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kFloat64);
+  RunBody(state, simd::Level::kScalar);
 }
-BENCHMARK(BM_SweepScalarF64Plain)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepScalarF64Plain)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_SweepSimdF64Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kFloat64);
+  RunBody(state, simd::Level::kAvx2);
 }
-BENCHMARK(BM_SweepSimdF64Plain)->Unit(benchmark::kMillisecond);
-
-void BM_SweepScalarF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kScalar, SweepPrecision::kMixedF32);
-}
-BENCHMARK(BM_SweepScalarF32Plain)->Unit(benchmark::kMillisecond);
-
-void BM_SweepSimdF32Plain(benchmark::State& state) {
-  RunVariant(state, SimdPolicy::kAuto, SweepPrecision::kMixedF32);
-}
-BENCHMARK(BM_SweepSimdF32Plain)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepSimdF64Plain)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 }  // namespace
 }  // namespace spammass

@@ -12,6 +12,7 @@
 #include "pipeline/graph_source.h"
 #include "synth/spam_farm.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 using namespace spammass;
@@ -36,7 +37,7 @@ void FarmRow(uint32_t k, bool links_back, util::TextTable* table) {
   // Background good web: a modest ring so the good core reaches something.
   const uint32_t background = 200;
   for (uint32_t i = 0; i < background; ++i) {
-    builder.AddNode("good" + std::to_string(i) + ".example.org");
+    builder.AddNode(util::StringPrintf("good%u.example.org", i));
   }
   for (uint32_t i = 0; i < background; ++i) {
     builder.AddEdge(i, (i + 1) % background);
@@ -119,8 +120,8 @@ int main() {
       synth::FarmSpec spec;
       spec.num_boosters = 20;
       infos.push_back(synth::BuildSpamFarm(
-          &builder, spec, "t" + std::to_string(f), "b" + std::to_string(f),
-          &rng));
+          &builder, spec, util::StringPrintf("t%u", f),
+          util::StringPrintf("b%u", f), &rng));
       targets.push_back(infos.back().target);
     }
     synth::LinkAllianceTargets(&builder, targets);

@@ -23,6 +23,10 @@
 //     are therefore bit-identical across 1/2/…/N threads, and the iteration
 //     count (which compares residuals against the tolerance) cannot drift
 //     with parallelism.
+//   * One sweep body per lane width, picked at runtime. Each call runs the
+//     AVX2 body when the CPU has AVX2 and the portable scalar body
+//     otherwise (simd.h); the two are bitwise equal, so results never
+//     depend on the host's instruction set.
 //
 // The functions here are stateless building blocks; scratch buffers and the
 // thread pool live in SolverWorkspace (workspace.h). Dangling handling is
@@ -43,15 +47,6 @@
 #include "util/thread_pool.h"
 
 namespace spammass::pagerank::kernel {
-
-/// Selects the sweep implementation by instruction-set tier (simd.h). The
-/// default — scalar — is the bit-exact reference path; every other tier is
-/// validated against it by pagerank_sweep_variant_test.cc.
-struct SweepVariant {
-  simd::Level level = simd::Level::kScalar;
-
-  bool IsDefault() const { return level == simd::Level::kScalar; }
-};
 
 /// Maximum number of interleaved vectors one sweep advances. Callers batch
 /// larger multi-solves into groups of at most this many (the solver does
@@ -107,13 +102,12 @@ void DanglingSums(const graph::WebGraph& graph, uint32_t k, const double* p,
 /// Owning storage behind a simd::LaneJumps view of k lanes: `fill` holds
 /// k values and `rows` ids.size()·k, so the table costs O(k·|support|),
 /// never O(n·k).
-template <typename Real>
 struct LaneJumpTable {
-  std::vector<Real> fill;
+  std::vector<double> fill;
   std::vector<graph::NodeId> ids;
-  std::vector<Real> rows;
+  std::vector<double> rows;
 
-  simd::LaneJumps<Real> View() const {
+  simd::LaneJumps View() const {
     return {fill.data(), ids.data(), rows.data(), ids.size()};
   }
 };
@@ -121,8 +115,7 @@ struct LaneJumpTable {
 /// The LaneJumps table of `jumps` (1..kMaxVectorsPerSweep vectors of one
 /// dimension): `ids` is the union of their supports, and every entry is
 /// bitwise (*jumps[j])[x].
-LaneJumpTable<double> BuildLaneJumps(
-    const std::vector<const JumpVector*>& jumps);
+LaneJumpTable BuildLaneJumps(const std::vector<const JumpVector*>& jumps);
 
 /// One weighted Jacobi sweep advancing k interleaved vectors (k in
 /// [1, kMaxVectorsPerSweep]):
@@ -147,63 +140,16 @@ LaneJumpTable<double> BuildLaneJumps(
 /// ScaleByInvOutDegree(next) would produce — so iterative callers skip the
 /// separate full-pass rescale between sweeps (the solver seeds `scaled`
 /// once before the first sweep and double-buffers from then on).
+///
+/// The body is simd::PickSweep(simd::Active(), k), chosen once per call;
+/// every body computes the same bits.
 void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
-                              const simd::LaneJumps<double>& v, double damping,
+                              const simd::LaneJumps& v, double damping,
                               const double* dangling, const double* p,
                               const double* scaled, double* next,
                               double* next_scaled,
                               std::vector<double>* partials, double* diffs,
                               util::ThreadPool* pool);
-
-/// Variant-selecting overload: `variant` picks the instruction set. The
-/// default variant routes through the exact code path of the overload
-/// above (bit-identical results); vectorized variants preserve each lane's
-/// accumulation order but may differ from the reference by FMA
-/// contraction (see simd.h).
-void WeightedJacobiSweepMulti(const graph::WebGraph& graph, uint32_t k,
-                              const simd::LaneJumps<double>& v, double damping,
-                              const double* dangling, const double* p,
-                              const double* scaled, double* next,
-                              double* next_scaled,
-                              std::vector<double>* partials, double* diffs,
-                              const SweepVariant& variant,
-                              util::ThreadPool* pool);
-
-/// Narrows the graph's cached inverse out-degrees to float32 scratch for
-/// the f32 sweep family (resizes `out` to num_nodes()).
-void InvOutDegreesF32(const graph::WebGraph& graph, std::vector<float>* out);
-
-/// float32 twin of ScaleByInvOutDegree over explicit arrays: scaled[x·k+j]
-/// = p[x·k+j] · inv[x] for `num_nodes` nodes. `inv` is the
-/// InvOutDegreesF32 output.
-void ScaleByInvOutDegreeF32(uint32_t num_nodes, uint32_t k, const float* inv,
-                            const float* p, float* scaled,
-                            util::ThreadPool* pool);
-
-/// float32 twin of DanglingSums: sums[j] = Σ_{x dangling} p[x·k+j], each
-/// term widened to double before accumulating, so the sums (and the jump
-/// multipliers derived from them) are full-precision measurements of the
-/// float iterate. Deterministic chunked reduction, same policy as the f64
-/// path.
-void DanglingSumsF32(const graph::WebGraph& graph, uint32_t k, const float* p,
-                     std::vector<double>* partials, double* sums,
-                     util::ThreadPool* pool);
-
-/// float32 twin of the variant-selecting WeightedJacobiSweepMulti. Lane
-/// storage (`v`, `p`, `scaled`, `next`, `next_scaled`) is float32 — half
-/// the sweep's memory traffic — while `dangling` carries the f64
-/// DanglingSumsF32 measurements and every L1 difference accumulates in
-/// double (diffs[j] is a float64 residual of the float32 iterate). `inv`
-/// is the InvOutDegreesF32 output.
-void WeightedJacobiSweepMultiF32(const graph::WebGraph& graph, uint32_t k,
-                                 const simd::LaneJumps<float>& v,
-                                 double damping, const double* dangling,
-                                 const float* inv, const float* p,
-                                 const float* scaled, float* next,
-                                 float* next_scaled,
-                                 std::vector<double>* partials, double* diffs,
-                                 const SweepVariant& variant,
-                                 util::ThreadPool* pool);
 
 }  // namespace spammass::pagerank::kernel
 

@@ -1,17 +1,13 @@
-// Runtime-dispatched SIMD backends for the multi-RHS sweep. The kernel
-// (kernel.cc) asks this shim for a sweep-range implementation matching the
-// resolved (instruction set, precision, lane count); the
-// shim returns a hand-vectorized AVX2/NEON routine when the host supports
-// it and the width has one, otherwise the portable scalar body from
-// simd_sweep_body.h. Dispatch happens once per kernel call — never inside
-// the edge loop.
+// Runtime dispatch of the multi-RHS Jacobi sweep body. The kernel
+// (kernel.cc) asks this shim once per call for the body of its lane width:
+// the AVX2 body of simd_avx2.cc on hosts whose CPU has AVX2, otherwise the
+// portable scalar body of simd_sweep_body.h. The two are bitwise equal at
+// every width 1..kMaxSweepLanes, so the choice changes the speed of a
+// sweep, never its result, and it is not a solver option.
 //
-// Vector intrinsics are confined to simd_avx2.cc / simd_neon.cc
-// (spammass_lint.py `simd-isolation`); each vector routine is
-// element-wise per lane, preserving the per-lane accumulation order of the
-// scalar body, so vectorization never reassociates a reduction — the only
-// numeric divergence from scalar is FMA contraction in the output
-// expression, bounded by the equivalence tests.
+// Vector intrinsics are confined to simd_avx2.cc (spammass_lint.py
+// `simd-isolation`). On other architectures only the scalar body exists,
+// and the compiler vectorizes its lane loops on its own.
 
 #ifndef SPAMMASS_PAGERANK_SIMD_H_
 #define SPAMMASS_PAGERANK_SIMD_H_
@@ -22,29 +18,42 @@
 
 namespace spammass::pagerank::simd {
 
-/// Instruction-set tier a sweep can run on.
+/// Instruction set a sweep body is written for.
 enum class Level {
   kScalar = 0,
-  kAvx2,  // x86-64 AVX2 + FMA
-  kNeon,  // AArch64 Advanced SIMD
+  kAvx2,  // x86-64 AVX2
 };
 
-/// Stable lowercase name ("scalar", "avx2", "neon").
+/// Stable lowercase name ("scalar", "avx2"), echoed by the run manifest.
 const char* LevelToString(Level level);
 
-/// True when the running host can execute `level` (kScalar always can).
-bool IsSupported(Level level);
-
-/// Highest supported level on the running host; kScalar when no vector
-/// backend applies.
+/// kAvx2 when the running CPU has AVX2 (and the build is x86-64),
+/// otherwise kScalar.
 Level Best();
 
-/// Returns the sweep-range routine for (level, lane count k) at the given
-/// precision. Unsupported or unvectorized combinations fall back to the
-/// scalar body — the returned function is always valid for k in
-/// [1, kMaxSweepLanes].
-SweepRangeFn<double> PickSweepF64(Level level, uint32_t k);
-SweepRangeFn<float> PickSweepF32(Level level, uint32_t k);
+/// The level the kernel's sweeps run at: Best(), unless a
+/// ScopedLevelOverride is alive.
+Level Active();
+
+/// Pins Active() to `level` for the object's lifetime, so the equivalence
+/// tests and the micro-benches can run whole solves through the scalar
+/// body and compare them with the default. `level` must be kScalar or
+/// Best(). Not thread-safe: construct and destroy it while no solve runs.
+class ScopedLevelOverride {
+ public:
+  explicit ScopedLevelOverride(Level level);
+  ~ScopedLevelOverride();
+  ScopedLevelOverride(const ScopedLevelOverride&) = delete;
+  ScopedLevelOverride& operator=(const ScopedLevelOverride&) = delete;
+
+ private:
+  int previous_;
+};
+
+/// The sweep-range body for `level` and lane count k in
+/// [1, kMaxSweepLanes]. kAvx2 on a host without AVX2 falls back to the
+/// scalar body, so the returned function is always valid.
+SweepRangeFn PickSweep(Level level, uint32_t k);
 
 }  // namespace spammass::pagerank::simd
 

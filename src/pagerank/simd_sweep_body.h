@@ -1,20 +1,16 @@
-// Shared sweep-loop body for every (precision, lane-width) variant of the
-// non-default multi-RHS Jacobi sweeps. simd.cc instantiates the scalar
-// body at every lane width 1..kMaxSweepLanes for both precisions, as the
-// reference and as the fallback for widths the vector backends do not
-// cover; simd_avx2.cc / simd_neon.cc provide hand-vectorized
-// overrides registered through simd.h. Keeping the loop in one header
-// guarantees every scalar variant computes the exact expressions
-// documented in kernel.h — specializations only unroll or vectorize
-// element-wise, never reassociate a lane's accumulation order.
+// Shared pieces of the multi-RHS Jacobi sweep: the argument block every
+// sweep body reads, the jump-table cursor, the gather prefetch, the lane
+// width table and the one scalar body. simd.cc instantiates
+// ScalarSweepRange at every lane width 1..kMaxSweepLanes, as the
+// reference and as the fallback on hosts without AVX2; simd_avx2.cc
+// vectorizes the same expressions element-wise per lane, never
+// reassociating a lane's accumulation, so both bodies give the same bits.
 //
 // No intrinsics live here (spammass_lint.py `simd-isolation` enforces
 // that); this header is portable C++ plus the GCC/Clang
-// `__builtin_prefetch`. simd_avx2.cc defines
-// SPAMMASS_SIMD_VECTOR_TU before including it, which hides
-// ScalarSweepRange from that TU: it is compiled with -mfma, and C++'s
-// default -ffp-contract=fast would contract a scalar instantiation there
-// into FMA and break its bit-identity with the baseline-ISA build.
+// `__builtin_prefetch`. simd_avx2.cc defines SPAMMASS_SIMD_VECTOR_TU
+// before including it, which hides ScalarSweepRange from that TU, so the
+// scalar reference is only ever compiled with the baseline ISA flags.
 
 #ifndef SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
 #define SPAMMASS_PAGERANK_SIMD_SWEEP_BODY_H_
@@ -30,8 +26,8 @@
 
 namespace spammass::graph {
 /// Node identifier; identical to the WebGraph declaration (web_graph.h),
-/// redeclared so the vector TUs, compiled with -mavx2 -mfma, include no
-/// graph header and so emit no copy of its inline functions.
+/// redeclared so the vector TU, compiled with -mavx2, includes no graph
+/// header and so emits no copy of its inline functions.
 using NodeId = uint32_t;
 }  // namespace spammass::graph
 
@@ -63,27 +59,26 @@ constexpr std::array<Fn, kMaxSweepLanes> LaneWidthTable(
 /// ascending union of the lanes' supports, and rows[i·k + j] at node
 /// ids[i]. The core-based jumps are non-zero on a few percent of the
 /// hosts, so this table replaces an n·k array a sweep would stream.
-template <typename Real>
 struct LaneJumps {
-  const Real* fill = nullptr;
+  const double* fill = nullptr;
   const NodeId* ids = nullptr;
-  const Real* rows = nullptr;
+  const double* rows = nullptr;
   uint64_t count = 0;
 };
 
 /// Reads a LaneJumps table alongside a sweep that visits nodes in
 /// ascending order from `begin`: Row(y) is node y's K-lane jump row, the
 /// same values an interleaved n·K array would hold at y·K.
-template <uint32_t K, typename Real>
+template <uint32_t K>
 class JumpCursor {
  public:
-  JumpCursor(const LaneJumps<Real>& jumps, NodeId begin)
+  JumpCursor(const LaneJumps& jumps, NodeId begin)
       : jumps_(jumps),
         next_(static_cast<uint64_t>(
             std::lower_bound(jumps.ids, jumps.ids + jumps.count, begin) -
             jumps.ids)) {}
 
-  const Real* Row(NodeId y) {
+  const double* Row(NodeId y) {
     if (next_ < jumps_.count && jumps_.ids[next_] == y) {
       return jumps_.rows + (next_++) * K;
     }
@@ -91,35 +86,35 @@ class JumpCursor {
   }
 
  private:
-  LaneJumps<Real> jumps_;
+  LaneJumps jumps_;
   uint64_t next_;
 };
 
-/// Everything one sweep range needs, precomputed by the kernel entry point
-/// so every variant sees identical inputs. Lane j of node x lives at
-/// x·k + j in each interleaved array.
-template <typename Real>
+/// Everything one sweep range needs, precomputed once per kernel call so
+/// every body sees identical inputs. Lane j of node x lives at x·k + j in
+/// each interleaved array.
 struct SweepArgs {
   /// In-CSR: row y's in-neighbors are sources[in_offsets[y] ..
   /// in_offsets[y + 1]).
   const uint64_t* in_offsets = nullptr;
   const NodeId* sources = nullptr;
-  /// Inverse out-degrees in the sweep precision (0 for dangling nodes).
-  const Real* inv = nullptr;
+  /// Inverse out-degrees (0 for dangling nodes).
+  const double* inv = nullptr;
   /// Jump vectors, by support.
-  LaneJumps<Real> v;
+  LaneJumps v;
   /// Damping factor c.
-  Real c = Real(0);
-  /// Hoisted per-lane jump multiplier m[j] = (1−c) + c·dangling[j].
-  const Real* m = nullptr;
-  const Real* p = nullptr;
-  const Real* scaled = nullptr;
+  double c = 0.0;
+  /// Hoisted per-lane jump multiplier m[j] = (1−c) + c·dangling[j]:
+  ///   c·(in_sum + vy·d) + (1−c)·vy  =  c·in_sum + vy·m.
+  const double* m = nullptr;
+  const double* p = nullptr;
+  const double* scaled = nullptr;
   /// May equal `p`: a body reads row y of `p` only to compute row y, and
   /// reads it before storing row y of `next`, so the sweep can update the
   /// iterate in place.
-  Real* next = nullptr;
+  double* next = nullptr;
   /// Nullable: when set, receives next · inv (the pre-scaled iterate).
-  Real* next_scaled = nullptr;
+  double* next_scaled = nullptr;
 };
 
 /// Software-prefetch look-ahead of the gather, in edges. The source
@@ -138,11 +133,11 @@ inline constexpr uint64_t kPrefetchEdges = 64;
 /// a row whose size divides or is a multiple of the line never straddles
 /// one, so its line starts suffice; other widths also prefetch the row's
 /// last byte. A prefetch changes no value, only when the row arrives.
-template <uint32_t K, typename Real>
-inline void PrefetchGatherRow(const Real* scaled, const NodeId* sources,
+template <uint32_t K>
+inline void PrefetchGatherRow(const double* scaled, const NodeId* sources,
                               uint64_t e, uint64_t edge_end) {
   if (e + kPrefetchEdges >= edge_end) return;
-  constexpr uint64_t kRowBytes = uint64_t{K} * sizeof(Real);
+  constexpr uint64_t kRowBytes = uint64_t{K} * sizeof(double);
   constexpr uint64_t kLine = util::kCacheLineBytes;
   const char* row = reinterpret_cast<const char*>(
       scaled + static_cast<uint64_t>(sources[e + kPrefetchEdges]) * K);
@@ -152,53 +147,49 @@ inline void PrefetchGatherRow(const Real* scaled, const NodeId* sources,
   }
 }
 
-/// L1-difference term in double regardless of sweep precision: float
-/// variants widen BEFORE subtracting, so the residual the solver compares
-/// against the tolerance is a true float64 measurement of the float32
-/// iterate (the "float64 residual check" of ROADMAP item 4).
-inline double AbsDiff(double a, double b) { return std::abs(a - b); }
-inline double AbsDiff(float a, float b) {
-  return std::abs(static_cast<double>(a) - static_cast<double>(b));
-}
-
 #ifndef SPAMMASS_SIMD_VECTOR_TU
-/// Portable sweep over node range [begin, end) of K interleaved lanes.
-/// diff_slot[j] receives the range's L1 difference for lane j, accumulated
-/// in double.
-template <typename Real, uint32_t K>
-void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
-                      NodeId begin, NodeId end) {
+/// The scalar sweep over node range [begin, end) of K interleaved lanes:
+///   out = c·in_sum + vy·m,  diff += |out − p|,  next_scaled = out·inv,
+/// with in_sum accumulated edge by edge from 0.0. diff_slot[j] receives
+/// the range's L1 difference for lane j.
+template <uint32_t K>
+void ScalarSweepRange(const SweepArgs& args, double* diff_slot, NodeId begin,
+                      NodeId end) {
   static_assert(K >= 1 && K <= kMaxSweepLanes);
   const uint64_t* in_offsets = args.in_offsets;
   const NodeId* sources = args.sources;
-  const Real c = args.c;
+  const double c = args.c;
+  // Local copy: the stores to `next` may alias args.m as far as the
+  // compiler knows, which would reload it for every node.
+  double m[K];
+  for (uint32_t j = 0; j < K; ++j) m[j] = args.m[j];
   const uint64_t edge_end = in_offsets[end];
-  JumpCursor<K, Real> jump(args.v, begin);
+  JumpCursor<K> jump(args.v, begin);
   double diff[K] = {0.0};
   for (NodeId y = begin; y < end; ++y) {
-    Real in_sum[K];
-    for (uint32_t j = 0; j < K; ++j) in_sum[j] = Real(0);
+    double in_sum[K];
+    for (uint32_t j = 0; j < K; ++j) in_sum[j] = 0.0;
     for (uint64_t e = in_offsets[y]; e < in_offsets[y + 1]; ++e) {
       PrefetchGatherRow<K>(args.scaled, sources, e, edge_end);
-      const Real* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
+      const double* row = args.scaled + static_cast<uint64_t>(sources[e]) * K;
       for (uint32_t j = 0; j < K; ++j) in_sum[j] += row[j];
     }
-    const Real* vrow = jump.Row(y);
-    const Real* prow = args.p + static_cast<uint64_t>(y) * K;
-    Real* nrow = args.next + static_cast<uint64_t>(y) * K;
+    const double* vrow = jump.Row(y);
+    const double* prow = args.p + static_cast<uint64_t>(y) * K;
+    double* nrow = args.next + static_cast<uint64_t>(y) * K;
     if (args.next_scaled != nullptr) {
-      const Real w = args.inv[y];
-      Real* srow = args.next_scaled + static_cast<uint64_t>(y) * K;
+      const double w = args.inv[y];
+      double* srow = args.next_scaled + static_cast<uint64_t>(y) * K;
       for (uint32_t j = 0; j < K; ++j) {
-        const Real out = c * in_sum[j] + vrow[j] * args.m[j];
-        diff[j] += AbsDiff(out, prow[j]);
+        const double out = c * in_sum[j] + vrow[j] * m[j];
+        diff[j] += std::abs(out - prow[j]);
         nrow[j] = out;
         srow[j] = out * w;
       }
     } else {
       for (uint32_t j = 0; j < K; ++j) {
-        const Real out = c * in_sum[j] + vrow[j] * args.m[j];
-        diff[j] += AbsDiff(out, prow[j]);
+        const double out = c * in_sum[j] + vrow[j] * m[j];
+        diff[j] += std::abs(out - prow[j]);
         nrow[j] = out;
       }
     }
@@ -207,11 +198,8 @@ void ScalarSweepRange(const SweepArgs<Real>& args, double* diff_slot,
 }
 #endif  // SPAMMASS_SIMD_VECTOR_TU
 
-/// Signature every sweep-range implementation (scalar or vectorized)
-/// satisfies.
-template <typename Real>
-using SweepRangeFn = void (*)(const SweepArgs<Real>&, double*, NodeId,
-                              NodeId);
+/// Signature every sweep-range body (scalar or vectorized) satisfies.
+using SweepRangeFn = void (*)(const SweepArgs&, double*, NodeId, NodeId);
 
 }  // namespace spammass::pagerank::simd
 

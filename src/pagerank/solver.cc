@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pagerank/kernel.h"
+#include "pagerank/simd.h"
 #include "pagerank/solver_validate.h"
 #include "util/debug.h"
 #include "util/logging.h"
@@ -57,43 +57,11 @@ Result<Method> MethodFromString(std::string_view name) {
                                  std::string(name));
 }
 
-const char* SimdPolicyToString(SimdPolicy policy) {
-  switch (policy) {
-    case SimdPolicy::kScalar:
-      return "scalar";
-    case SimdPolicy::kAuto:
-      return "auto";
-    case SimdPolicy::kAvx2:
-      return "avx2";
-    case SimdPolicy::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-Result<SimdPolicy> SimdPolicyFromString(std::string_view name) {
-  if (name == "scalar") return SimdPolicy::kScalar;
-  if (name == "auto") return SimdPolicy::kAuto;
-  if (name == "avx2") return SimdPolicy::kAvx2;
-  if (name == "neon") return SimdPolicy::kNeon;
-  return Status::InvalidArgument("unknown simd policy: " + std::string(name));
-}
-
-const char* SweepPrecisionToString(SweepPrecision precision) {
-  switch (precision) {
-    case SweepPrecision::kFloat64:
-      return "f64";
-    case SweepPrecision::kMixedF32:
-      return "mixed-f32";
-  }
-  return "unknown";
-}
-
-Result<SweepPrecision> SweepPrecisionFromString(std::string_view name) {
-  if (name == "f64") return SweepPrecision::kFloat64;
-  if (name == "mixed-f32") return SweepPrecision::kMixedF32;
-  return Status::InvalidArgument("unknown sweep precision: " +
-                                 std::string(name));
+const char* SweepIsa(Method method) {
+  const bool kernel_sweep =
+      method == Method::kJacobi || method == Method::kPowerIteration;
+  return simd::LevelToString(kernel_sweep ? simd::Active()
+                                          : simd::Level::kScalar);
 }
 
 std::vector<double> ScaledScores(const std::vector<double>& scores,
@@ -141,28 +109,6 @@ obs::Histogram* IterationsHistogram() {
   return histogram;
 }
 
-/// Maps the validated SolverOptions onto a kernel sweep variant. kAuto
-/// resolves to the best level the host supports; a forced-but-unsupported
-/// level was already rejected by CheckGraphAndOptions.
-kernel::SweepVariant ResolveVariant(const SolverOptions& opt) {
-  kernel::SweepVariant variant;
-  switch (opt.simd) {
-    case SimdPolicy::kScalar:
-      variant.level = simd::Level::kScalar;
-      break;
-    case SimdPolicy::kAuto:
-      variant.level = simd::Best();
-      break;
-    case SimdPolicy::kAvx2:
-      variant.level = simd::Level::kAvx2;
-      break;
-    case SimdPolicy::kNeon:
-      variant.level = simd::Level::kNeon;
-      break;
-  }
-  return variant;
-}
-
 /// Sum of scores over dangling nodes. Scans the graph's precomputed
 /// dangling-node list (ascending, so the addition order matches the seed
 /// full-scan version bit for bit) instead of testing all n nodes.
@@ -192,98 +138,6 @@ void CompactLanes(double* flat, uint64_t rows, uint32_t k,
   }
 }
 
-/// Narrows each value of `in` to float32.
-std::vector<float> NarrowToF32(const std::vector<double>& in) {
-  std::vector<float> out(in.size());
-  for (size_t i = 0; i < in.size(); ++i) out[i] = static_cast<float>(in[i]);
-  return out;
-}
-
-/// Mixed-precision pre-phase (SweepPrecision::kMixedF32): runs float32
-/// sweeps — half the lane memory traffic — until every lane's
-/// float64-measured residual clears max(f32_switch_tolerance, tolerance)
-/// or stops improving, then hands the widened iterate back to the float64
-/// loop. No lane is ever marked converged here (only float64 sweeps decide
-/// convergence), no lane is compacted (the phase is short), and the budget
-/// of max_iterations − 1 guarantees at least one float64 refinement sweep.
-/// Like the float64 loop it sweeps the iterate in place, reading the jumps
-/// through a float32 narrowing of the batch's jump table.
-/// Returns the number of sweeps spent, which the caller uses as the
-/// float64 loop's starting iteration index; per-lane iteration counts and
-/// residual history are updated in place.
-int MixedPrecisionPrePhase(const WebGraph& graph, uint32_t k, uint64_t n,
-                           const SolverOptions& opt,
-                           const kernel::SweepVariant& variant,
-                           bool redistribute, util::LaneVector<double>* cur,
-                           const kernel::LaneJumpTable<double>& jumps,
-                           std::vector<PageRankResult>* results,
-                           SolverWorkspace* ws, util::ThreadPool* pool) {
-  const double switch_tol =
-      std::max(opt.f32_switch_tolerance, opt.tolerance);
-  util::LaneVector<float>& fcur = ws->iterate_f32();
-  util::LaneVector<float>& fscaled = ws->scaled_f32();
-  util::LaneVector<float>& fscaled_next = ws->scaled_next_f32();
-  std::vector<float>& finv = ws->inv_out_f32();
-  fcur.resize(n * k);
-  fscaled.resize(n * k);
-  fscaled_next.resize(n * k);
-  kernel::InvOutDegreesF32(graph, &finv);
-  for (uint64_t i = 0; i < n * k; ++i) {
-    fcur[i] = static_cast<float>((*cur)[i]);
-  }
-  const std::vector<float> ffill = NarrowToF32(jumps.fill);
-  const std::vector<float> frows = NarrowToF32(jumps.rows);
-  const simd::LaneJumps<float> fjumps{ffill.data(), jumps.ids.data(),
-                                      frows.data(), jumps.ids.size()};
-  kernel::ScaleByInvOutDegreeF32(static_cast<uint32_t>(n), k, finv.data(),
-                                 fcur.data(), fscaled.data(), pool);
-
-  std::array<double, kernel::kMaxVectorsPerSweep> dangling{};
-  std::array<double, kernel::kMaxVectorsPerSweep> diffs{};
-  std::array<double, kernel::kMaxVectorsPerSweep> prev_diffs{};
-  prev_diffs.fill(std::numeric_limits<double>::infinity());
-  if (!redistribute) dangling.fill(0.0);
-
-  int used = 0;
-  // max_iterations − 1 budget: the float64 loop always gets ≥ 1 sweep.
-  for (; used < opt.max_iterations - 1; ++used) {
-    if (redistribute) {
-      kernel::DanglingSumsF32(graph, k, fcur.data(),
-                              &ws->dangling_partials(), dangling.data(),
-                              pool);
-    }
-    kernel::WeightedJacobiSweepMultiF32(
-        graph, k, fjumps, opt.damping, dangling.data(), finv.data(),
-        fcur.data(), fscaled.data(), fcur.data(), fscaled_next.data(),
-        &ws->node_partials(), diffs.data(), variant, pool);
-    fscaled.swap(fscaled_next);
-    SweepsCounter()->Increment();
-
-    bool all_below = true;
-    bool all_stalled = true;
-    for (uint32_t j = 0; j < k; ++j) {
-      PageRankResult& r = (*results)[j];
-      r.iterations = used + 1;
-      r.residual = diffs[j];
-      if (opt.track_residuals) r.residual_history.push_back(diffs[j]);
-      if (diffs[j] >= switch_tol) all_below = false;
-      // A lane still shaving ≥ 1% off its residual per sweep is making
-      // float32-worthy progress; once every lane stalls, float32 has done
-      // all it can and the float64 phase takes over.
-      if (diffs[j] < 0.99 * prev_diffs[j]) all_stalled = false;
-      prev_diffs[j] = diffs[j];
-    }
-    if (all_below || all_stalled) {
-      ++used;
-      break;
-    }
-  }
-  for (uint64_t i = 0; i < n * k; ++i) {
-    (*cur)[i] = static_cast<double>(fcur[i]);
-  }
-  return used;
-}
-
 /// Fused Jacobi solve (Algorithm 1) for a batch of 1..kMaxVectorsPerSweep
 /// jump vectors: all in-flight lanes advance through one CSR traversal per
 /// sweep. Each lane converges independently; a converged lane's scores are
@@ -308,7 +162,7 @@ std::vector<PageRankResult> SolveJacobiBatch(
   cur.resize(n * k);
   scaled.resize(n * k);
   scaled_next.resize(n * k);
-  kernel::LaneJumpTable<double> table = kernel::BuildLaneJumps(jumps);
+  kernel::LaneJumpTable table = kernel::BuildLaneJumps(jumps);
 
   // Algorithm 1: p[0] <- v.
   for (uint64_t x = 0; x < n; ++x) {
@@ -321,7 +175,6 @@ std::vector<PageRankResult> SolveJacobiBatch(
 
   const bool redistribute =
       opt.dangling == DanglingPolicy::kRedistributeToJump;
-  const kernel::SweepVariant variant = ResolveVariant(opt);
   std::array<double, kernel::kMaxVectorsPerSweep> dangling{};
   std::array<double, kernel::kMaxVectorsPerSweep> diffs{};
 
@@ -330,21 +183,13 @@ std::vector<PageRankResult> SolveJacobiBatch(
   std::vector<uint32_t> lane_ids(k);
   for (uint32_t j = 0; j < k; ++j) lane_ids[j] = j;
 
-  // Mixed precision: burn down the bulk of the residual in float32 first;
-  // the float64 loop below then starts at the pre-phase's iteration count.
-  int start_iter = 0;
-  if (opt.precision == SweepPrecision::kMixedF32) {
-    start_iter = MixedPrecisionPrePhase(graph, k, n, opt, variant, redistribute,
-                                        &cur, table, &results, ws, pool);
-  }
-
   uint32_t live = k;
   // Seed the scaled iterate once; each sweep then emits next_scaled
   // alongside the new iterate (same values ScaleByInvOutDegree would
   // produce), so the full-pass rescale never runs again.
   kernel::ScaleByInvOutDegree(graph, live, cur.data(), scaled.data(), pool);
   if (!redistribute) dangling.fill(0.0);
-  for (int i = start_iter; i < opt.max_iterations && live > 0; ++i) {
+  for (int i = 0; i < opt.max_iterations && live > 0; ++i) {
     if (redistribute) {
       kernel::DanglingSums(graph, live, cur.data(), &ws->dangling_partials(),
                            dangling.data(), pool);
@@ -352,7 +197,7 @@ std::vector<PageRankResult> SolveJacobiBatch(
     kernel::WeightedJacobiSweepMulti(
         graph, live, table.View(), opt.damping, dangling.data(), cur.data(),
         scaled.data(), cur.data(), scaled_next.data(), &ws->node_partials(),
-        diffs.data(), variant, pool);
+        diffs.data(), pool);
     scaled.swap(scaled_next);
     SweepsCounter()->Increment();
 
@@ -480,12 +325,11 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
   PageRankResult result;
   const uint32_t n = graph.num_nodes();
   const double c = opt.damping;
-  const kernel::SweepVariant variant = ResolveVariant(opt);
   util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
 
   // Normalize the jump distribution: every entry divided by the
   // left-to-right sum of all n entries, which JumpVector::Norm computes.
-  kernel::LaneJumpTable<double> v = kernel::BuildLaneJumps({&jump});
+  kernel::LaneJumpTable v = kernel::BuildLaneJumps({&jump});
   const double vnorm = jump.Norm();
   for (double& x : v.fill) x /= vnorm;
   for (double& x : v.rows) x /= vnorm;
@@ -508,7 +352,7 @@ PageRankResult SolvePowerIteration(const WebGraph& graph,
                                      p.data(), scaled.data(), next.data(),
                                      /*next_scaled=*/nullptr,
                                      &ws->node_partials(), &sweep_diff,
-                                     variant, pool);
+                                     pool);
     // Guard against numerical drift of the norm.
     const double norm = kernel::DeterministicSum(
         pool, n,
@@ -568,28 +412,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
   if (options.method == Method::kSor &&
       (!(options.sor_omega > 0.0) || !(options.sor_omega < 2.0))) {
     return Status::InvalidArgument("sor_omega must lie in (0, 2)");
-  }
-  // Forcing a specific SIMD level demands host support; kAuto degrades
-  // gracefully and kScalar always works. (Gauss-Seidel/SOR sweeps are
-  // sequential and simply ignore the policy.)
-  if (options.simd == SimdPolicy::kAvx2 &&
-      !simd::IsSupported(simd::Level::kAvx2)) {
-    return Status::InvalidArgument("simd policy avx2 forced on a host "
-                                   "without AVX2+FMA support");
-  }
-  if (options.simd == SimdPolicy::kNeon &&
-      !simd::IsSupported(simd::Level::kNeon)) {
-    return Status::InvalidArgument(
-        "simd policy neon forced on a non-AArch64 host");
-  }
-  if (options.precision == SweepPrecision::kMixedF32 &&
-      options.method != Method::kJacobi) {
-    return Status::InvalidArgument(
-        "mixed-f32 precision requires the Jacobi method");
-  }
-  if (options.precision == SweepPrecision::kMixedF32 &&
-      !(options.f32_switch_tolerance >= 0.0)) {
-    return Status::InvalidArgument("f32_switch_tolerance must be >= 0");
   }
   if (options.compressed_gather) {
     return Status::InvalidArgument(

@@ -13,7 +13,10 @@
 // Dangling handling is selectable: kLeak matches Eq. 3 exactly (dangling
 // PageRank simply dissipates, only rescaling the solution), while
 // kRedistributeToJump adds the d·vᵀ patch of T′ so the solution is the true
-// random-walk stationary distribution.
+// random-walk stationary distribution. The Jacobi and power-iteration
+// sweeps run in float64 through one kernel (kernel.h) whose AVX2 and
+// scalar bodies give the same bits, so no option picks an instruction set
+// or a lane precision.
 
 #ifndef SPAMMASS_PAGERANK_SOLVER_H_
 #define SPAMMASS_PAGERANK_SOLVER_H_
@@ -33,26 +36,6 @@ namespace spammass::pagerank {
 /// PageRank systems mild over-relaxation (ω ≈ 1.1) typically shaves a few
 /// sweeps, while under-relaxation damps oscillation on near-cyclic graphs.
 enum class Method { kJacobi, kGaussSeidel, kSor, kPowerIteration };
-
-/// Which sweep instruction set the Jacobi-family kernels may use. The
-/// scalar default is the bit-exact reference; kAuto picks the best level
-/// the host supports at runtime; forcing a level the host lacks fails
-/// option validation. Gauss-Seidel/SOR sweeps are sequential and ignore
-/// this.
-enum class SimdPolicy { kScalar, kAuto, kAvx2, kNeon };
-
-/// Lane-storage precision of the Jacobi sweep.
-enum class SweepPrecision {
-  /// float64 lanes throughout — the bit-exact reference.
-  kFloat64,
-  /// Mixed precision: float32 lanes (half the memory traffic) until the
-  /// float64-measured residual clears f32_switch_tolerance or stops
-  /// improving, then float64 lanes to the final tolerance. At least one
-  /// full float64 refinement sweep always runs, and every residual —
-  /// including those of float32 sweeps — is accumulated in float64, so
-  /// convergence decisions never trust float32 arithmetic. Jacobi only.
-  kMixedF32,
-};
 
 /// What to do with the PageRank that reaches a node without outlinks.
 enum class DanglingPolicy {
@@ -85,23 +68,11 @@ struct SolverOptions {
   /// When true, PageRankResult::residual_history records the L1 residual of
   /// every iteration (for convergence studies).
   bool track_residuals = false;
-  /// Sweep instruction set (Jacobi/power-iteration kernels only). The
-  /// scalar default keeps the bit-exact guarantee; vectorized sweeps
-  /// preserve per-lane accumulation order but may differ by FMA
-  /// contraction (validated against scalar by the variant tests).
-  SimdPolicy simd = SimdPolicy::kScalar;
-  /// Lane-storage precision of the Jacobi sweep (see SweepPrecision).
-  SweepPrecision precision = SweepPrecision::kFloat64;
   /// Vestigial: the compressed gather was removed, so no sweep reads this
   /// and the solver rejects `true` as InvalidArgument. It stays only
   /// because perfbench/perfbench.cc still assigns it `false`; it goes when
   /// the next benchmark change drops that line.
   bool compressed_gather = false;
-  /// Mixed-precision switch point: the float32 pre-phase hands over to
-  /// float64 once every lane's residual drops below
-  /// max(f32_switch_tolerance, tolerance). Near the float32 unit roundoff
-  /// by default; raising it shifts work to the float64 phase.
-  double f32_switch_tolerance = 1e-6;
 
   /// The solver configuration shared by the eval pipeline, the CLI
   /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-10 /
@@ -116,19 +87,11 @@ const char* MethodToString(Method method);
 /// Inverse of MethodToString. Fails with InvalidArgument on unknown names.
 util::Result<Method> MethodFromString(std::string_view name);
 
-/// Human-readable SIMD policy name ("scalar", "auto", "avx2", "neon").
-const char* SimdPolicyToString(SimdPolicy policy);
-
-/// Inverse of SimdPolicyToString. Fails with InvalidArgument on unknown
-/// names.
-util::Result<SimdPolicy> SimdPolicyFromString(std::string_view name);
-
-/// Human-readable precision name ("f64", "mixed-f32").
-const char* SweepPrecisionToString(SweepPrecision precision);
-
-/// Inverse of SweepPrecisionToString. Fails with InvalidArgument on
-/// unknown names.
-util::Result<SweepPrecision> SweepPrecisionFromString(std::string_view name);
+/// Instruction set of the sweep body `method` runs on this host: "avx2"
+/// when the Jacobi or power-iteration kernel dispatches to the AVX2 body
+/// (pagerank/simd.h), otherwise "scalar" (Gauss-Seidel and SOR sweep in
+/// scalar code). Echoed by the run manifest as "sweep_isa".
+const char* SweepIsa(Method method);
 
 /// Solution plus convergence diagnostics.
 struct PageRankResult {

@@ -79,14 +79,6 @@ class SolverWorkspace {
   std::vector<double>& dangling_partials() { return dangling_partials_; }
   std::vector<double>& reduce_partials() { return reduce_partials_; }
 
-  // float32 twins used by the mixed-precision sweep pre-phase
-  // (SweepPrecision::kMixedF32): lane storage in float halves the sweep's
-  // memory traffic; inv_out_f32 caches the narrowed inverse out-degrees.
-  util::LaneVector<float>& iterate_f32() { return iterate_f32_; }
-  util::LaneVector<float>& scaled_f32() { return scaled_f32_; }
-  util::LaneVector<float>& scaled_next_f32() { return scaled_next_f32_; }
-  std::vector<float>& inv_out_f32() { return inv_out_f32_; }
-
   /// Bumps the solve counter (called by the solvers).
   void RecordSolve() { ++solve_count_; }
 
@@ -105,11 +97,6 @@ class SolverWorkspace {
   util::LaneVector<double> next_;
   util::LaneVector<double> scaled_;
   util::LaneVector<double> scaled_next_;
-  // float32 twins for the mixed-precision pre-phase.
-  util::LaneVector<float> iterate_f32_;
-  util::LaneVector<float> scaled_f32_;
-  util::LaneVector<float> scaled_next_f32_;
-  std::vector<float> inv_out_f32_;
   // Chunk-indexed partials for the deterministic reductions.
   std::vector<double> node_partials_;
   std::vector<double> dangling_partials_;

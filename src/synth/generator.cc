@@ -6,6 +6,7 @@
 #include "graph/graph_builder.h"
 #include "synth/host_name_gen.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace spammass::synth {
 
@@ -112,7 +113,8 @@ Result<SyntheticWeb> GenerateWeb(const WebModelConfig& config) {
       if (rc.isolated_community && cat == HostCategory::kPlain) {
         // Isolated communities live under one registered domain, like the
         // paper's *.alibaba.com hosts and *.blogger.com.br blogs.
-        host_name = "w" + std::to_string(i) + "." + rc.name + rc.tld;
+        host_name = util::StringPrintf("w%u.%s%s", i, rc.name.c_str(),
+                                       rc.tld.c_str());
       } else {
         host_name = GenerateHostName(cat, rc.name, rc.tld, i, &name_rng);
       }

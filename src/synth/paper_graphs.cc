@@ -1,6 +1,7 @@
 #include "synth/paper_graphs.h"
 
 #include "graph/graph_builder.h"
+#include "util/string_util.h"
 
 namespace spammass::synth {
 
@@ -18,7 +19,7 @@ Figure1Graph MakeFigure1Graph(uint32_t k) {
   fig.s0 = builder.AddNode("s0.spam.biz");
   for (uint32_t i = 1; i <= k; ++i) {
     fig.boosters.push_back(
-        builder.AddNode("s" + std::to_string(i) + ".spam.biz"));
+        builder.AddNode(util::StringPrintf("s%u.spam.biz", i)));
   }
   builder.AddEdge(fig.g0, fig.x);
   builder.AddEdge(fig.g1, fig.x);

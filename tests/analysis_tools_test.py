@@ -4,7 +4,8 @@
 Feeds the intentionally-broken trees under tests/analysis_fixtures/ through
 tools/spammass_lint.py and tools/check_layers.py and asserts the exact
 violation reports (file, line, rule) plus exit codes, and drives
-tools/bench_to_json.py's --baseline guard with a stand-in bench binary.
+tools/bench_to_json.py's --baseline guard and median pairing with stand-in
+bench binaries.
 Registered as the `spammass_analysis_tools` ctest; also runnable directly:
 
     python3 tests/analysis_tools_test.py
@@ -237,6 +238,47 @@ class BenchBaselineHostGuardTest(unittest.TestCase):
         self.assertIn("refusing baseline", stderr)
         self.assertIn("cache sizes differ", stderr)
         self.assertNotIn("REGRESSION", stderr)
+
+
+class BenchMedianTest(unittest.TestCase):
+    """Repeated benchmarks enter a ratio by their median aggregate."""
+
+    def test_ratio_pairs_medians_not_the_last_repetition(self):
+        def reps(name, times, median):
+            # google-benchmark's naming for ->Repetitions(3).
+            name += "/repeats:3"
+            entries = [{"name": name, "run_name": name,
+                        "run_type": "iteration", "real_time": t,
+                        "time_unit": "ms"} for t in times]
+            entries.append({"name": name + "_median", "run_name": name,
+                            "run_type": "aggregate",
+                            "aggregate_name": "median",
+                            "real_time": median, "time_unit": "ms"})
+            return entries
+
+        # The serial entry's last repetition is an outlier (30 ms): paired
+        # by last repetition the ratio would read 6.0x, by median 2.0x.
+        report = {"context": BenchBaselineHostGuardTest.CONTEXT,
+                  "benchmarks": reps("BM_CsrBuildSerial", [10, 10, 30], 10)
+                  + reps("BM_CsrBuildParallel/2", [5, 5, 5], 5)}
+        with tempfile.TemporaryDirectory() as tree:
+            binary = os.path.join(tree, "bench_graph_ops")
+            with open(binary, "w", encoding="utf-8") as f:
+                f.write(f"#!{sys.executable}\n"
+                        "import sys\n"
+                        "out = [a.split('=', 1)[1] for a in sys.argv\n"
+                        "       if a.startswith('--benchmark_out=')][0]\n"
+                        f"open(out, 'w').write({json.dumps(report)!r})\n")
+            os.chmod(binary, os.stat(binary).st_mode | stat.S_IXUSR)
+            out = os.path.join(tree, "out.json")
+            code, stdout, stderr = run_tool(
+                BENCH_TO_JSON, "--bench-dir", tree, "--suite", "graph",
+                "--out", out)
+            self.assertEqual(code, 0, stdout + stderr)
+            with open(out, encoding="utf-8") as f:
+                speedups = json.load(f)["speedups"]
+        self.assertAlmostEqual(
+            speedups["graph_build_parallel_speedup_T2"], 2.0)
 
 
 class RealTreeGuardTest(unittest.TestCase):

@@ -15,6 +15,7 @@
 #include "graph/host_normalize.h"
 #include "graph/site_aggregation.h"
 #include "graph/web_graph.h"
+#include "util/string_util.h"
 
 namespace spammass {
 namespace {
@@ -34,8 +35,8 @@ WebGraph BuildTwoHostsPerDomainGraph() {
   GraphBuilder b;
   // Interleave the two hosts of each domain: a.d0, b.d0, a.d1, b.d1, ...
   for (int i = 0; i < kDomains; ++i) {
-    NodeId a = b.AddNode("a.d" + std::to_string(i) + ".com");
-    NodeId c = b.AddNode("b.d" + std::to_string(i) + ".com");
+    NodeId a = b.AddNode(util::StringPrintf("a.d%d.com", i));
+    NodeId c = b.AddNode(util::StringPrintf("b.d%d.com", i));
     if (i > 0) b.AddEdge(a, 0);
     b.AddEdge(c, a);  // intra-site: vanishes in the site graph
   }
@@ -54,7 +55,7 @@ TEST(SiteAggregationDeterminismTest, SiteIdsFollowFirstEncounterOrder) {
     EXPECT_EQ(sites.value().to_site[2 * i], static_cast<NodeId>(i));
     EXPECT_EQ(sites.value().to_site[2 * i + 1], static_cast<NodeId>(i));
     EXPECT_EQ(sites.value().graph.HostName(i),
-              "d" + std::to_string(i) + ".com");
+              util::StringPrintf("d%d.com", i));
   }
 }
 
@@ -82,8 +83,8 @@ TEST(HostNormalizeDeterminismTest, MergedIdsFollowFirstEncounterOrder) {
   // www.h<i>.com followed by h<i>.com: each pair merges into one node whose
   // canonical name is first encountered at input node 2*i.
   for (int i = 0; i < kDomains; ++i) {
-    b.AddNode("www.h" + std::to_string(i) + ".com");
-    b.AddNode("h" + std::to_string(i) + ".com");
+    b.AddNode(util::StringPrintf("www.h%d.com", i));
+    b.AddNode(util::StringPrintf("h%d.com", i));
   }
   WebGraph g = b.Build();
   auto merged = MergeHostAliases(g, HostNormalizeOptions{});
@@ -95,15 +96,15 @@ TEST(HostNormalizeDeterminismTest, MergedIdsFollowFirstEncounterOrder) {
     EXPECT_EQ(merged.value().to_merged[2 * i], static_cast<NodeId>(i));
     EXPECT_EQ(merged.value().to_merged[2 * i + 1], static_cast<NodeId>(i));
     EXPECT_EQ(merged.value().graph.HostName(i),
-              "h" + std::to_string(i) + ".com");
+              util::StringPrintf("h%d.com", i));
   }
 }
 
 TEST(HostNormalizeDeterminismTest, RepeatedRunsAreBitIdentical) {
   GraphBuilder b;
   for (int i = 0; i < kDomains; ++i) {
-    b.AddNode("WWW.Mixed" + std::to_string(i) + ".Org:80");
-    b.AddNode("mixed" + std::to_string(i) + ".org");
+    b.AddNode(util::StringPrintf("WWW.Mixed%d.Org:80", i));
+    b.AddNode(util::StringPrintf("mixed%d.org", i));
   }
   WebGraph g = b.Build();
   auto first = MergeHostAliases(g, HostNormalizeOptions{});

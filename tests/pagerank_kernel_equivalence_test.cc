@@ -109,7 +109,7 @@ TEST(KernelEquivalenceTest, SingleSweepMatchesReference) {
   const double dangling = 0.0;  // kLeak
   double diff = 0;
   kernel::ScaleByInvOutDegree(g, 1, p.data(), scaled.data(), nullptr);
-  const kernel::LaneJumpTable<double> jumps = kernel::BuildLaneJumps({&v});
+  const kernel::LaneJumpTable jumps = kernel::BuildLaneJumps({&v});
   kernel::WeightedJacobiSweepMulti(g, 1, jumps.View(), 0.85, &dangling,
                                    p.data(), scaled.data(), next.data(),
                                    next_scaled.data(), &partials, &diff,

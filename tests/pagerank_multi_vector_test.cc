@@ -19,6 +19,7 @@
 #include "graph/web_graph.h"
 #include "pagerank/jump_vector.h"
 #include "pagerank/kernel.h"
+#include "pagerank/simd.h"
 #include "pagerank/simd_sweep_body.h"
 #include "pagerank/solver.h"
 #include "util/random.h"
@@ -192,25 +193,12 @@ std::vector<JumpVector> BoundaryJumps(uint32_t n) {
 TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
   // Every width 1..16 through every sweep body, on graphs where the
   // look-ahead passes the last edge. A read past `sources` is what the
-  // sanitizer build catches; the results must keep each body's contract
-  // against the standalone default solve: bit-identical for the scalar
-  // f64 body, within FMA rounding for the vector bodies, and within the
-  // solver tolerance for mixed f32.
-  struct Variant {
-    const char* name;
-    pagerank::SimdPolicy simd;
-    pagerank::SweepPrecision precision;
-    double max_abs_diff;  // 0: bit-identical
-  };
-  using pagerank::SimdPolicy;
-  using pagerank::SweepPrecision;
-  const Variant variants[] = {
-      {"scalar f64", SimdPolicy::kScalar, SweepPrecision::kFloat64, 0.0},
-      {"auto f64", SimdPolicy::kAuto, SweepPrecision::kFloat64, 1e-9},
-      {"scalar mixed-f32", SimdPolicy::kScalar, SweepPrecision::kMixedF32,
-       1e-8},
-      {"auto mixed-f32", SimdPolicy::kAuto, SweepPrecision::kMixedF32, 1e-8},
-  };
+  // sanitizer build catches; every body must also stay bit-identical to
+  // the standalone default solve.
+  std::vector<pagerank::simd::Level> levels = {pagerank::simd::Level::kScalar};
+  if (pagerank::simd::Best() != pagerank::simd::Level::kScalar) {
+    levels.push_back(pagerank::simd::Best());
+  }
   SolverOptions reference;
   reference.tolerance = 1e-12;
   reference.max_iterations = 2000;
@@ -224,30 +212,17 @@ TEST(MultiVectorTest, PrefetchLookAheadStaysInBoundsOnEveryBody) {
       ASSERT_TRUE(r.ok()) << graph_name;
       standalone.push_back(std::move(r).value());
     }
-    for (const Variant& variant : variants) {
-      SolverOptions opt = reference;
-      opt.simd = variant.simd;
-      opt.precision = variant.precision;
+    for (const pagerank::simd::Level level : levels) {
+      const pagerank::simd::ScopedLevelOverride pin(level);
       for (uint32_t k = 1; k <= jumps.size(); ++k) {
-        SCOPED_TRACE(graph_name + ", " + variant.name + ", k = " +
-                     std::to_string(k));
+        SCOPED_TRACE(graph_name + ", " + pagerank::simd::LevelToString(level) +
+                     ", k = " + std::to_string(k));
         const std::vector<JumpVector> batch(jumps.begin(),
                                             jumps.begin() + k);
-        auto fused = pagerank::ComputePageRankMulti(g, batch, opt);
+        auto fused = pagerank::ComputePageRankMulti(g, batch, reference);
         ASSERT_TRUE(fused.ok()) << fused.status().ToString();
         for (uint32_t j = 0; j < k; ++j) {
-          const PageRankResult& got = fused.value()[j];
-          if (variant.max_abs_diff == 0.0) {
-            ExpectResultIdentical(got, standalone[j]);
-            continue;
-          }
-          EXPECT_TRUE(got.converged) << "lane " << j;
-          ASSERT_EQ(got.scores.size(), standalone[j].scores.size());
-          for (size_t x = 0; x < got.scores.size(); ++x) {
-            EXPECT_NEAR(got.scores[x], standalone[j].scores[x],
-                        variant.max_abs_diff)
-                << "lane " << j << " node " << x;
-          }
+          ExpectResultIdentical(fused.value()[j], standalone[j]);
         }
       }
     }

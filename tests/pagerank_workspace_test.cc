@@ -175,8 +175,8 @@ TEST(SolverWorkspaceTest, LongReuseChainStaysExact) {
   EXPECT_EQ(ws.solve_count(), 20u);
 }
 
-/// Asserts that every interleaved lane buffer, f32 twins included, is
-/// allocated and starts on a cache line.
+/// Asserts that every interleaved lane buffer is allocated and starts on a
+/// cache line.
 void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
   const struct {
     const char* name;
@@ -186,9 +186,6 @@ void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
       {"next", ws.next().data()},
       {"scaled", ws.scaled().data()},
       {"scaled_next", ws.scaled_next().data()},
-      {"iterate_f32", ws.iterate_f32().data()},
-      {"scaled_f32", ws.scaled_f32().data()},
-      {"scaled_next_f32", ws.scaled_next_f32().data()},
   };
   for (const auto& buffer : buffers) {
     ASSERT_NE(buffer.data, nullptr) << buffer.name << " after " << when;
@@ -200,22 +197,19 @@ void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
 }
 
 TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
-  // Mixed precision sizes the f32 twins as well as the f64 buffers.
-  SolverOptions mixed;
-  mixed.precision = pagerank::SweepPrecision::kMixedF32;
-  mixed.tolerance = 1e-11;
-  mixed.max_iterations = 2000;
+  SolverOptions jacobi;
+  jacobi.tolerance = 1e-11;
+  jacobi.max_iterations = 2000;
   SolverWorkspace ws;
 
   WebGraph small = MakeSyntheticGraph(120, 500, /*seed=*/5);
   const std::vector<JumpVector> pair = {
       JumpVector::Uniform(small.num_nodes()),
       JumpVector::Core(small.num_nodes(), {1, 3, 5})};
-  ASSERT_TRUE(pagerank::ComputePageRankMulti(small, pair, mixed, &ws).ok());
+  ASSERT_TRUE(pagerank::ComputePageRankMulti(small, pair, jacobi, &ws).ok());
   // Only power iteration sizes `next`.
-  SolverOptions power = mixed;
+  SolverOptions power = jacobi;
   power.method = pagerank::Method::kPowerIteration;
-  power.precision = pagerank::SweepPrecision::kFloat64;
   ASSERT_TRUE(pagerank::ComputePageRank(small, pair[0], power, &ws).ok());
   ExpectLaneBuffersAligned(ws, "first resize");
 
@@ -225,13 +219,12 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
       JumpVector::Uniform(big.num_nodes()),
       JumpVector::Core(big.num_nodes(), {2, 4}),
       JumpVector::SingleNode(big.num_nodes(), 9, 0.5)};
-  ASSERT_TRUE(pagerank::ComputePageRankMulti(big, triple, mixed, &ws).ok());
+  ASSERT_TRUE(pagerank::ComputePageRankMulti(big, triple, jacobi, &ws).ok());
   ASSERT_GT(ws.iterate().size(), small_size);
   ExpectLaneBuffersAligned(ws, "growth");
 
   ws.iterate().swap(ws.next());
   ws.scaled().swap(ws.scaled_next());
-  ws.scaled_f32().swap(ws.scaled_next_f32());
   ExpectLaneBuffersAligned(ws, "swap");
 
   // Sixteen lanes compacting through every width down to one.
@@ -247,7 +240,7 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
 }
 
 TEST(SolverWorkspaceTest, JacobiLaneStateIsThreeArrays) {
-  // A 16-lane f64 Jacobi solve sweeps its iterate in place and reads the
+  // A 16-lane Jacobi solve sweeps its iterate in place and reads the
   // jumps from a table over their supports, so the iterate and the two
   // scaled buffers are the only n·k arrays it sizes.
   WebGraph g = MakeSyntheticGraph(500, 2500, /*seed=*/1);
@@ -264,9 +257,6 @@ TEST(SolverWorkspaceTest, JacobiLaneStateIsThreeArrays) {
   EXPECT_EQ(ws.scaled().size(), n * k);
   EXPECT_EQ(ws.scaled_next().size(), n * k);
   EXPECT_TRUE(ws.next().empty());
-  EXPECT_TRUE(ws.iterate_f32().empty());
-  EXPECT_TRUE(ws.scaled_f32().empty());
-  EXPECT_TRUE(ws.scaled_next_f32().empty());
 }
 
 TEST(SolverWorkspaceTest, PreSpawnedPoolConstructor) {

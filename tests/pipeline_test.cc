@@ -19,6 +19,7 @@
 #include "pipeline/graph_source.h"
 #include "synth/paper_graphs.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace spammass {
 namespace {
@@ -36,7 +37,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 graph::WebGraph SmallGraph() {
   graph::GraphBuilder builder;
   for (int i = 0; i < 6; ++i) {
-    builder.AddNode("h" + std::to_string(i) + ".example.org");
+    builder.AddNode(util::StringPrintf("h%d.example.org", i));
   }
   builder.AddEdge(0, 1);
   builder.AddEdge(1, 2);

@@ -6,6 +6,7 @@
 
 #include "pagerank/solver.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace spammass {
 namespace {
@@ -157,8 +158,8 @@ TEST(SpamFarmTest, CompleteAllianceBeatsRing) {
     for (int f = 0; f < 4; ++f) {
       FarmSpec spec;
       spec.num_boosters = 10;
-      farms.push_back(BuildSpamFarm(&b, spec, "t" + std::to_string(f),
-                                    "b" + std::to_string(f), &rng));
+      farms.push_back(BuildSpamFarm(&b, spec, util::StringPrintf("t%d", f),
+                                    util::StringPrintf("b%d", f), &rng));
       targets.push_back(farms.back().target);
     }
     if (complete) {

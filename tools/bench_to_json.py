@@ -20,10 +20,8 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
   * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
         BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-  * mixed_precision_speedup_k4 / full_variant_speedup_k4: the
-    scalar/f64 sweep over the mixed-f32 and simd+f32 variants
-    plus `bytes_per_edge`: the modelled traffic counters of the f64
-    sweep vs. the f32 sweep and the relative reduction.
+    (the scalar sweep body over the AVX2 one; both entries repeat, and
+    their medians are paired)
 
 Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
 
@@ -75,6 +73,10 @@ committed BENCH_solver.json (its context still said
 refusal to a loud warning and stamps `"non_release_build": true` into the
 output so the file can never masquerade as a real measurement.
 
+Repeated benchmarks (->Repetitions(n)) enter the ratios by their median
+aggregate, not by whichever repetition ran last, so one noisy repetition
+cannot move a ratio.
+
 Regression guard: `--baseline <committed BENCH_*.json>` compares every
 derived ratio against the committed run and warns when one drops by more
 than 10%. Warnings only — machine variance makes hard gates flaky — but
@@ -88,6 +90,7 @@ refusal is printed instead of warnings.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -111,10 +114,6 @@ SOLVER_RATIO_PAIRS = [
      "BM_FusedMultiSolve/8"),
     ("simd_multi_rhs_speedup_k4", "BM_SweepScalarF64Plain",
      "BM_SweepSimdF64Plain"),
-    ("mixed_precision_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepScalarF32Plain"),
-    ("full_variant_speedup_k4", "BM_SweepScalarF64Plain",
-     "BM_SweepSimdF32Plain"),
 ]
 
 GRAPH_RATIO_PAIRS = [
@@ -284,21 +283,23 @@ def check_regressions(speedups, context, baseline_path, threshold=0.10):
     return regressions
 
 
-def bytes_per_edge_summary(merged):
-    """Derives the bytes-per-edge reduction from the variant counters."""
-    counters = {}
-    for entry in merged["benchmarks"]:
-        if "bytes_per_edge" in entry:
-            counters[entry["name"]] = entry["bytes_per_edge"]
-    plain = counters.get("BM_SweepScalarF64Plain")
-    narrow = counters.get("BM_SweepScalarF32Plain")
-    if not plain or narrow is None:
-        return None
-    return {
-        "plain_f64": plain,
-        "plain_f32": narrow,
-        "reduction": 1.0 - narrow / plain,
-    }
+def benchmark_times(entries):
+    """Real time in ms per benchmark name: the median aggregate of a
+    repeated benchmark, otherwise its single run. google-benchmark names a
+    repeated run `<name>/repeats:<n>`; the suffix is dropped so the ratio
+    pairs name benchmarks the same way whether they repeat or not."""
+    times = {}
+    medians = {}
+    for entry in entries:
+        name = re.sub(r"/repeats:\d+$", "",
+                      entry.get("run_name", entry["name"]))
+        if entry.get("run_type") == "aggregate":
+            if entry.get("aggregate_name") == "median":
+                medians[name] = real_time_ms(entry)
+        else:
+            times[name] = real_time_ms(entry)
+    times.update(medians)
+    return times
 
 
 def main():
@@ -322,7 +323,6 @@ def main():
     suite = SUITES[args.suite]
 
     merged = {"context": None, "benchmarks": [], "speedups": {}}
-    times = {}
     non_release = []
     for name in suite["binaries"]:
         binary = os.path.join(args.bench_dir, name)
@@ -338,7 +338,6 @@ def main():
         for entry in report.get("benchmarks", []):
             entry["binary"] = name
             merged["benchmarks"].append(entry)
-            times[entry["name"]] = real_time_ms(entry)
 
     if non_release:
         detail = ", ".join(f"{n} ({t})" for n, t in non_release)
@@ -353,14 +352,10 @@ def main():
                   file=sys.stderr)
             return 1
 
+    times = benchmark_times(merged["benchmarks"])
     for label, baseline, optimized in suite["ratios"]:
         if baseline in times and optimized in times and times[optimized] > 0:
             merged["speedups"][label] = times[baseline] / times[optimized]
-
-    if args.suite == "solver":
-        summary = bytes_per_edge_summary(merged)
-        if summary is not None:
-            merged["bytes_per_edge"] = summary
 
     if args.suite == "obs":
         for label, ratio in merged["speedups"].items():

@@ -203,11 +203,6 @@ void DefineSolverFlags(util::FlagParser* flags) {
                     "record per-iteration residual curves (manifest "
                     "convergence[].residual_curve; plot with "
                     "tools/plot_convergence.py)");
-  flags->Define("simd", pagerank::SimdPolicyToString(preset.simd),
-                "sweep instruction set: scalar | auto | avx2 | neon "
-                "(Jacobi/power only; forcing an unsupported level fails)");
-  flags->Define("precision", pagerank::SweepPrecisionToString(preset.precision),
-                "sweep lane precision: f64 | mixed-f32 (Jacobi only)");
 }
 
 util::Result<pagerank::SolverOptions> SolverFromFlags(
@@ -221,13 +216,6 @@ util::Result<pagerank::SolverOptions> SolverFromFlags(
   solver.max_iterations = static_cast<int>(flags.GetInt("max-iterations"));
   solver.num_threads = static_cast<uint32_t>(flags.GetInt("threads"));
   solver.track_residuals = flags.GetBool("record-convergence");
-  auto simd = pagerank::SimdPolicyFromString(flags.GetString("simd"));
-  if (!simd.ok()) return simd.status();
-  solver.simd = simd.value();
-  auto precision =
-      pagerank::SweepPrecisionFromString(flags.GetString("precision"));
-  if (!precision.ok()) return precision.status();
-  solver.precision = precision.value();
   return solver;
 }
 
