@@ -86,7 +86,8 @@ BENCHMARK(BM_FusedMultiSolve)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_IndependentSolves(benchmark::State& state) {
   const WebGraph& g = BenchGraph();
@@ -109,7 +110,8 @@ BENCHMARK(BM_IndependentSolves)
     ->Arg(3)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 }  // namespace
 }  // namespace spammass

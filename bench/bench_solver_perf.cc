@@ -139,7 +139,9 @@ void BM_SeedJacobiBaseline(benchmark::State& state) {
   state.counters["sweeps"] = iterations;
   state.counters["edges"] = static_cast<double>(g.num_edges());
 }
-BENCHMARK(BM_SeedJacobiBaseline)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedJacobiBaseline)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_WeightedJacobi(benchmark::State& state) {
   const WebGraph& g = PerfGraph();
@@ -156,7 +158,9 @@ void BM_WeightedJacobi(benchmark::State& state) {
   state.counters["sweeps"] = iterations;
   state.counters["edges"] = static_cast<double>(g.num_edges());
 }
-BENCHMARK(BM_WeightedJacobi)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WeightedJacobi)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 // ---- Spam-mass two-solve path: seed baseline vs. fused multi-vector. ----
 
@@ -176,7 +180,9 @@ void BM_SeedMassEstimationBaseline(benchmark::State& state) {
   }
   state.counters["sweeps"] = iterations;
 }
-BENCHMARK(BM_SeedMassEstimationBaseline)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedMassEstimationBaseline)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_FusedMassEstimation(benchmark::State& state) {
   const WebGraph& g = PerfGraph();
@@ -189,7 +195,9 @@ void BM_FusedMassEstimation(benchmark::State& state) {
     benchmark::DoNotOptimize(r.value());
   }
 }
-BENCHMARK(BM_FusedMassEstimation)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusedMassEstimation)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 /// The same two-solve pair on the shared synthetic web (the scenario graph
 /// every paper-table bench uses, small enough to sit in cache — the regime
@@ -220,7 +228,9 @@ void BM_SeedMassEstimationSharedWeb(benchmark::State& state) {
   state.counters["sweeps"] = iterations;
   state.counters["edges"] = static_cast<double>(g.num_edges());
 }
-BENCHMARK(BM_SeedMassEstimationSharedWeb)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedMassEstimationSharedWeb)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_FusedMassEstimationSharedWeb(benchmark::State& state) {
   const WebGraph& g = SharedWeb().graph;
@@ -233,7 +243,9 @@ void BM_FusedMassEstimationSharedWeb(benchmark::State& state) {
     benchmark::DoNotOptimize(r.value());
   }
 }
-BENCHMARK(BM_FusedMassEstimationSharedWeb)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusedMassEstimationSharedWeb)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 // ---- Parallel Jacobi: fresh pool per solve vs. workspace-cached pool. ----
 
@@ -254,7 +266,8 @@ void BM_ParallelJacobiFreshPool(benchmark::State& state) {
 BENCHMARK(BM_ParallelJacobiFreshPool)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 void BM_ParallelJacobiWorkspace(benchmark::State& state) {
   const WebGraph& g = PerfGraph();
@@ -271,7 +284,8 @@ void BM_ParallelJacobiWorkspace(benchmark::State& state) {
 BENCHMARK(BM_ParallelJacobiWorkspace)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5);
 
 pagerank::SolverOptions Options(pagerank::Method method) {
   pagerank::SolverOptions opt;

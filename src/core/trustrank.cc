@@ -30,11 +30,19 @@ Result<SeedSelection> SelectTrustRankSeeds(
   std::vector<NodeId> order(graph.num_nodes());
   std::iota(order.begin(), order.end(), 0u);
   uint32_t take = std::min<uint32_t>(candidates, graph.num_nodes());
-  std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                    [&scores](NodeId a, NodeId b) {
+  // One rank past the cut, when there is one, for the margin.
+  const bool has_cut = take > 0 && take < graph.num_nodes();
+  std::partial_sort(order.begin(), order.begin() + take + (has_cut ? 1 : 0),
+                    order.end(), [&scores](NodeId a, NodeId b) {
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;
                     });
+  if (has_cut && solver.method == pagerank::Method::kJacobi) {
+    const double c = solver.damping;
+    selection.margin = SeedMargin{
+        scores[order[take - 1]] - scores[order[take]],
+        c / (1.0 - c) * selection.inverse_pagerank.residual};
+  }
   order.resize(take);
   for (NodeId s : order) {
     if (oracle == nullptr || oracle->IsGood(s)) selection.seeds.push_back(s);
@@ -84,6 +92,7 @@ Result<TrustRankResult> RunTrustRank(const WebGraph& graph,
 
   TrustRankResult result;
   result.seeds = std::move(selection.value().seeds);
+  result.seed_margin = selection.value().margin;
   auto trust = ComputeTrustRank(graph, result.seeds, options.solver, ws);
   if (!trust.ok()) return trust.status();
   result.trust = std::move(trust.value());

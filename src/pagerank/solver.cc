@@ -29,7 +29,7 @@ double L1Norm(const std::vector<double>& v) {
 SolverOptions SolverOptions::BenchPreset() {
   SolverOptions options;
   options.method = Method::kGaussSeidel;
-  options.tolerance = 1e-10;
+  options.tolerance = 1e-8;
   options.max_iterations = 400;
   return options;
 }

@@ -75,8 +75,11 @@ struct SolverOptions {
   bool compressed_gather = false;
 
   /// The solver configuration shared by the eval pipeline, the CLI
-  /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-10 /
+  /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-8 /
   /// 400 iterations. Named so the three call sites cannot silently diverge.
+  /// 1e-8 is the loosest decade at which no spam_mass, trustrank or Figure 5
+  /// core-family verdict moves against a 1e-12 solve on any corpus of the
+  /// tolerance matrix (EXPERIMENTS.md E17, bench_tolerance_verdicts).
   static SolverOptions BenchPreset();
 };
 

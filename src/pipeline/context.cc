@@ -1,5 +1,6 @@
 #include "pipeline/context.h"
 
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -83,6 +84,7 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
   // TrustRank seed selection runs first: its solve is over the TRANSPOSED
   // graph and cannot join the forward stream.
   std::vector<NodeId> trust_seeds;
+  std::optional<core::SeedMargin> seed_margin;
   if (solve_trust) {
     obs::ScopedStageTimer timer("trustrank_seed_selection", &stage_timings_);
     // The oracle filter needs ground truth; without labels every candidate
@@ -95,6 +97,7 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
         web, cfg.trustrank.seed_candidates, oracle, cfg.solver, &workspace_);
     if (!selection.ok()) return selection.status();
     trust_seeds = std::move(selection.value().seeds);
+    seed_margin = selection.value().margin;
     solve_stats_.emplace_back(
         "trustrank_seed_selection",
         pagerank::SolveStats::FromResult(selection.value().inverse_pagerank));
@@ -161,6 +164,7 @@ Status PipelineContext::Prepare(const ArtifactNeeds& requested) {
       solve_stats_.emplace_back("trustrank",
                                 pagerank::SolveStats::FromResult(trust_pr));
       trustrank_.seeds = std::move(trust_seeds);
+      trustrank_.seed_margin = seed_margin;
       trustrank_.trust = std::move(trust_pr.scores);
       has_trustrank_ = true;
     }

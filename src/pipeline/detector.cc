@@ -123,6 +123,10 @@ class TrustRankDetector : public Detector {
     out.flagged_count = demoted;
     out.metrics.emplace_back(
         "seeds", static_cast<double>(context.TrustRank().seeds.size()));
+    if (const auto& margin = context.TrustRank().seed_margin) {
+      out.metrics.emplace_back("seed_gap", margin->gap);
+      out.metrics.emplace_back("seed_gap_bound", margin->bound);
+    }
     out.metrics.emplace_back("population",
                              static_cast<double>(population.size()));
     AddGroundTruthMetrics(context, &out);

@@ -105,6 +105,94 @@ TEST(TrustRankTest, SeedOracleKeepsGoodCandidatesInRankOrder) {
   EXPECT_EQ(none.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
+/// A graph whose inverse PageRank ranks hub b just above hub a. On the
+/// transposed graph (the one inverse PageRank walks) `leaves_a` and
+/// `leaves_b` leaves link to a and b, a and b link to each other, and z
+/// links to b and to `sinks` sinks, so b's lead over a comes from z's
+/// 1/(sinks + 1) share. The a-b cycle keeps the Jacobi solve asymptotic
+/// (a DAG would converge exactly, with residual 0).
+WebGraph TwoHubGraph(int leaves_a, int leaves_b, int sinks) {
+  const NodeId a = 0, b = 1, z = 2;
+  GraphBuilder builder(static_cast<NodeId>(3 + leaves_a + leaves_b + sinks));
+  NodeId next = 3;
+  // Each edge below is the forward edge u -> v of a transposed edge v -> u.
+  for (int i = 0; i < leaves_a; ++i) builder.AddEdge(a, next++);
+  for (int i = 0; i < leaves_b; ++i) builder.AddEdge(b, next++);
+  builder.AddEdge(a, b);
+  builder.AddEdge(b, a);
+  builder.AddEdge(b, z);
+  for (int i = 0; i < sinks; ++i) builder.AddEdge(next++, z);
+  return builder.Build();
+}
+
+SolverOptions AtTolerance(double tolerance) {
+  SolverOptions opt = Precise();
+  opt.tolerance = tolerance;
+  return opt;
+}
+
+TEST(TrustRankSeedMarginTest, ClearGapIsCertifiedByTheBound) {
+  WebGraph g = TwoHubGraph(1, 3, 20000);
+  auto selection = SelectTrustRankSeeds(g, 1, nullptr, AtTolerance(1e-8));
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection.value().seeds, (std::vector<NodeId>{1}));
+  ASSERT_TRUE(selection.value().margin.has_value());
+  const core::SeedMargin& margin = *selection.value().margin;
+  const std::vector<double>& scores = selection.value().inverse_pagerank.scores;
+  EXPECT_EQ(margin.gap, scores[1] - scores[0]);
+  EXPECT_EQ(margin.bound,
+            0.85 / (1 - 0.85) * selection.value().inverse_pagerank.residual);
+  EXPECT_GT(margin.bound, 0.0);
+  EXPECT_GT(margin.gap, margin.bound);
+}
+
+TEST(TrustRankSeedMarginTest, NearTieIsNotCertifiedAtALooseTolerance) {
+  // b's lead is c·s_z/(sinks + 1)/(1 + c) ≈ 1.7e-10 with s_z = (1 − c)/n:
+  // far below the bound at 1e-8, far above it at 1e-14.
+  const int sinks = 19999;
+  WebGraph g = TwoHubGraph(3, 3, sinks);
+  const double n = g.num_nodes(), c = 0.85;
+  const double lead = c * ((1 - c) / n) / (sinks + 1) / (1 + c);
+
+  auto loose = SelectTrustRankSeeds(g, 1, nullptr, AtTolerance(1e-8));
+  ASSERT_TRUE(loose.ok());
+  EXPECT_EQ(loose.value().seeds, (std::vector<NodeId>{1}));
+  ASSERT_TRUE(loose.value().margin.has_value());
+  EXPECT_GT(loose.value().margin->gap, 0.0);
+  EXPECT_LT(loose.value().margin->gap, loose.value().margin->bound);
+
+  auto tight = SelectTrustRankSeeds(g, 1, nullptr, Precise());
+  ASSERT_TRUE(tight.ok());
+  EXPECT_EQ(tight.value().seeds, (std::vector<NodeId>{1}));
+  ASSERT_TRUE(tight.value().margin.has_value());
+  EXPECT_NEAR(tight.value().margin->gap, lead, 1e-3 * lead);
+  EXPECT_GT(tight.value().margin->gap, tight.value().margin->bound);
+}
+
+TEST(TrustRankSeedMarginTest, OmittedWithoutACutOrForOtherMethods) {
+  WebGraph g = TwoHubGraph(1, 3, 4);
+  const uint32_t n = g.num_nodes();
+  for (uint32_t k : {n, n + 1}) {
+    auto selection = SelectTrustRankSeeds(g, k, nullptr, Precise());
+    ASSERT_TRUE(selection.ok());
+    EXPECT_FALSE(selection.value().margin.has_value()) << "K = " << k;
+  }
+  auto below = SelectTrustRankSeeds(g, n - 1, nullptr, Precise());
+  ASSERT_TRUE(below.ok());
+  EXPECT_TRUE(below.value().margin.has_value());
+
+  for (pagerank::Method method :
+       {pagerank::Method::kGaussSeidel, pagerank::Method::kSor,
+        pagerank::Method::kPowerIteration}) {
+    SolverOptions opt = Precise();
+    opt.method = method;
+    auto selection = SelectTrustRankSeeds(g, 1, nullptr, opt);
+    ASSERT_TRUE(selection.ok());
+    EXPECT_FALSE(selection.value().margin.has_value())
+        << pagerank::MethodToString(method);
+  }
+}
+
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {
   auto fig = synth::MakeFigure1Graph(30);
   TrustRankOptions options;

@@ -276,6 +276,35 @@ TEST(RunDetectorsTest, ProducesManifestAndOutputs) {
   }
 }
 
+TEST(RunDetectorsTest, TrustRankReportsTheSeedMarginForJacobiOnly) {
+  auto metric = [](const pipeline::DetectorOutput& out, const char* name) {
+    return std::find_if(out.metrics.begin(), out.metrics.end(),
+                        [name](const auto& m) { return m.first == name; });
+  };
+  pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.02, 11);
+  pipeline::PipelineConfig config;
+  config.solver.method = pagerank::Method::kJacobi;
+  auto jacobi = pipeline::RunDetectors(source, config, {"trustrank"});
+  ASSERT_TRUE(jacobi.ok()) << jacobi.status().ToString();
+  const pipeline::DetectorOutput& out = jacobi.value().detectors.front();
+  auto gap = metric(out, "seed_gap");
+  auto bound = metric(out, "seed_gap_bound");
+  ASSERT_NE(gap, out.metrics.end());
+  ASSERT_NE(bound, out.metrics.end());
+  EXPECT_GE(gap->second, 0.0);
+  EXPECT_GT(bound->second, 0.0);
+  EXPECT_NE(jacobi.value().manifest_json.find("\"seed_gap_bound\""),
+            std::string::npos);
+
+  config.solver.method = pagerank::Method::kGaussSeidel;
+  auto gauss_seidel = pipeline::RunDetectors(source, config, {"trustrank"});
+  ASSERT_TRUE(gauss_seidel.ok()) << gauss_seidel.status().ToString();
+  const pipeline::DetectorOutput& gs = gauss_seidel.value().detectors.front();
+  EXPECT_NE(metric(gs, "seeds"), gs.metrics.end());
+  EXPECT_EQ(metric(gs, "seed_gap"), gs.metrics.end());
+  EXPECT_EQ(metric(gs, "seed_gap_bound"), gs.metrics.end());
+}
+
 TEST(RunDetectorsTest, Figure2SpamMassMatchesPaper) {
   // The paper's Figure 2 example through the full pipeline path: the
   // known spam candidates surface through DetectorOutput.

@@ -20,8 +20,10 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
         BM_IndependentSolves/<k> / BM_FusedMultiSolve/<k>
   * simd_multi_rhs_speedup_k4 (bench_sweep_variants, power-law web):
         BM_SweepScalarF64Plain / BM_SweepSimdF64Plain
-    (the scalar sweep body over the AVX2 one; both entries repeat, and
-    their medians are paired)
+    (the scalar sweep body over the AVX2 one)
+
+  Every benchmark these ratios name repeats 5 times and enters by the
+  median of its repetitions.
 
 Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
 
