@@ -1,7 +1,7 @@
 // Convergence study of the solver suite (supporting the Section 2.2 claim
 // that the linear-system formulation admits faster solvers than power
-// iteration): per-iteration L1 residuals for Jacobi, Gauss-Seidel, SOR and
-// power iteration on the same synthetic web, plus sweeps-to-tolerance.
+// iteration): per-iteration L1 residuals for Jacobi and power iteration on
+// the same synthetic web, plus sweeps-to-tolerance.
 
 #include <cmath>
 #include <cstdio>
@@ -18,10 +18,9 @@ using namespace spammass;
 namespace {
 
 pagerank::PageRankResult Run(const graph::WebGraph& graph,
-                             pagerank::Method method, double omega = 1.1) {
+                             pagerank::Method method) {
   pagerank::SolverOptions opt;
   opt.method = method;
-  opt.sor_omega = omega;
   opt.tolerance = 1e-12;
   opt.max_iterations = 300;
   opt.track_residuals = true;
@@ -44,21 +43,17 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     pagerank::Method method;
-    double omega;
   };
   const Variant variants[] = {
-      {"jacobi", pagerank::Method::kJacobi, 1.0},
-      {"gauss-seidel", pagerank::Method::kGaussSeidel, 1.0},
-      {"sor w=1.1", pagerank::Method::kSor, 1.1},
-      {"sor w=0.8", pagerank::Method::kSor, 0.8},
-      {"power iteration", pagerank::Method::kPowerIteration, 1.0},
+      {"jacobi", pagerank::Method::kJacobi},
+      {"power iteration", pagerank::Method::kPowerIteration},
   };
 
   std::vector<pagerank::PageRankResult> results;
   util::TextTable summary;
   summary.SetHeader({"method", "sweeps to 1e-12", "final residual"});
   for (const Variant& v : variants) {
-    results.push_back(Run(g, v.method, v.omega));
+    results.push_back(Run(g, v.method));
     summary.AddRow({v.name, std::to_string(results.back().iterations),
                     util::FormatDouble(std::log10(results.back().residual),
                                        1) + " (log10)"});
@@ -84,9 +79,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", decay.ToString().c_str());
   std::printf(
-      "expected shape: Gauss-Seidel needs roughly half the sweeps of\n"
-      "Jacobi; power iteration tracks Jacobi's rate (both are damped by\n"
-      "c per step) but pays extra normalization work; mild over-relaxation\n"
-      "is between Gauss-Seidel and Jacobi on web-like graphs.\n");
+      "expected shape: power iteration tracks Jacobi's rate (both are\n"
+      "damped by c per step) but pays extra normalization work.\n");
   return 0;
 }

@@ -62,7 +62,7 @@ TrialResult RunTrial(uint32_t hijacked, uint64_t seed) {
   for (graph::NodeId x = 0; x < kBackground; x += 20) good_core.push_back(x);
 
   core::SpamMassOptions options;
-  options.solver.method = pagerank::Method::kGaussSeidel;
+  options.solver = pagerank::SolverOptions::BenchPreset();
   options.solver.tolerance = 1e-12;
   options.solver.max_iterations = 600;
   options.gamma = static_cast<double>(kBackground) / web.num_nodes();

@@ -35,8 +35,6 @@ const pipeline::LoadedGraph& FixtureWeb() {
 
 pipeline::PipelineConfig BenchConfig() {
   pipeline::PipelineConfig config;
-  // Jacobi so the multi-RHS fusion engages; the Gauss-Seidel preset would
-  // still share the cached base solve but not the per-sweep traversal.
   config.solver.method = pagerank::Method::kJacobi;
   return config;
 }

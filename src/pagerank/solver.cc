@@ -15,7 +15,6 @@
 
 namespace spammass::pagerank {
 
-using graph::NodeId;
 using graph::WebGraph;
 using util::Result;
 using util::Status;
@@ -28,7 +27,7 @@ double L1Norm(const std::vector<double>& v) {
 
 SolverOptions SolverOptions::BenchPreset() {
   SolverOptions options;
-  options.method = Method::kGaussSeidel;
+  options.method = Method::kJacobi;
   options.tolerance = 1e-8;
   options.max_iterations = 400;
   return options;
@@ -38,10 +37,6 @@ const char* MethodToString(Method method) {
   switch (method) {
     case Method::kJacobi:
       return "jacobi";
-    case Method::kGaussSeidel:
-      return "gauss-seidel";
-    case Method::kSor:
-      return "sor";
     case Method::kPowerIteration:
       return "power-iteration";
   }
@@ -50,19 +45,12 @@ const char* MethodToString(Method method) {
 
 Result<Method> MethodFromString(std::string_view name) {
   if (name == "jacobi") return Method::kJacobi;
-  if (name == "gauss-seidel") return Method::kGaussSeidel;
-  if (name == "sor") return Method::kSor;
   if (name == "power-iteration") return Method::kPowerIteration;
   return Status::InvalidArgument("unknown solver method: " +
                                  std::string(name));
 }
 
-const char* SweepIsa(Method method) {
-  const bool kernel_sweep =
-      method == Method::kJacobi || method == Method::kPowerIteration;
-  return simd::LevelToString(kernel_sweep ? simd::Active()
-                                          : simd::Level::kScalar);
-}
+const char* SweepIsa() { return simd::LevelToString(simd::Active()); }
 
 std::vector<double> ScaledScores(const std::vector<double>& scores,
                                  double damping) {
@@ -107,15 +95,6 @@ obs::Histogram* IterationsHistogram() {
           "pagerank.solve_iterations",
           {1, 2, 5, 10, 20, 50, 100, 200, 400, 800});
   return histogram;
-}
-
-/// Sum of scores over dangling nodes. Scans the graph's precomputed
-/// dangling-node list (ascending, so the addition order matches the seed
-/// full-scan version bit for bit) instead of testing all n nodes.
-double DanglingSum(const WebGraph& graph, const std::vector<double>& p) {
-  double sum = 0;
-  for (NodeId x : graph.DanglingNodes()) sum += p[x];
-  return sum;
 }
 
 /// Extracts lane `j` of the interleaved (n × k) buffer `flat` into `out`.
@@ -247,70 +226,6 @@ PageRankResult SolveJacobi(const WebGraph& graph, const JumpVector& jump,
   return std::move(results.front());
 }
 
-/// Gauss-Seidel / SOR sweeps (omega == 1 is plain Gauss-Seidel). In-place
-/// updates force a sequential sweep, but the inner gather still uses the
-/// cached inverse out-degrees (multiply instead of divide) and the initial
-/// dangling sum scans the cached dangling list.
-PageRankResult SolveGaussSeidel(const WebGraph& graph, const JumpVector& jump,
-                                const SolverOptions& opt, double omega,
-                                SolverWorkspace* ws) {
-  SPAMMASS_TRACE_SPAN("pagerank.solve", "method",
-                      omega == 1.0 ? "gauss-seidel" : "sor");
-  PageRankResult result;
-  const std::vector<double> v = jump.ToDense();
-  result.scores = v;
-  std::vector<double>& p = result.scores;
-  const double c = opt.damping;
-  const auto inv_out = graph.InvOutDegrees();
-  const bool redistribute =
-      opt.dangling == DanglingPolicy::kRedistributeToJump;
-  double dangling = redistribute ? DanglingSum(graph, p) : 0.0;
-  for (int i = 0; i < opt.max_iterations; ++i) {
-    double diff = 0;
-    for (NodeId y = 0; y < graph.num_nodes(); ++y) {
-      double in_sum = 0;
-      for (NodeId x : graph.InNeighbors(y)) {
-        in_sum += p[x] * inv_out[x];
-      }
-      const double vy = v[y];
-      double next;
-      if (redistribute) {
-        const bool y_dangling = graph.IsDangling(y);
-        // Exclude y's own (old) dangling contribution and solve the scalar
-        // equation p_y = c·(in_sum + v_y·(D_excl + p_y·[y dangling])) +
-        // (1−c)·v_y for p_y exactly.
-        double d_excl = dangling - (y_dangling ? p[y] : 0.0);
-        double numer = c * (in_sum + vy * d_excl) + (1.0 - c) * vy;
-        if (y_dangling) {
-          double denom = 1.0 - c * vy;
-          next = denom > 0 ? numer / denom : numer;
-          next = (1.0 - omega) * p[y] + omega * next;
-          dangling = d_excl + next;
-        } else {
-          next = (1.0 - omega) * p[y] + omega * numer;
-        }
-      } else {
-        next = (1.0 - omega) * p[y] +
-               omega * (c * in_sum + (1.0 - c) * vy);
-      }
-      diff += std::abs(next - p[y]);
-      p[y] = next;
-    }
-    result.iterations = i + 1;
-    result.residual = diff;
-    SweepsCounter()->Increment();
-    if (opt.track_residuals) result.residual_history.push_back(diff);
-    if (diff < opt.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  ws->RecordSolve();
-  SolvesCounter()->Increment();
-  IterationsHistogram()->Observe(result.iterations);
-  return result;
-}
-
 /// Power iteration on the stochasticized matrix T″ (Eq. 1). Requires a
 /// normalizable jump vector; the result is the stationary distribution
 /// (‖p‖₁ = 1) of the random walk with teleportation to v/‖v‖. The sweep,
@@ -409,10 +324,6 @@ Status CheckGraphAndOptions(const WebGraph& graph,
   if (options.tolerance < 0.0 || options.max_iterations <= 0) {
     return Status::InvalidArgument("bad tolerance or iteration cap");
   }
-  if (options.method == Method::kSor &&
-      (!(options.sor_omega > 0.0) || !(options.sor_omega < 2.0))) {
-    return Status::InvalidArgument("sor_omega must lie in (0, 2)");
-  }
   if (options.compressed_gather) {
     return Status::InvalidArgument(
         "compressed_gather was removed; every sweep gathers from the plain "
@@ -445,10 +356,6 @@ PageRankResult SolveDispatch(const WebGraph& graph, const JumpVector& jump,
   switch (options.method) {
     case Method::kJacobi:
       return SolveJacobi(graph, jump, options, ws);
-    case Method::kGaussSeidel:
-      return SolveGaussSeidel(graph, jump, options, /*omega=*/1.0, ws);
-    case Method::kSor:
-      return SolveGaussSeidel(graph, jump, options, options.sor_omega, ws);
     case Method::kPowerIteration:
       return SolvePowerIteration(graph, jump, options, ws);
   }
@@ -470,12 +377,6 @@ Result<PageRankResult> ComputePageRank(const WebGraph& graph,
   // Post-conditions (non-negativity, mass conservation). O(n), debug only.
   DCHECK_OK(ValidateSolverResult(graph, jump, options, result));
   return result;
-}
-
-Result<PageRankResult> ComputePageRank(const WebGraph& graph,
-                                       const JumpVector& jump,
-                                       const SolverOptions& options) {
-  return ComputePageRank(graph, jump, options, nullptr);
 }
 
 Result<std::vector<PageRankResult>> ComputePageRankMulti(
@@ -509,8 +410,8 @@ Result<std::vector<PageRankResult>> ComputePageRankMulti(
       }
     }
   } else {
-    // Sequential-dependency methods: solve one at a time, still sharing
-    // the workspace (pool + scratch reuse).
+    // Power iteration: one vector at a time, still sharing the workspace
+    // (pool + scratch reuse).
     for (const JumpVector& jump : jumps) {
       results.push_back(SolveDispatch(graph, jump, options, ws));
     }
@@ -530,11 +431,6 @@ Result<PageRankResult> ComputeUniformPageRank(const WebGraph& graph,
   }
   return ComputePageRank(graph, JumpVector::Uniform(graph.num_nodes()),
                          options, workspace);
-}
-
-Result<PageRankResult> ComputeUniformPageRank(const WebGraph& graph,
-                                              const SolverOptions& options) {
-  return ComputeUniformPageRank(graph, options, nullptr);
 }
 
 }  // namespace spammass::pagerank

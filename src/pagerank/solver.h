@@ -4,19 +4,15 @@
 //     (I − cTᵀ) p = (1 − c) v                                   (Eq. 3)
 // with the substochastic transition matrix T (dangling rows are zero), and
 // solves it with the Jacobi method (Algorithm 1). This module implements:
-//   * kJacobi       — Algorithm 1 verbatim,
-//   * kGaussSeidel  — in-place sweeps; typically converges in fewer
-//                     iterations than Jacobi (the paper cites Gauss-Seidel
-//                     as a faster alternative),
+//   * kJacobi       — Algorithm 1 verbatim, the preset method,
 //   * kPowerIteration — the classic eigensystem formulation (Eq. 1) on the
 //                     fully stochasticized matrix T'', for comparison.
 // Dangling handling is selectable: kLeak matches Eq. 3 exactly (dangling
 // PageRank simply dissipates, only rescaling the solution), while
 // kRedistributeToJump adds the d·vᵀ patch of T′ so the solution is the true
-// random-walk stationary distribution. The Jacobi and power-iteration
-// sweeps run in float64 through one kernel (kernel.h) whose AVX2 and
-// scalar bodies give the same bits, so no option picks an instruction set
-// or a lane precision.
+// random-walk stationary distribution. Both methods sweep in float64
+// through one kernel (kernel.h) whose AVX2 and scalar bodies give the same
+// bits, so no option picks an instruction set or a lane precision.
 
 #ifndef SPAMMASS_PAGERANK_SOLVER_H_
 #define SPAMMASS_PAGERANK_SOLVER_H_
@@ -31,11 +27,8 @@
 
 namespace spammass::pagerank {
 
-/// Iterative method selection. kSor is successive over-relaxation on the
-/// Gauss-Seidel sweep (ω = 1 degenerates to plain Gauss-Seidel); for
-/// PageRank systems mild over-relaxation (ω ≈ 1.1) typically shaves a few
-/// sweeps, while under-relaxation damps oscillation on near-cyclic graphs.
-enum class Method { kJacobi, kGaussSeidel, kSor, kPowerIteration };
+/// Iterative method selection.
+enum class Method { kJacobi, kPowerIteration };
 
 /// What to do with the PageRank that reaches a node without outlinks.
 enum class DanglingPolicy {
@@ -56,14 +49,10 @@ struct SolverOptions {
   int max_iterations = 1000;
   Method method = Method::kJacobi;
   DanglingPolicy dangling = DanglingPolicy::kLeak;
-  /// Relaxation factor for kSor; must lie in (0, 2). Ignored otherwise.
-  double sor_omega = 1.1;
-  /// Worker threads for the out-of-place sweeps (each output entry depends
-  /// only on the previous iterate, so rows split cleanly). 1 = serial.
-  /// kJacobi and kPowerIteration parallelize — with bit-identical scores
-  /// AND residuals for every thread count (deterministic chunked
-  /// reductions, pagerank/kernel.h); the sequential-dependency
-  /// Gauss-Seidel/SOR sweeps ignore this.
+  /// Worker threads for the sweeps (each output entry depends only on the
+  /// previous iterate, so rows split cleanly). 1 = serial. Both methods
+  /// give bit-identical scores AND residuals for every thread count
+  /// (deterministic chunked reductions, pagerank/kernel.h).
   uint32_t num_threads = 1;
   /// When true, PageRankResult::residual_history records the L1 residual of
   /// every iteration (for convergence studies).
@@ -75,7 +64,7 @@ struct SolverOptions {
   bool compressed_gather = false;
 
   /// The solver configuration shared by the eval pipeline, the CLI
-  /// defaults, and the paper-reproduction benches: Gauss-Seidel at 1e-8 /
+  /// defaults, and the paper-reproduction benches: Jacobi at 1e-8 /
   /// 400 iterations. Named so the three call sites cannot silently diverge.
   /// 1e-8 is the loosest decade at which no spam_mass, trustrank or Figure 5
   /// core-family verdict moves against a 1e-12 solve on any corpus of the
@@ -83,18 +72,17 @@ struct SolverOptions {
   static SolverOptions BenchPreset();
 };
 
-/// Human-readable method name ("jacobi", "gauss-seidel", "sor",
-/// "power-iteration") for manifests and CLI help.
+/// Human-readable method name ("jacobi", "power-iteration") for manifests
+/// and CLI help.
 const char* MethodToString(Method method);
 
 /// Inverse of MethodToString. Fails with InvalidArgument on unknown names.
 util::Result<Method> MethodFromString(std::string_view name);
 
-/// Instruction set of the sweep body `method` runs on this host: "avx2"
-/// when the Jacobi or power-iteration kernel dispatches to the AVX2 body
-/// (pagerank/simd.h), otherwise "scalar" (Gauss-Seidel and SOR sweep in
-/// scalar code). Echoed by the run manifest as "sweep_isa".
-const char* SweepIsa(Method method);
+/// Instruction set of the sweep body every solve runs on this host: "avx2"
+/// when the kernel dispatches to the AVX2 body (pagerank/simd.h), otherwise
+/// "scalar". Echoed by the run manifest as "sweep_isa".
+const char* SweepIsa();
 
 /// Solution plus convergence diagnostics.
 struct PageRankResult {
@@ -124,19 +112,13 @@ struct SolveStats {
 
 /// Solves PageRank for the given jump vector. Fails with InvalidArgument on
 /// bad options (damping outside (0,1), empty graph, dimension mismatch, or
-/// power iteration with an unnormalizable zero jump vector).
-util::Result<PageRankResult> ComputePageRank(const graph::WebGraph& graph,
-                                             const JumpVector& jump,
-                                             const SolverOptions& options);
-
-/// As above, reusing `workspace` for the thread pool and scratch buffers —
-/// the fast path for repeated solves over one graph (workspace.h). A null
-/// workspace falls back to per-call scratch. Results are bit-identical to
-/// the workspace-free overload.
-util::Result<PageRankResult> ComputePageRank(const graph::WebGraph& graph,
-                                             const JumpVector& jump,
-                                             const SolverOptions& options,
-                                             SolverWorkspace* workspace);
+/// power iteration with an unnormalizable zero jump vector). A non-null
+/// `workspace` lends its thread pool and scratch buffers — the fast path for
+/// repeated solves over one graph (workspace.h); null uses per-call scratch.
+/// Results are bit-identical either way.
+util::Result<PageRankResult> ComputePageRank(
+    const graph::WebGraph& graph, const JumpVector& jump,
+    const SolverOptions& options, SolverWorkspace* workspace = nullptr);
 
 /// Solves PageRank for several jump vectors over one graph. With
 /// Method::kJacobi the solve is fused: up to kernel::kMaxVectorsPerSweep
@@ -145,21 +127,17 @@ util::Result<PageRankResult> ComputePageRank(const graph::WebGraph& graph,
 /// mass p/p′ pair is the canonical k = 2 caller. Each vector converges
 /// independently (a converged vector is compacted out of the working set
 /// and stops costing sweeps), so results[j] is bit-identical to a
-/// standalone ComputePageRank with jumps[j]. Other methods solve
-/// sequentially through the shared workspace. Fails on the first invalid
-/// jump vector.
+/// standalone ComputePageRank with jumps[j]. Power iteration solves the
+/// vectors one at a time through the shared workspace. Fails on the first
+/// invalid jump vector.
 util::Result<std::vector<PageRankResult>> ComputePageRankMulti(
     const graph::WebGraph& graph, const std::vector<JumpVector>& jumps,
     const SolverOptions& options, SolverWorkspace* workspace = nullptr);
 
 /// Convenience: regular PageRank p = PR(v) with uniform v.
 util::Result<PageRankResult> ComputeUniformPageRank(
-    const graph::WebGraph& graph, const SolverOptions& options);
-
-/// Workspace-reusing variant of ComputeUniformPageRank.
-util::Result<PageRankResult> ComputeUniformPageRank(
     const graph::WebGraph& graph, const SolverOptions& options,
-    SolverWorkspace* workspace);
+    SolverWorkspace* workspace = nullptr);
 
 /// Rescales scores by n/(1−c), the paper's presentation scaling under which
 /// a node with no inlinks has score exactly 1 (Section 3.4).

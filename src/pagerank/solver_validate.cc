@@ -63,8 +63,8 @@ Status ValidateSolverResult(const graph::WebGraph& graph,
     return Status::FailedPrecondition("jump vector dimension mismatch");
   }
 
-  // Unconverged iterates and SOR over-relaxation can sit slightly outside
-  // the analytic bounds; widen the acceptance band by the final residual.
+  // Unconverged iterates can sit slightly outside the analytic bounds;
+  // widen the acceptance band by the final residual.
   const double slack = tolerance + result.residual;
 
   double mass = 0;

@@ -42,7 +42,7 @@ std::string BuildManifestJson(const ManifestInputs& inputs) {
   json.KV("tolerance", config.solver.tolerance);
   json.KV("max_iterations", config.solver.max_iterations);
   json.KV("num_threads", config.solver.num_threads);
-  json.KV("sweep_isa", pagerank::SweepIsa(config.solver.method));
+  json.KV("sweep_isa", pagerank::SweepIsa());
   json.EndObject();
   json.KV("gamma", config.gamma);
   json.KV("scale_core_jump", config.scale_core_jump);

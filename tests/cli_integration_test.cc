@@ -311,6 +311,43 @@ TEST_F(CliTest, RunRejectsUnknownDetector) {
             0);
 }
 
+TEST_F(CliTest, RunWarnsAboutUnconvergedSolves) {
+  const std::string d = Dir();
+  ASSERT_EQ(Run("generate --scale 0.05 --seed 7 --out-edges " + d +
+                "/web.edges --out-core " + d + "/web.core"),
+            0);
+  const std::string run = "run --graph " + d + "/web.edges --core " + d +
+                          "/web.core --detectors spam_mass,trustrank "
+                          "--manifest " + d + "/run.json";
+  // Three sweeps leave every solve short of the tolerance; the verdicts
+  // still print, and one line names the solves that did not converge.
+  ASSERT_EQ(Run(run + " --max-iterations 3"), 0);
+  std::string out = Stdout();
+  const size_t warning = out.find("warning: solves not converged: ");
+  ASSERT_NE(warning, std::string::npos) << out;
+  EXPECT_GT(warning, out.find("spam_mass")) << "after the detector table";
+  const std::string line =
+      out.substr(warning, out.find('\n', warning) - warning);
+  for (const char* solve : {"trustrank_seed_selection (", "base_pagerank (",
+                            "core_pagerank (", "trustrank ("}) {
+    EXPECT_NE(line.find(solve), std::string::npos) << solve << "\n" << line;
+  }
+
+  ASSERT_EQ(Run(run), 0);
+  out = Stdout();
+  EXPECT_EQ(out.find("not converged"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, RunRejectsRemovedSolverMethods) {
+  // Jacobi and power iteration are the only solvers; the removed stationary
+  // methods are rejected by name before any graph is read.
+  for (const char* method : {"gauss-seidel", "sor"}) {
+    EXPECT_EQ(Run(std::string("run --method ") + method), 1) << method;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find("unknown solver method"), std::string::npos) << err;
+  }
+}
+
 TEST_F(CliTest, UnknownCommandFails) {
   EXPECT_NE(Run("frobnicate"), 0);
 }

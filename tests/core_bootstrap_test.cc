@@ -86,7 +86,6 @@ TEST(BootstrapTest, SyntheticWebBootstrapImprovesAreaUnderCurve) {
   auto web = synth::GenerateWeb(synth::TinyScenario(13));
   CHECK_OK(web.status());
   BootstrapOptions options;
-  options.mass.solver.method = pagerank::Method::kGaussSeidel;
   options.mass.solver.tolerance = 1e-10;
   options.mass.gamma = 0.9;
   options.seed_detector.relative_mass_threshold = 0.99;

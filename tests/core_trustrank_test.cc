@@ -181,16 +181,11 @@ TEST(TrustRankSeedMarginTest, OmittedWithoutACutOrForOtherMethods) {
   ASSERT_TRUE(below.ok());
   EXPECT_TRUE(below.value().margin.has_value());
 
-  for (pagerank::Method method :
-       {pagerank::Method::kGaussSeidel, pagerank::Method::kSor,
-        pagerank::Method::kPowerIteration}) {
-    SolverOptions opt = Precise();
-    opt.method = method;
-    auto selection = SelectTrustRankSeeds(g, 1, nullptr, opt);
-    ASSERT_TRUE(selection.ok());
-    EXPECT_FALSE(selection.value().margin.has_value())
-        << pagerank::MethodToString(method);
-  }
+  SolverOptions opt = Precise();
+  opt.method = pagerank::Method::kPowerIteration;
+  auto power = SelectTrustRankSeeds(g, 1, nullptr, opt);
+  ASSERT_TRUE(power.ok());
+  EXPECT_FALSE(power.value().margin.has_value());
 }
 
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {

@@ -25,7 +25,6 @@ class SamplingTest : public ::testing::Test {
     CHECK_OK(r.status());
     web_ = new synth::SyntheticWeb(std::move(r.value()));
     core::SpamMassOptions opt;
-    opt.solver.method = pagerank::Method::kGaussSeidel;
     opt.solver.tolerance = 1e-10;
     auto est = core::EstimateSpamMass(web_->graph, web_->AssembledGoodCore(),
                                       opt);

@@ -98,7 +98,6 @@ TEST(SiteAggregationTest, SpamMassRunsUnchangedOnSiteGraph) {
   ASSERT_FALSE(core.empty());
 
   core::SpamMassOptions options;
-  options.solver.method = pagerank::Method::kGaussSeidel;
   options.solver.tolerance = 1e-10;
   options.gamma = 0.9;
   auto est = core::EstimateSpamMass(s.graph, core, options);

@@ -145,44 +145,6 @@ TEST(SolverTest, RedistributePolicyHasUnitNorm) {
   EXPECT_NEAR(L1Norm(r.value().scores), 1.0, 1e-10);
 }
 
-TEST(SolverTest, GaussSeidelMatchesJacobi) {
-  GraphBuilder b(6);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(2, 0);
-  b.AddEdge(2, 3);
-  b.AddEdge(3, 4);
-  b.AddEdge(4, 2);
-  b.AddEdge(5, 0);
-  WebGraph g = b.Build();
-  auto jacobi = ComputeUniformPageRank(g, Precise(Method::kJacobi));
-  auto gs = ComputeUniformPageRank(g, Precise(Method::kGaussSeidel));
-  ASSERT_TRUE(jacobi.ok());
-  ASSERT_TRUE(gs.ok());
-  for (NodeId x = 0; x < g.num_nodes(); ++x) {
-    EXPECT_NEAR(jacobi.value().scores[x], gs.value().scores[x], 1e-10);
-  }
-}
-
-TEST(SolverTest, GaussSeidelMatchesJacobiWithRedistribution) {
-  GraphBuilder b(5);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);   // 2 dangles
-  b.AddEdge(3, 2);
-  b.AddEdge(4, 0);   // 4 has out, none in
-  WebGraph g = b.Build();
-  SolverOptions jopt = Precise(Method::kJacobi);
-  SolverOptions gopt = Precise(Method::kGaussSeidel);
-  jopt.dangling = gopt.dangling = DanglingPolicy::kRedistributeToJump;
-  auto jacobi = ComputeUniformPageRank(g, jopt);
-  auto gs = ComputeUniformPageRank(g, gopt);
-  ASSERT_TRUE(jacobi.ok());
-  ASSERT_TRUE(gs.ok());
-  for (NodeId x = 0; x < g.num_nodes(); ++x) {
-    EXPECT_NEAR(jacobi.value().scores[x], gs.value().scores[x], 1e-10);
-  }
-}
-
 TEST(SolverTest, PowerIterationMatchesNormalizedLinearSolution) {
   // The stationary distribution of T'' equals the (unit-norm) solution of
   // the linear system with the redistribute policy.
@@ -204,28 +166,6 @@ TEST(SolverTest, PowerIterationMatchesNormalizedLinearSolution) {
     EXPECT_NEAR(linear.value().scores[x] / norm, power.value().scores[x],
                 1e-9);
   }
-}
-
-TEST(SolverTest, GaussSeidelConvergesInFewerSweepsThanJacobi) {
-  // The motivation for linear PageRank (Section 2.2): Gauss-Seidel-style
-  // solvers beat the plain fixed-point iteration.
-  // Irregular graph (a regular one makes the uniform vector an instant
-  // fixed point for both methods).
-  GraphBuilder b(50);
-  for (NodeId i = 0; i < 50; ++i) {
-    b.AddEdge(i, (i + 1) % 50);
-    if (i % 2 == 0) b.AddEdge(i, (i + 7) % 50);
-    if (i % 5 == 0) b.AddEdge(i, (i * 3 + 11) % 50);
-  }
-  WebGraph g = b.Build();
-  SolverOptions opt = Precise(Method::kJacobi);
-  opt.tolerance = 1e-12;
-  auto jacobi = ComputeUniformPageRank(g, opt);
-  opt.method = Method::kGaussSeidel;
-  auto gs = ComputeUniformPageRank(g, opt);
-  ASSERT_TRUE(jacobi.ok());
-  ASSERT_TRUE(gs.ok());
-  EXPECT_LT(gs.value().iterations, jacobi.value().iterations);
 }
 
 TEST(SolverTest, ScaledScoresInverseOfScaling) {

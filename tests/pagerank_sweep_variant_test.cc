@@ -308,14 +308,9 @@ TEST_F(SweepVariantTest, InvalidCombinationsRejected) {
 }
 
 TEST_F(SweepVariantTest, SweepIsaNamesTheBodyThatRuns) {
-  EXPECT_STREQ(pagerank::SweepIsa(Method::kJacobi),
-               simd::LevelToString(simd::Best()));
-  EXPECT_STREQ(pagerank::SweepIsa(Method::kPowerIteration),
-               simd::LevelToString(simd::Best()));
-  EXPECT_STREQ(pagerank::SweepIsa(Method::kGaussSeidel), "scalar");
-  EXPECT_STREQ(pagerank::SweepIsa(Method::kSor), "scalar");
+  EXPECT_STREQ(pagerank::SweepIsa(), simd::LevelToString(simd::Best()));
   const simd::ScopedLevelOverride pin(simd::Level::kScalar);
-  EXPECT_STREQ(pagerank::SweepIsa(Method::kJacobi), "scalar");
+  EXPECT_STREQ(pagerank::SweepIsa(), "scalar");
 }
 
 }  // namespace

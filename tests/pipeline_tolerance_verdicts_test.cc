@@ -2,8 +2,10 @@
 // tight enough for the verdicts: on the scale-0.5 scenario, the preset
 // and a 1e-12 solve must flag exactly the same hosts — for the spam_mass
 // and trustrank detectors, and for Algorithm 2 under four of Figure 5's
-// good cores. Each case runs with the preset's own method and with
-// Jacobi, the method `run --method jacobi` and the benchmark use.
+// good cores. The preset cases run the preset as it stands; the Jacobi
+// cases pin the explicit `method = kJacobi` override that `run --method
+// jacobi` and perfbench use, so they hold even if the preset's method
+// changes.
 // EXPERIMENTS.md E17 has the matrix the preset was chosen from and this
 // test's resolving power.
 

@@ -3,8 +3,8 @@
 // must be bitwise the same whether the sweeps run the AVX2 body or the
 // scalar one, because the instruction set is not a model change.
 // Also the permutation-invariance property test: spam mass and relative
-// mass are invariant under a random node permutation for Jacobi and
-// Gauss-Seidel at 1 and 4 threads.
+// mass are invariant under a random node permutation for Jacobi at 1 and
+// 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -119,8 +119,8 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
 }
 
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
-  // "sweep_isa" names the body that ran: the host's best for the Jacobi
-  // kernel, scalar when pinned there, scalar for Gauss-Seidel.
+  // "sweep_isa" names the body that ran: the host's best for either
+  // method, scalar when pinned there.
   struct Case {
     pagerank::Method method;
     bool pin_scalar;
@@ -129,7 +129,8 @@ TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
   const Case cases[] = {
       {pagerank::Method::kJacobi, false, simd::LevelToString(simd::Best())},
       {pagerank::Method::kJacobi, true, "scalar"},
-      {pagerank::Method::kGaussSeidel, false, "scalar"},
+      {pagerank::Method::kPowerIteration, false,
+       simd::LevelToString(simd::Best())},
   };
   for (const Case& c : cases) {
     pipeline::PipelineConfig config = BaseConfig();
@@ -195,14 +196,9 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndThreads, MassPermutationInvarianceTest,
     ::testing::Values(PermCase{pagerank::Method::kJacobi, 1},
-                      PermCase{pagerank::Method::kJacobi, 4},
-                      PermCase{pagerank::Method::kGaussSeidel, 1},
-                      PermCase{pagerank::Method::kGaussSeidel, 4}),
+                      PermCase{pagerank::Method::kJacobi, 4}),
     [](const ::testing::TestParamInfo<PermCase>& info) {
-      return std::string(info.param.method == pagerank::Method::kJacobi
-                             ? "Jacobi"
-                             : "GaussSeidel") +
-             std::to_string(info.param.threads) + "Threads";
+      return "Jacobi" + std::to_string(info.param.threads) + "Threads";
     });
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/detector.h"
@@ -191,14 +192,17 @@ class ObsSession {
 void DefineSolverFlags(util::FlagParser* flags) {
   const pagerank::SolverOptions preset = pagerank::SolverOptions::BenchPreset();
   flags->Define("method", pagerank::MethodToString(preset.method),
-                "solver: jacobi | gauss-seidel | sor | power-iteration");
+                "solver: jacobi | power-iteration");
   flags->Define("damping", util::StringPrintf("%g", preset.damping),
                 "PageRank damping factor c");
   flags->Define("tolerance", util::StringPrintf("%g", preset.tolerance),
                 "L1 convergence tolerance");
   flags->Define("max-iterations", std::to_string(preset.max_iterations),
                 "iteration cap");
-  flags->Define("threads", "1", "solver threads (Jacobi/power only)");
+  flags->Define(
+      "threads",
+      std::to_string(std::max(1u, std::thread::hardware_concurrency())),
+      "solver threads");
   flags->DefineBool("record-convergence",
                     "record per-iteration residual curves (manifest "
                     "convergence[].residual_curve; plot with "
@@ -735,6 +739,16 @@ int CmdRun(int argc, const char* const* argv) {
                     util::FormatDouble(output.seconds, 3)});
     }
     std::printf("%s", table.ToString().c_str());
+    std::string unconverged;
+    for (const auto& [name, stats] : run.value().solve_stats) {
+      if (stats.converged) continue;
+      unconverged += util::StringPrintf(
+          "%s%s (%d sweeps, residual %.3g)", unconverged.empty() ? "" : ", ",
+          name.c_str(), stats.iterations, stats.residual);
+    }
+    if (!unconverged.empty()) {
+      std::printf("warning: solves not converged: %s\n", unconverged.c_str());
+    }
     std::printf("base PageRank solves: %llu (shared across detectors)\n\n",
                 static_cast<unsigned long long>(
                     run.value().base_pagerank_solves));
