@@ -118,9 +118,9 @@ class PipelineContext {
   /// Structural graph statistics. CHECK-fails unless prepared.
   const graph::GraphStats& GraphStats() const;
 
-  /// Moves the mass estimates out (eval keeps them beyond the context's
-  /// lifetime). The artifact leaves the cache; a later Prepare would
-  /// recompute it.
+  /// Moves the mass estimates out (eval and RunDetectors keep them beyond
+  /// the context's lifetime). The artifact leaves the cache; a later
+  /// Prepare would recompute it.
   core::MassEstimates TakeMassEstimates();
 
   /// Times a base PageRank (uniform-jump) solve ran: the artifact-cache

@@ -54,6 +54,9 @@ Result<PipelineRun> RunDetectors(
   run.base_pagerank_solves = context.base_pagerank_solves();
   run.total_solves = context.total_solves();
   run.solve_stats = context.solve_stats();
+  if (context.has_mass_estimates()) {
+    run.mass_estimates = context.TakeMassEstimates();
+  }
   run.total_seconds = total_timer.Seconds();
 
   ManifestInputs manifest;

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/spam_mass.h"
 #include "pipeline/context.h"
 #include "pipeline/detector.h"
 #include "pipeline/graph_source.h"
@@ -31,6 +32,9 @@ struct PipelineRun {
   /// Per-solve convergence telemetry (iterations, residual, and — when
   /// config.solver.track_residuals is set — the residual curve).
   std::vector<std::pair<std::string, pagerank::SolveStats>> solve_stats;
+  /// The run's mass estimates, moved out of the context after the
+  /// detectors ran; empty unless a detector needed them.
+  core::MassEstimates mass_estimates;
   double total_seconds = 0;
   /// The run manifest, already serialized (schema in docs/architecture.md).
   std::string manifest_json;

@@ -1,5 +1,5 @@
 // End-to-end test of the spammass_cli binary: generate → stats → pagerank
-// → mass → detect → sites over real files. The binary path is injected by
+// → run (Algorithm 2 candidates and mass CSVs) → sites over real files. The binary path is injected by
 // CMake (SPAMMASS_CLI_PATH).
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "json_test_util.h"
 
@@ -61,6 +62,33 @@ class CliTest : public ::testing::Test {
     return std::string((std::istreambuf_iterator<char>(f)),
                        std::istreambuf_iterator<char>());
   }
+
+  void WriteFile(const std::string& name, const std::string& contents) {
+    std::ofstream f(Dir() + "/" + name);
+    f << contents;
+  }
+
+  /// The lines of a CSV file, header first.
+  std::vector<std::string> CsvLines(const std::string& name) {
+    std::ifstream f(Dir() + "/" + name);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(f, line);) lines.push_back(line);
+    return lines;
+  }
+
+  /// The flagged count of `detector` in the first run of a manifest.
+  double ManifestFlagged(const std::string& name, const std::string& detector) {
+    testutil::JsonValue manifest;
+    std::string error;
+    EXPECT_TRUE(testutil::JsonParser::Parse(ReadFile(name), &manifest, &error))
+        << error;
+    for (const testutil::JsonValue& d :
+         manifest["runs"][0]["detectors"].array) {
+      if (d["name"].string == detector) return d["flagged"].number;
+    }
+    ADD_FAILURE() << detector << " missing from " << name;
+    return -1;
+  }
 };
 
 TEST_F(CliTest, FullWorkflow) {
@@ -88,26 +116,30 @@ TEST_F(CliTest, FullWorkflow) {
             0);
   EXPECT_TRUE(FileExists("pr.csv"));
 
-  // mass to CSV
-  ASSERT_EQ(Run("mass --edges " + d + "/web.edges --core " + d +
-                "/good.core --out " + d + "/mass.csv"),
+  // Algorithm 2 with ground truth: candidates and mass to CSV
+  ASSERT_EQ(Run("run --graph " + d + "/web.edges --detectors spam_mass "
+                "--core " + d + "/good.core --labels " + d +
+                "/web.labels --hosts " + d + "/web.hosts --tau 0.9 --rho 10 "
+                "--candidates-out " + d + "/cand.csv --mass-out " + d +
+                "/mass.csv --manifest " + d + "/manifest.json"),
             0);
-  EXPECT_TRUE(FileExists("mass.csv"));
-  {
-    std::ifstream f(d + "/mass.csv");
-    std::string header;
-    std::getline(f, header);
-    EXPECT_EQ(header, "node,scaled_pagerank,scaled_abs_mass,rel_mass");
-  }
-
-  // detect with ground truth
-  ASSERT_EQ(Run("detect --edges " + d + "/web.edges --core " + d +
-                "/good.core --labels " + d + "/web.labels --hosts " + d +
-                "/web.hosts --tau 0.9 --rho 10 --out " + d + "/cand.csv"),
-            0);
-  EXPECT_TRUE(FileExists("cand.csv"));
   EXPECT_NE(Stdout().find("spam candidates"), std::string::npos);
   EXPECT_NE(Stdout().find("AUC over T"), std::string::npos);
+  testutil::JsonValue manifest;
+  std::string error;
+  ASSERT_TRUE(testutil::JsonParser::Parse(ReadFile("manifest.json"), &manifest,
+                                          &error))
+      << error;
+  const std::vector<std::string> mass = CsvLines("mass.csv");
+  ASSERT_FALSE(mass.empty());
+  EXPECT_EQ(mass[0], "node,scaled_pagerank,scaled_abs_mass,rel_mass");
+  EXPECT_EQ(mass.size() - 1, manifest["runs"][0]["graph"]["nodes"].number);
+  const std::vector<std::string> candidates = CsvLines("cand.csv");
+  ASSERT_FALSE(candidates.empty());
+  EXPECT_EQ(candidates[0], "node,scaled_pagerank,rel_mass");
+  EXPECT_GT(candidates.size(), 1u);
+  EXPECT_EQ(candidates.size() - 1,
+            ManifestFlagged("manifest.json", "spam_mass"));
 
   // sites aggregation
   ASSERT_EQ(Run("sites --edges " + d + "/web.edges --hosts " + d +
@@ -225,8 +257,9 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
   const std::string d = Dir();
 
   // --out-paged writes the v2.2 container that --mmap requires.
-  ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-paged " + d +
-                "/prom.smwg --out-core " + d + "/prom.core"),
+  ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-edges " + d +
+                "/prom.edges --out-paged " + d + "/prom.smwg --out-core " +
+                d + "/prom.core"),
             0);
   // The acceptance path: a mapped threaded run exporting Prometheus text.
   ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --method jacobi "
@@ -318,11 +351,15 @@ TEST_F(CliTest, RunWarnsAboutUnconvergedSolves) {
             0);
   const std::string run = "run --graph " + d + "/web.edges --core " + d +
                           "/web.core --detectors spam_mass,trustrank "
-                          "--manifest " + d + "/run.json";
+                          "--manifest " + d + "/run.json --candidates-out " +
+                          d + "/cand.csv";
   // Three sweeps leave every solve short of the tolerance; the verdicts
-  // still print, and one line names the solves that did not converge.
+  // still print and save, and one line names the solves that did not
+  // converge.
   ASSERT_EQ(Run(run + " --max-iterations 3"), 0);
   std::string out = Stdout();
+  EXPECT_NE(out.find("spam candidates"), std::string::npos) << out;
+  EXPECT_TRUE(FileExists("cand.csv"));
   const size_t warning = out.find("warning: solves not converged: ");
   ASSERT_NE(warning, std::string::npos) << out;
   EXPECT_GT(warning, out.find("spam_mass")) << "after the detector table";
@@ -348,8 +385,103 @@ TEST_F(CliTest, RunRejectsRemovedSolverMethods) {
   }
 }
 
+TEST_F(CliTest, RunRejectsCsvOutputsUnlessOneSpamMassGraph) {
+  // Both CSVs hold one graph's spam_mass results. The graph paths do not
+  // exist: the flags are refused before any graph is read.
+  for (const char* flag : {"--candidates-out", "--mass-out"}) {
+    for (const char* args :
+         {"--graph a.edges,b.edges", "--graph a.edges --detectors trustrank",
+          "--graph a.edges,b.edges --detectors spam_mass,trustrank"}) {
+      const std::string out = Dir() + "/out.csv";
+      EXPECT_EQ(Run(std::string("run ") + args + " " + flag + " " + out), 1)
+          << flag << " " << args;
+      const std::string err = ReadFile("stderr.txt");
+      EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+      EXPECT_NE(err.find(std::string(flag) +
+                         " needs --detectors to include spam_mass"),
+                std::string::npos)
+          << err;
+      EXPECT_FALSE(FileExists("out.csv"));
+    }
+  }
+}
+
+TEST_F(CliTest, RunHandlesDegenerateInputs) {
+  const std::string d = Dir();
+  auto run = [&](const std::string& graph, const std::string& core) {
+    return Run("run --graph " + d + "/" + graph + " --core " + d + "/" + core +
+               " --detectors spam_mass --manifest " + d +
+               "/run.json --candidates-out " + d + "/cand.csv");
+  };
+  // Clean errors: an empty good core, an empty graph file.
+  WriteFile("pair.edges", "0 1\n");
+  WriteFile("empty.core", "");
+  EXPECT_EQ(run("pair.edges", "empty.core"), 1);
+  EXPECT_NE(ReadFile("stderr.txt").find("good core must not be empty"),
+            std::string::npos)
+      << ReadFile("stderr.txt");
+  WriteFile("empty.edges", "");
+  WriteFile("zero.core", "0\n");
+  EXPECT_EQ(run("empty.edges", "zero.core"), 1);
+  EXPECT_NE(ReadFile("stderr.txt").find("empty graph file"), std::string::npos)
+      << ReadFile("stderr.txt");
+
+  // One dangling host, and a two-host chain: verdicts with no flags.
+  WriteFile("single.edges", "# nodes: 1\n");
+  for (const char* graph : {"single.edges", "pair.edges"}) {
+    ASSERT_EQ(run(graph, "zero.core"), 0) << graph << ReadFile("stderr.txt");
+    EXPECT_NE(Stdout().find("0 spam candidates"), std::string::npos)
+        << Stdout();
+    EXPECT_EQ(CsvLines("cand.csv").size(), 1u) << graph;
+    EXPECT_EQ(ManifestFlagged("run.json", "spam_mass"), 0) << graph;
+  }
+
+  // A core holding every host estimates no host as spam (m̃ = 1 − γ), on a
+  // graph whose assembled core flags some.
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-edges " + d +
+                "/web.edges --out-core " + d + "/web.core"),
+            0);
+  ASSERT_EQ(Run("run --graph " + d + "/web.edges --core " + d +
+                "/web.core --detectors spam_mass --manifest " + d +
+                "/run.json --mass-out " + d + "/mass.csv"),
+            0);
+  EXPECT_GT(ManifestFlagged("run.json", "spam_mass"), 0);
+  const size_t n = CsvLines("mass.csv").size() - 1;
+  std::string all;
+  for (size_t x = 0; x < n; ++x) all += std::to_string(x) + "\n";
+  WriteFile("all.core", all);
+  ASSERT_EQ(run("web.edges", "all.core"), 0) << ReadFile("stderr.txt");
+  EXPECT_EQ(CsvLines("cand.csv").size(), 1u);
+  EXPECT_EQ(ManifestFlagged("run.json", "spam_mass"), 0);
+}
+
+TEST_F(CliTest, PageRankBreaksTiesByNodeId) {
+  // 200 hosts without in-links share one score; they follow the hub they
+  // all link to in ascending id order, however the sort partitions them.
+  std::string edges;
+  for (int x = 0; x < 200; ++x) edges += std::to_string(x) + " 200\n";
+  WriteFile("star.edges", edges);
+  ASSERT_EQ(Run("pagerank --edges " + Dir() + "/star.edges --out " + Dir() +
+                "/pr.csv"),
+            0);
+  const std::vector<std::string> rows = CsvLines("pr.csv");
+  ASSERT_EQ(rows.size(), 202u);
+  EXPECT_EQ(rows[1].substr(0, rows[1].find(',')), "200");
+  for (int x = 0; x < 200; ++x) {
+    const std::string& row = rows[static_cast<size_t>(x) + 2];
+    ASSERT_EQ(row.substr(0, row.find(',')), std::to_string(x)) << row;
+  }
+}
+
 TEST_F(CliTest, UnknownCommandFails) {
   EXPECT_NE(Run("frobnicate"), 0);
+  // detect and mass are output modes of run (--candidates-out, --mass-out).
+  for (const char* removed : {"detect", "mass"}) {
+    EXPECT_EQ(Run(std::string(removed) + " --edges web.edges"), 2) << removed;
+    EXPECT_NE(ReadFile("stderr.txt").find("usage: spammass_cli"),
+              std::string::npos)
+        << removed;
+  }
 }
 
 TEST_F(CliTest, UnknownFlagFails) {

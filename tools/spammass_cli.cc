@@ -4,10 +4,10 @@
 //   stats      structural statistics of a graph
 //   convert    rewrite a graph between containers (text / paged v2.2)
 //   pagerank   compute (scaled) PageRank scores
-//   mass       estimate spam mass from a good-core file
-//   detect     run Algorithm 2 and print/save spam candidates
 //   sites      aggregate a host graph to the site level
-//   run        run a set of registered detectors, write a run manifest
+//   run        run a set of registered detectors, write a run manifest;
+//              with spam_mass, print Algorithm 2's candidates and save
+//              them (--candidates-out) and every host's mass (--mass-out)
 //
 // Graph inputs are format-sniffed (pipeline/graph_source.h): text edge
 // lists ("src dst" per line) and SMWG binary containers both work
@@ -57,7 +57,7 @@ int Fail(const util::Status& status) {
 int Usage() {
   std::fprintf(stderr,
                "usage: spammass_cli "
-               "<generate|stats|convert|pagerank|mass|detect|sites|run> "
+               "<generate|stats|convert|pagerank|sites|run> "
                "[flags]\n");
   return 2;
 }
@@ -245,29 +245,6 @@ pipeline::GraphSource SourceFromFlags(const util::FlagParser& flags) {
   return source;
 }
 
-void DefineMassFlags(util::FlagParser* flags) {
-  flags->Define("core", "good.core", "good-core node-list input path");
-  flags->Define("gamma", "0.85", "estimated good fraction (Section 3.5)");
-  flags->DefineBool("no-jump-scaling",
-                    "use the raw v^core jump instead of the gamma-scaled w");
-  DefineSolverFlags(flags);
-}
-
-/// Pipeline configuration from the solver + mass flags (those defined by
-/// DefineMassFlags, or just DefineSolverFlags for solver-only commands).
-util::Result<pipeline::PipelineConfig> ConfigFromFlags(
-    const util::FlagParser& flags, bool has_mass_flags) {
-  pipeline::PipelineConfig config;
-  auto solver = SolverFromFlags(flags);
-  if (!solver.ok()) return solver.status();
-  config.solver = solver.value();
-  if (has_mass_flags) {
-    config.gamma = flags.GetDouble("gamma");
-    config.scale_core_jump = !flags.GetBool("no-jump-scaling");
-  }
-  return config;
-}
-
 int CmdGenerate(int argc, const char* const* argv) {
   util::FlagParser flags;
   flags.Define("scale", "0.1", "scenario scale (1.0 ~ 170k hosts)");
@@ -423,18 +400,20 @@ int CmdPageRank(int argc, const char* const* argv) {
   pipeline::GraphSource source = SourceFromFlags(flags);
   auto loaded = source.Load();
   if (!loaded.ok()) return Fail(loaded.status());
-  auto config = ConfigFromFlags(flags, /*has_mass_flags=*/false);
-  if (!config.ok()) return Fail(config.status());
+  auto solver = SolverFromFlags(flags);
+  if (!solver.ok()) return Fail(solver.status());
+  pipeline::PipelineConfig config;
+  config.solver = solver.value();
 
   obs::ScopedStageTimer timer("pagerank_solve", nullptr);
-  pipeline::PipelineContext context(loaded.value(), config.value());
+  pipeline::PipelineContext context(loaded.value(), config);
   pipeline::ArtifactNeeds needs;
   needs.base_pagerank = true;
   util::Status status = context.Prepare(needs);
   if (!status.ok()) return Fail(status);
   const pagerank::PageRankResult& pr = context.BasePageRank();
   auto scaled =
-      pagerank::ScaledScores(pr.scores, config.value().solver.damping);
+      pagerank::ScaledScores(pr.scores, config.solver.damping);
   std::fprintf(stderr, "solved in %d sweeps, %.2fs (converged: %s)\n",
                pr.iterations, timer.Seconds(), pr.converged ? "yes" : "no");
 
@@ -442,8 +421,9 @@ int CmdPageRank(int argc, const char* const* argv) {
   table.SetHeader({"node", "scaled_pagerank"});
   std::vector<graph::NodeId> order(loaded.value().graph().num_nodes());
   for (graph::NodeId i = 0; i < order.size(); ++i) order[i] = i;
+  // Ties (every host without in-links scores the same) go by node id.
   std::sort(order.begin(), order.end(), [&](graph::NodeId a, graph::NodeId b) {
-    return scaled[a] > scaled[b];
+    return scaled[a] != scaled[b] ? scaled[a] > scaled[b] : a < b;
   });
   if (!flags.GetString("out").empty()) {
     for (graph::NodeId x : order) {
@@ -460,138 +440,6 @@ int CmdPageRank(int argc, const char* const* argv) {
                     util::FormatDouble(scaled[order[i]], 4)});
     }
     std::printf("%s", table.ToString().c_str());
-  }
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
-}
-
-/// Loads the graph + core named by the mass flags and prepares mass
-/// estimates through a pipeline context.
-util::Result<core::MassEstimates> EstimateFromFlags(
-    const util::FlagParser& flags, pipeline::LoadedGraph* loaded_out) {
-  pipeline::GraphSource source = SourceFromFlags(flags);
-  source.WithCoreFile(flags.GetString("core"));
-  auto loaded = source.Load();
-  if (!loaded.ok()) return loaded.status();
-  auto config = ConfigFromFlags(flags, /*has_mass_flags=*/true);
-  if (!config.ok()) return config.status();
-  pipeline::PipelineContext context(loaded.value(), config.value());
-  pipeline::ArtifactNeeds needs;
-  needs.mass_estimates = true;
-  util::Status status = context.Prepare(needs);
-  if (!status.ok()) return status;
-  core::MassEstimates estimates = context.TakeMassEstimates();
-  *loaded_out = std::move(loaded.value());
-  return estimates;
-}
-
-int CmdMass(int argc, const char* const* argv) {
-  util::FlagParser flags;
-  DefineGraphFlags(&flags);
-  DefineMassFlags(&flags);
-  flags.Define("out", "mass.csv",
-               "CSV output (node,scaled_pagerank,scaled_abs_mass,rel_mass)");
-  ObsSession::DefineFlags(&flags);
-  int code = 0;
-  if (!ParseOrHelp(&flags, "mass", argc, argv, &code)) return code;
-  ObsSession obs(flags);
-  if (!obs.status().ok()) return Fail(obs.status());
-
-  pipeline::LoadedGraph loaded;
-  auto estimates = EstimateFromFlags(flags, &loaded);
-  if (!estimates.ok()) return Fail(estimates.status());
-  const core::MassEstimates& est = estimates.value();
-  const double scale =
-      static_cast<double>(est.pagerank.size()) / (1.0 - est.damping);
-  util::TextTable table;
-  table.SetHeader({"node", "scaled_pagerank", "scaled_abs_mass", "rel_mass"});
-  for (size_t x = 0; x < est.pagerank.size(); ++x) {
-    table.AddRow({std::to_string(x),
-                  util::FormatDouble(est.pagerank[x] * scale, 6),
-                  util::FormatDouble(est.absolute_mass[x] * scale, 6),
-                  util::FormatDouble(est.relative_mass[x], 6)});
-  }
-  util::Status status = table.WriteCsv(flags.GetString("out"));
-  if (!status.ok()) return Fail(status);
-  std::printf("wrote %zu rows to %s\n", est.pagerank.size(),
-              flags.GetString("out").c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
-}
-
-int CmdDetect(int argc, const char* const* argv) {
-  util::FlagParser flags;
-  DefineGraphFlags(&flags);
-  DefineMassFlags(&flags);
-  flags.Define("tau", "0.98", "relative-mass threshold");
-  flags.Define("rho", "10", "scaled-PageRank threshold");
-  flags.Define("labels", "", "optional ground-truth labels; prints "
-                             "precision and AUC when provided");
-  flags.Define("out", "", "optional CSV output of all candidates");
-  flags.Define("top", "25", "candidates to print");
-  ObsSession::DefineFlags(&flags);
-  int code = 0;
-  if (!ParseOrHelp(&flags, "detect", argc, argv, &code)) return code;
-  ObsSession obs(flags);
-  if (!obs.status().ok()) return Fail(obs.status());
-
-  pipeline::LoadedGraph loaded;
-  auto estimates = EstimateFromFlags(flags, &loaded);
-  if (!estimates.ok()) return Fail(estimates.status());
-  const graph::WebGraph& web = loaded.graph();
-
-  core::DetectorConfig config;
-  config.relative_mass_threshold = flags.GetDouble("tau");
-  config.scaled_pagerank_threshold = flags.GetDouble("rho");
-  auto candidates = core::DetectSpamCandidates(estimates.value(), config);
-  std::printf("%zu spam candidates (tau=%.2f, rho=%.1f)\n", candidates.size(),
-              config.relative_mass_threshold,
-              config.scaled_pagerank_threshold);
-
-  util::TextTable table;
-  table.SetHeader({"node", "host", "scaled_pagerank", "rel_mass"});
-  size_t top = static_cast<size_t>(flags.GetInt("top"));
-  for (size_t i = 0; i < candidates.size() && i < top; ++i) {
-    const auto& c = candidates[i];
-    table.AddRow({std::to_string(c.node), std::string(web.HostName(c.node)),
-                  util::FormatDouble(c.scaled_pagerank, 2),
-                  util::FormatDouble(c.relative_mass, 4)});
-  }
-  std::printf("%s", table.ToString().c_str());
-
-  if (!flags.GetString("out").empty()) {
-    util::TextTable csv;
-    csv.SetHeader({"node", "scaled_pagerank", "rel_mass"});
-    for (const auto& c : candidates) {
-      csv.AddRow({std::to_string(c.node),
-                  util::FormatDouble(c.scaled_pagerank, 6),
-                  util::FormatDouble(c.relative_mass, 6)});
-    }
-    util::Status status = csv.WriteCsv(flags.GetString("out"));
-    if (!status.ok()) return Fail(status);
-  }
-
-  if (!flags.GetString("labels").empty()) {
-    auto labels = core::ReadLabels(flags.GetString("labels"), web.num_nodes());
-    if (!labels.ok()) return Fail(labels.status());
-    uint64_t tp = 0;
-    for (const auto& c : candidates) tp += labels.value().IsSpam(c.node);
-    // AUC of relative mass over the rho-filtered population.
-    auto filtered = core::PageRankFilteredNodes(
-        estimates.value(), config.scaled_pagerank_threshold);
-    std::vector<eval::ScoredExample> examples;
-    for (graph::NodeId x : filtered) {
-      examples.push_back({estimates.value().relative_mass[x],
-                          labels.value().IsSpam(x)});
-    }
-    std::printf("\nagainst ground truth: precision %.3f (%llu of %zu), "
-                "AUC over T %.3f\n",
-                candidates.empty() ? 0.0
-                                   : static_cast<double>(tp) / candidates.size(),
-                static_cast<unsigned long long>(tp), candidates.size(),
-                eval::ComputeAuc(examples));
   }
   util::Status obs_status = obs.Finish();
   if (!obs_status.ok()) return Fail(obs_status);
@@ -636,6 +484,81 @@ int CmdSites(int argc, const char* const* argv) {
   return 0;
 }
 
+// ---- Algorithm 2 output of `run`, from the spam_mass detector's
+// ---- candidates and the run's mass estimates.
+
+/// Candidates printed to stdout; --candidates-out holds them all.
+constexpr size_t kPrintedCandidates = 25;
+
+/// Prints the spam_mass verdict: the candidate count, the first
+/// kPrintedCandidates with host names and, when the graph carries labels,
+/// the precision of the flags and the AUC of relative mass over
+/// T = {x : p̂_x ≥ ρ}.
+void PrintSpamMassVerdict(const pipeline::PipelineRun& run,
+                          const std::vector<core::SpamCandidate>& candidates,
+                          const core::DetectorConfig& detection) {
+  const graph::WebGraph& web = run.source.graph();
+  std::printf("\n%zu spam candidates (tau=%.2f, rho=%.1f)\n",
+              candidates.size(), detection.relative_mass_threshold,
+              detection.scaled_pagerank_threshold);
+  util::TextTable table;
+  table.SetHeader({"node", "host", "scaled_pagerank", "rel_mass"});
+  for (size_t i = 0; i < candidates.size() && i < kPrintedCandidates; ++i) {
+    const core::SpamCandidate& c = candidates[i];
+    table.AddRow({std::to_string(c.node), std::string(web.HostName(c.node)),
+                  util::FormatDouble(c.scaled_pagerank, 2),
+                  util::FormatDouble(c.relative_mass, 4)});
+  }
+  std::printf("%s", table.ToString().c_str());
+
+  if (!run.source.has_labels) return;
+  const core::LabelStore& labels = run.source.labels();
+  uint64_t tp = 0;
+  for (const core::SpamCandidate& c : candidates) tp += labels.IsSpam(c.node);
+  std::vector<eval::ScoredExample> examples;
+  for (graph::NodeId x : core::PageRankFilteredNodes(
+           run.mass_estimates, detection.scaled_pagerank_threshold)) {
+    examples.push_back({run.mass_estimates.relative_mass[x], labels.IsSpam(x)});
+  }
+  std::printf("\nagainst ground truth: precision %.3f (%llu of %zu), "
+              "AUC over T %.3f\n",
+              candidates.empty() ? 0.0
+                                 : static_cast<double>(tp) / candidates.size(),
+              static_cast<unsigned long long>(tp), candidates.size(),
+              eval::ComputeAuc(examples));
+}
+
+/// Algorithm 2's candidates in detection order: node,scaled_pagerank,rel_mass.
+util::Status WriteCandidatesCsv(
+    const std::vector<core::SpamCandidate>& candidates,
+    const std::string& path) {
+  util::TextTable csv;
+  csv.SetHeader({"node", "scaled_pagerank", "rel_mass"});
+  for (const core::SpamCandidate& c : candidates) {
+    csv.AddRow({std::to_string(c.node),
+                util::FormatDouble(c.scaled_pagerank, 6),
+                util::FormatDouble(c.relative_mass, 6)});
+  }
+  return csv.WriteCsv(path);
+}
+
+/// Every node's mass estimates, scaled like p̂:
+/// node,scaled_pagerank,scaled_abs_mass,rel_mass.
+util::Status WriteMassCsv(const core::MassEstimates& est,
+                          const std::string& path) {
+  const double scale =
+      static_cast<double>(est.pagerank.size()) / (1.0 - est.damping);
+  util::TextTable csv;
+  csv.SetHeader({"node", "scaled_pagerank", "scaled_abs_mass", "rel_mass"});
+  for (size_t x = 0; x < est.pagerank.size(); ++x) {
+    csv.AddRow({std::to_string(x),
+                util::FormatDouble(est.pagerank[x] * scale, 6),
+                util::FormatDouble(est.absolute_mass[x] * scale, 6),
+                util::FormatDouble(est.relative_mass[x], 6)});
+  }
+  return csv.WriteCsv(path);
+}
+
 int CmdRun(int argc, const char* const* argv) {
   util::FlagParser flags;
   flags.Define("graph", "web.edges",
@@ -657,6 +580,13 @@ int CmdRun(int argc, const char* const* argv) {
   flags.Define("rho", "10", "scaled-PageRank threshold (Algorithm 2)");
   flags.DefineBool("mmap",
                    "map file graphs zero-copy (paged v2.2 containers only)");
+  flags.Define("candidates-out", "",
+               "CSV of every spam_mass candidate "
+               "(node,scaled_pagerank,rel_mass); one graph only");
+  flags.Define("mass-out", "",
+               "CSV of every host's mass estimates "
+               "(node,scaled_pagerank,scaled_abs_mass,rel_mass); spam_mass, "
+               "one graph only");
   ObsSession::DefineFlags(&flags);
   int code = 0;
   if (!ParseOrHelp(&flags, "run", argc, argv, &code)) return code;
@@ -671,10 +601,14 @@ int CmdRun(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  auto config = ConfigFromFlags(flags, /*has_mass_flags=*/true);
-  if (!config.ok()) return Fail(config.status());
-  config.value().detection.relative_mass_threshold = flags.GetDouble("tau");
-  config.value().detection.scaled_pagerank_threshold = flags.GetDouble("rho");
+  auto solver = SolverFromFlags(flags);
+  if (!solver.ok()) return Fail(solver.status());
+  pipeline::PipelineConfig config;
+  config.solver = solver.value();
+  config.gamma = flags.GetDouble("gamma");
+  config.scale_core_jump = !flags.GetBool("no-jump-scaling");
+  config.detection.relative_mass_threshold = flags.GetDouble("tau");
+  config.detection.scaled_pagerank_threshold = flags.GetDouble("rho");
 
   std::vector<std::string> detector_names;
   for (const std::string& name : util::Split(flags.GetString("detectors"),
@@ -685,8 +619,27 @@ int CmdRun(int argc, const char* const* argv) {
     return Fail(util::Status::InvalidArgument("no detectors selected"));
   }
 
-  const std::vector<std::string> graph_specs =
-      util::Split(flags.GetString("graph"), ',');
+  std::vector<std::string> graph_specs;
+  for (const std::string& spec : util::Split(flags.GetString("graph"), ',')) {
+    if (!spec.empty()) graph_specs.push_back(spec);
+  }
+
+  // The CSV outputs hold one graph's spam_mass results; refuse them before
+  // any graph loads when the run cannot produce exactly that.
+  const std::string candidates_out = flags.GetString("candidates-out");
+  const std::string mass_out = flags.GetString("mass-out");
+  const bool runs_spam_mass =
+      std::find(detector_names.begin(), detector_names.end(), "spam_mass") !=
+      detector_names.end();
+  for (const char* flag : {"candidates-out", "mass-out"}) {
+    if (flags.GetString(flag).empty()) continue;
+    if (!runs_spam_mass || graph_specs.size() != 1) {
+      return Fail(util::Status::InvalidArgument(
+          std::string("--") + flag +
+          " needs --detectors to include spam_mass and --graph to name "
+          "exactly one graph"));
+    }
+  }
 
   // One manifest wrapping every per-graph run.
   util::JsonWriter manifest;
@@ -696,7 +649,6 @@ int CmdRun(int argc, const char* const* argv) {
   manifest.Key("runs").BeginArray();
 
   for (const std::string& spec : graph_specs) {
-    if (spec.empty()) continue;
     pipeline::GraphSource source = pipeline::GraphSource::FromFile(spec);
     if (spec.rfind("synthetic:", 0) == 0) {
       const std::vector<std::string> parts = util::Split(spec, ':');
@@ -722,7 +674,7 @@ int CmdRun(int argc, const char* const* argv) {
     }
 
     auto run =
-        pipeline::RunDetectors(source, config.value(), detector_names);
+        pipeline::RunDetectors(source, config, detector_names);
     if (!run.ok()) return Fail(run.status());
 
     std::printf("%s [%s]: %s hosts, %s links\n",
@@ -749,9 +701,26 @@ int CmdRun(int argc, const char* const* argv) {
     if (!unconverged.empty()) {
       std::printf("warning: solves not converged: %s\n", unconverged.c_str());
     }
-    std::printf("base PageRank solves: %llu (shared across detectors)\n\n",
+    std::printf("base PageRank solves: %llu (shared across detectors)\n",
                 static_cast<unsigned long long>(
                     run.value().base_pagerank_solves));
+    for (const pipeline::DetectorOutput& output : run.value().detectors) {
+      if (output.detector != "spam_mass") continue;
+      PrintSpamMassVerdict(run.value(), output.candidates, config.detection);
+      if (!candidates_out.empty()) {
+        util::Status status =
+            WriteCandidatesCsv(output.candidates, candidates_out);
+        if (!status.ok()) return Fail(status);
+        std::printf("candidates -> %s\n", candidates_out.c_str());
+      }
+      if (!mass_out.empty()) {
+        util::Status status =
+            WriteMassCsv(run.value().mass_estimates, mass_out);
+        if (!status.ok()) return Fail(status);
+        std::printf("mass -> %s\n", mass_out.c_str());
+      }
+    }
+    std::printf("\n");
 
     // Splice the per-run manifest (already-valid JSON) into the wrapper.
     manifest.RawValue(run.value().manifest_json);
@@ -780,8 +749,6 @@ int main(int argc, char** argv) {
   if (command == "stats") return CmdStats(sub_argc, sub_argv);
   if (command == "convert") return CmdConvert(sub_argc, sub_argv);
   if (command == "pagerank") return CmdPageRank(sub_argc, sub_argv);
-  if (command == "mass") return CmdMass(sub_argc, sub_argv);
-  if (command == "detect") return CmdDetect(sub_argc, sub_argv);
   if (command == "sites") return CmdSites(sub_argc, sub_argv);
   if (command == "run") return CmdRun(sub_argc, sub_argv);
   return Usage();
