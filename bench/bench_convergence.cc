@@ -1,7 +1,6 @@
-// Convergence study of the solver suite (supporting the Section 2.2 claim
-// that the linear-system formulation admits faster solvers than power
-// iteration): per-iteration L1 residuals for Jacobi and power iteration on
-// the same synthetic web, plus sweeps-to-tolerance.
+// Convergence study of the solver (Section 2.2's linear-system
+// formulation, solved with Jacobi): per-iteration L1 residuals on a
+// synthetic web, plus sweeps-to-tolerance (EXPERIMENTS.md E14).
 
 #include <cmath>
 #include <cstdio>
@@ -17,10 +16,8 @@ using namespace spammass;
 
 namespace {
 
-pagerank::PageRankResult Run(const graph::WebGraph& graph,
-                             pagerank::Method method) {
+pagerank::PageRankResult Run(const graph::WebGraph& graph) {
   pagerank::SolverOptions opt;
-  opt.method = method;
   opt.tolerance = 1e-12;
   opt.max_iterations = 300;
   opt.track_residuals = true;
@@ -40,46 +37,28 @@ int main(int argc, char** argv) {
   std::printf("# graph: %u hosts, %llu edges\n\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  struct Variant {
-    const char* name;
-    pagerank::Method method;
-  };
-  const Variant variants[] = {
-      {"jacobi", pagerank::Method::kJacobi},
-      {"power iteration", pagerank::Method::kPowerIteration},
-  };
-
-  std::vector<pagerank::PageRankResult> results;
+  const pagerank::PageRankResult result = Run(g);
   util::TextTable summary;
   summary.SetHeader({"method", "sweeps to 1e-12", "final residual"});
-  for (const Variant& v : variants) {
-    results.push_back(Run(g, v.method));
-    summary.AddRow({v.name, std::to_string(results.back().iterations),
-                    util::FormatDouble(std::log10(results.back().residual),
-                                       1) + " (log10)"});
-  }
+  summary.AddRow({"jacobi", std::to_string(result.iterations),
+                  util::FormatDouble(std::log10(result.residual), 1) +
+                      " (log10)"});
   std::printf("== sweeps to tolerance ==\n\n%s\n", summary.ToString().c_str());
 
   std::printf("== residual decay (log10 of L1 residual per sweep) ==\n\n");
   util::TextTable decay;
-  std::vector<std::string> header = {"sweep"};
-  for (const Variant& v : variants) header.push_back(v.name);
-  decay.SetHeader(header);
+  decay.SetHeader({"sweep", "jacobi"});
   for (int sweep : {1, 2, 4, 8, 16, 32, 64, 128}) {
     std::vector<std::string> row = {std::to_string(sweep)};
-    for (const auto& result : results) {
-      if (static_cast<size_t>(sweep) <= result.residual_history.size()) {
-        row.push_back(util::FormatDouble(
-            std::log10(result.residual_history[sweep - 1]), 2));
-      } else {
-        row.push_back("-");
-      }
+    if (static_cast<size_t>(sweep) <= result.residual_history.size()) {
+      row.push_back(util::FormatDouble(
+          std::log10(result.residual_history[sweep - 1]), 2));
+    } else {
+      row.push_back("-");
     }
     decay.AddRow(row);
   }
   std::printf("%s\n", decay.ToString().c_str());
-  std::printf(
-      "expected shape: power iteration tracks Jacobi's rate (both are\n"
-      "damped by c per step) but pays extra normalization work.\n");
+  std::printf("expected shape: the residual falls by about c per sweep.\n");
   return 0;
 }

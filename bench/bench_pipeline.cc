@@ -35,7 +35,6 @@ const pipeline::LoadedGraph& FixtureWeb() {
 
 pipeline::PipelineConfig BenchConfig() {
   pipeline::PipelineConfig config;
-  config.solver.method = pagerank::Method::kJacobi;
   return config;
 }
 

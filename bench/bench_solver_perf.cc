@@ -1,8 +1,7 @@
 // E11 (performance half): google-benchmark timings of the PageRank solver
-// suite on synthetic webs — the Section 2.2 claim that linear-system
-// solvers (here Jacobi) are "regularly faster than the algorithms
-// available for solving eigensystems (power iterations)", plus the cost of
-// the full mass-estimation step (two PageRank solves) at the preset.
+// on synthetic webs — Jacobi, the linear-system solver of Section 2.2
+// (EXPERIMENTS.md E11) — plus the cost of the full mass-estimation step
+// (two PageRank solves) at the preset.
 //
 // The BM_Seed* benchmarks reimplement the pre-kernel (seed) solver inline —
 // per-edge division p[x]/outdeg(x), full-n dangling scans, fresh scratch
@@ -287,9 +286,8 @@ BENCHMARK(BM_ParallelJacobiWorkspace)
     ->Unit(benchmark::kMillisecond)
     ->Repetitions(5);
 
-pagerank::SolverOptions Options(pagerank::Method method) {
+pagerank::SolverOptions Options() {
   pagerank::SolverOptions opt;
-  opt.method = method;
   opt.tolerance = 1e-10;
   opt.max_iterations = 500;
   return opt;
@@ -299,8 +297,7 @@ void BM_PageRankJacobi(benchmark::State& state) {
   const auto& web = SharedWeb();
   int iterations = 0;
   for (auto _ : state) {
-    auto r = pagerank::ComputeUniformPageRank(
-        web.graph, Options(pagerank::Method::kJacobi));
+    auto r = pagerank::ComputeUniformPageRank(web.graph, Options());
     CHECK_OK(r.status());
     iterations = r.value().iterations;
     benchmark::DoNotOptimize(r.value().scores);
@@ -309,20 +306,6 @@ void BM_PageRankJacobi(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(web.graph.num_edges());
 }
 BENCHMARK(BM_PageRankJacobi)->Unit(benchmark::kMillisecond);
-
-void BM_PageRankPowerIteration(benchmark::State& state) {
-  const auto& web = SharedWeb();
-  int iterations = 0;
-  for (auto _ : state) {
-    auto r = pagerank::ComputeUniformPageRank(
-        web.graph, Options(pagerank::Method::kPowerIteration));
-    CHECK_OK(r.status());
-    iterations = r.value().iterations;
-    benchmark::DoNotOptimize(r.value().scores);
-  }
-  state.counters["sweeps"] = iterations;
-}
-BENCHMARK(BM_PageRankPowerIteration)->Unit(benchmark::kMillisecond);
 
 void BM_MassEstimation(benchmark::State& state) {
   const auto& web = SharedWeb();

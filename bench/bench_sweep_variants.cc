@@ -82,7 +82,6 @@ const std::vector<JumpVector>& VariantJumps() {
 
 pagerank::SolverOptions VariantOptions() {
   pagerank::SolverOptions opt;
-  opt.method = pagerank::Method::kJacobi;
   opt.tolerance = 1e-10;
   opt.max_iterations = 500;
   return opt;

@@ -99,7 +99,6 @@ Outcome Solve(pipeline::LoadedGraph* loaded,
               const std::vector<pagerank::JumpVector>& core_jumps,
               double tolerance, uint32_t threads) {
   pipeline::PipelineConfig config;
-  config.solver.method = pagerank::Method::kJacobi;
   config.solver.num_threads = threads;
   config.solver.tolerance = tolerance;
   config.trustrank.filter_seeds_by_oracle = false;

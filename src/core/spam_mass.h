@@ -62,8 +62,8 @@ MassEstimates MassEstimatesFromScores(std::vector<double> pagerank,
 /// Estimates spam mass from a good core Ṽ⁺ (Definition 3 + Section 3.5).
 /// Fails if the core is empty or references out-of-range nodes. The two
 /// required solves (p = PR(v) and p′ = PR(w)) run as ONE fused multi-vector
-/// Jacobi stream when the solver method allows it, paying the graph's
-/// memory traffic once per sweep instead of twice. Pass a `workspace` to
+/// Jacobi stream, paying the graph's memory traffic once per sweep instead
+/// of twice. Pass a `workspace` to
 /// additionally reuse the thread pool and scratch across repeated
 /// estimates (eval loops, benches); null keeps per-call scratch.
 util::Result<MassEstimates> EstimateSpamMass(const graph::WebGraph& graph,

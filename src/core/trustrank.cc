@@ -37,7 +37,7 @@ Result<SeedSelection> SelectTrustRankSeeds(
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;
                     });
-  if (has_cut && solver.method == pagerank::Method::kJacobi) {
+  if (has_cut) {
     const double c = solver.damping;
     selection.margin = SeedMargin{
         scores[order[take - 1]] - scores[order[take]],

@@ -57,8 +57,7 @@ struct SeedSelection {
   /// PageRank of the transposed graph (its convergence reaches the run
   /// manifest as the "trustrank_seed_selection" solve).
   pagerank::PageRankResult inverse_pagerank;
-  /// Set when the solve is Jacobi, the only method the bound holds for,
-  /// and the graph has more than `candidates` nodes, so a cut exists.
+  /// Set when the graph has more than `candidates` nodes, so a cut exists.
   std::optional<SeedMargin> margin;
 };
 

@@ -38,20 +38,6 @@ void ForEachChunk(
   }
 }
 
-double DeterministicSum(
-    util::ThreadPool* pool, uint64_t total,
-    const std::function<double(uint64_t, uint64_t)>& range_sum,
-    std::vector<double>* partials) {
-  if (total == 0) return 0.0;
-  partials->assign(NumChunks(total), 0.0);
-  ForEachChunk(pool, total, [&](uint64_t c, uint64_t begin, uint64_t end) {
-    (*partials)[c] = range_sum(begin, end);
-  });
-  double sum = 0.0;
-  for (double partial : *partials) sum += partial;
-  return sum;
-}
-
 void ScaleByInvOutDegree(const WebGraph& graph, uint32_t k, const double* p,
                          double* scaled, util::ThreadPool* pool) {
   CHECK_GE(k, 1u);

@@ -2,8 +2,8 @@
 //
 // Every detector in the paper (spam mass §4.2, TrustRank, the naive schemes
 // of §3.1, contribution analysis) funnels through repeated PageRank solves
-// over one fixed graph, so this layer optimizes the per-sweep work that the
-// solvers in solver.cc share:
+// over one fixed graph, so this layer optimizes the per-sweep work of the
+// Jacobi solver in solver.cc:
 //
 //   * Division-free sweeps. The CSR gather Σ_x p[x]/outdeg(x) hides an
 //     integer division + convert per edge visit. The kernel instead scales
@@ -17,7 +17,7 @@
 //     The per-vector arithmetic is independent of k (the j-loop only adds
 //     lanes), so a k-vector solve is bit-identical to k separate solves.
 //   * Deterministic parallel reductions. All floating-point reductions
-//     (residuals, dangling-mass sums, norms) are chunked by a decomposition
+//     (residuals, dangling-mass sums) are chunked by a decomposition
 //     that depends only on the element count — never on the thread count —
 //     with per-chunk partials summed in chunk order. Scores AND residuals
 //     are therefore bit-identical across 1/2/…/N threads, and the iteration
@@ -74,16 +74,6 @@ uint64_t NumChunks(uint64_t total);
 void ForEachChunk(util::ThreadPool* pool, uint64_t total,
                   const std::function<void(uint64_t, uint64_t, uint64_t)>& body);
 
-/// Deterministic chunked reduction: returns Σ over [0, total) where
-/// `range_sum(begin, end)` yields one range's contribution (accumulated
-/// left to right inside the range). `partials` is caller-owned scratch,
-/// resized to NumChunks(total); partial sums are combined in chunk order,
-/// so the result is bit-identical for every thread count.
-double DeterministicSum(
-    util::ThreadPool* pool, uint64_t total,
-    const std::function<double(uint64_t, uint64_t)>& range_sum,
-    std::vector<double>* partials);
-
 /// Per-sweep scaling pass: scaled[x·k + j] = p[x·k + j] · inv_out[x] for
 /// every node x and lane j, with inv_out the graph's cached inverse
 /// out-degrees (0.0 on dangling nodes). n·k multiplies replace one divide
@@ -135,11 +125,10 @@ LaneJumpTable BuildLaneJumps(const std::vector<const JumpVector*>& jumps);
 /// deterministic L1 difference Σ_y |next − p| for lane j. `partials` is
 /// caller-owned scratch (resized to NumChunks(n)·k).
 ///
-/// When `next_scaled` is non-null the output loop also writes
-/// next_scaled[y·k+j] = next[y·k+j] · inv_out[y] — exactly the values
-/// ScaleByInvOutDegree(next) would produce — so iterative callers skip the
-/// separate full-pass rescale between sweeps (the solver seeds `scaled`
-/// once before the first sweep and double-buffers from then on).
+/// The output loop also writes next_scaled[y·k+j] = next[y·k+j] ·
+/// inv_out[y] — exactly the values ScaleByInvOutDegree(next) would produce
+/// — so the solver skips a full-pass rescale between sweeps: it seeds
+/// `scaled` once before the first sweep and double-buffers from then on.
 ///
 /// The body is simd::PickSweep(simd::Active(), k), chosen once per call;
 /// every body computes the same bits.

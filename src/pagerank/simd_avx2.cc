@@ -90,9 +90,8 @@ void Avx2SweepF64(const SweepArgs& args, double* diff_slot, NodeId begin,
     const double* vrow = jump.Row(y);
     const double* prow = args.p + base;
     double* nrow = args.next + base;
-    double* srow = args.next_scaled != nullptr ? args.next_scaled + base
-                                               : nullptr;
-    const double w = srow != nullptr ? args.inv[y] : 0.0;
+    double* srow = args.next_scaled + base;
+    const double w = args.inv[y];
     const __m256d w4 = _mm256_set1_pd(w);
     for (uint32_t b = 0; b < kYmm; ++b) {
       const __m256d out =
@@ -102,9 +101,7 @@ void Avx2SweepF64(const SweepArgs& args, double* diff_slot, NodeId begin,
       diff4[b] = _mm256_add_pd(
           diff4[b], _mm256_andnot_pd(sign4, _mm256_sub_pd(out, py)));
       _mm256_storeu_pd(nrow + b * 4, out);
-      if (srow != nullptr) {
-        _mm256_storeu_pd(srow + b * 4, _mm256_mul_pd(out, w4));
-      }
+      _mm256_storeu_pd(srow + b * 4, _mm256_mul_pd(out, w4));
     }
     if constexpr (kPair) {
       const __m128d out =
@@ -113,15 +110,13 @@ void Avx2SweepF64(const SweepArgs& args, double* diff_slot, NodeId begin,
       const __m128d py = _mm_loadu_pd(prow + kPairAt);
       diff2 = _mm_add_pd(diff2, _mm_andnot_pd(sign2, _mm_sub_pd(out, py)));
       _mm_storeu_pd(nrow + kPairAt, out);
-      if (srow != nullptr) {
-        _mm_storeu_pd(srow + kPairAt, _mm_mul_pd(out, _mm_set1_pd(w)));
-      }
+      _mm_storeu_pd(srow + kPairAt, _mm_mul_pd(out, _mm_set1_pd(w)));
     }
     if constexpr (kSingle) {
       const double out = c * acc1 + vrow[kSingleAt] * m1;
       diff1 += std::abs(out - prow[kSingleAt]);
       nrow[kSingleAt] = out;
-      if (srow != nullptr) srow[kSingleAt] = out * w;
+      srow[kSingleAt] = out * w;
     }
   }
   for (uint32_t b = 0; b < kYmm; ++b) {

@@ -113,7 +113,7 @@ struct SweepArgs {
   /// reads it before storing row y of `next`, so the sweep can update the
   /// iterate in place.
   double* next = nullptr;
-  /// Nullable: when set, receives next · inv (the pre-scaled iterate).
+  /// Receives next · inv, the pre-scaled iterate the next sweep gathers.
   double* next_scaled = nullptr;
 };
 
@@ -177,21 +177,13 @@ void ScalarSweepRange(const SweepArgs& args, double* diff_slot, NodeId begin,
     const double* vrow = jump.Row(y);
     const double* prow = args.p + static_cast<uint64_t>(y) * K;
     double* nrow = args.next + static_cast<uint64_t>(y) * K;
-    if (args.next_scaled != nullptr) {
-      const double w = args.inv[y];
-      double* srow = args.next_scaled + static_cast<uint64_t>(y) * K;
-      for (uint32_t j = 0; j < K; ++j) {
-        const double out = c * in_sum[j] + vrow[j] * m[j];
-        diff[j] += std::abs(out - prow[j]);
-        nrow[j] = out;
-        srow[j] = out * w;
-      }
-    } else {
-      for (uint32_t j = 0; j < K; ++j) {
-        const double out = c * in_sum[j] + vrow[j] * m[j];
-        diff[j] += std::abs(out - prow[j]);
-        nrow[j] = out;
-      }
+    double* srow = args.next_scaled + static_cast<uint64_t>(y) * K;
+    const double w = args.inv[y];
+    for (uint32_t j = 0; j < K; ++j) {
+      const double out = c * in_sum[j] + vrow[j] * m[j];
+      diff[j] += std::abs(out - prow[j]);
+      nrow[j] = out;
+      srow[j] = out * w;
     }
   }
   for (uint32_t j = 0; j < K; ++j) diff_slot[j] = diff[j];

@@ -27,27 +27,9 @@ double L1Norm(const std::vector<double>& v) {
 
 SolverOptions SolverOptions::BenchPreset() {
   SolverOptions options;
-  options.method = Method::kJacobi;
   options.tolerance = 1e-8;
   options.max_iterations = 400;
   return options;
-}
-
-const char* MethodToString(Method method) {
-  switch (method) {
-    case Method::kJacobi:
-      return "jacobi";
-    case Method::kPowerIteration:
-      return "power-iteration";
-  }
-  return "unknown";
-}
-
-Result<Method> MethodFromString(std::string_view name) {
-  if (name == "jacobi") return Method::kJacobi;
-  if (name == "power-iteration") return Method::kPowerIteration;
-  return Status::InvalidArgument("unknown solver method: " +
-                                 std::string(name));
 }
 
 const char* SweepIsa() { return simd::LevelToString(simd::Active()); }
@@ -218,100 +200,6 @@ std::vector<PageRankResult> SolveJacobiBatch(
   return results;
 }
 
-PageRankResult SolveJacobi(const WebGraph& graph, const JumpVector& jump,
-                           const SolverOptions& opt, SolverWorkspace* ws) {
-  std::vector<const JumpVector*> jumps = {&jump};
-  std::vector<PageRankResult> results =
-      SolveJacobiBatch(graph, jumps, opt, ws);
-  return std::move(results.front());
-}
-
-/// Power iteration on the stochasticized matrix T″ (Eq. 1). Requires a
-/// normalizable jump vector; the result is the stationary distribution
-/// (‖p‖₁ = 1) of the random walk with teleportation to v/‖v‖. The sweep,
-/// the dangling sum, the norm guard, and the residual all run through the
-/// deterministic kernel, so the method parallelizes with bit-identical
-/// output for every thread count.
-PageRankResult SolvePowerIteration(const WebGraph& graph,
-                                   const JumpVector& jump,
-                                   const SolverOptions& opt,
-                                   SolverWorkspace* ws) {
-  SPAMMASS_TRACE_SPAN("pagerank.solve", "method", "power-iteration");
-  PageRankResult result;
-  const uint32_t n = graph.num_nodes();
-  const double c = opt.damping;
-  util::ThreadPool* pool = ws->EnsurePool(opt.num_threads);
-
-  // Normalize the jump distribution: every entry divided by the
-  // left-to-right sum of all n entries, which JumpVector::Norm computes.
-  kernel::LaneJumpTable v = kernel::BuildLaneJumps({&jump});
-  const double vnorm = jump.Norm();
-  for (double& x : v.fill) x /= vnorm;
-  for (double& x : v.rows) x /= vnorm;
-
-  util::LaneVector<double>& p = ws->iterate();
-  util::LaneVector<double>& next = ws->next();
-  util::LaneVector<double>& scaled = ws->scaled();
-  p.assign(n, 1.0 / n);
-  next.assign(n, 0.0);
-  scaled.resize(n);
-
-  for (int i = 0; i < opt.max_iterations; ++i) {
-    kernel::ScaleByInvOutDegree(graph, 1, p.data(), scaled.data(), pool);
-    double dangling = 0;
-    kernel::DanglingSums(graph, 1, p.data(), &ws->dangling_partials(),
-                         &dangling, pool);
-    // ‖p‖ stays 1, so the teleport term is (1−c)·v·1ᵀp = (1−c)·v.
-    double sweep_diff = 0;  // pre-normalization; the residual below is used
-    kernel::WeightedJacobiSweepMulti(graph, 1, v.View(), c, &dangling,
-                                     p.data(), scaled.data(), next.data(),
-                                     /*next_scaled=*/nullptr,
-                                     &ws->node_partials(), &sweep_diff,
-                                     pool);
-    // Guard against numerical drift of the norm.
-    const double norm = kernel::DeterministicSum(
-        pool, n,
-        [&next](uint64_t begin, uint64_t end) {
-          double s = 0;
-          for (uint64_t x = begin; x < end; ++x) s += std::abs(next[x]);
-          return s;
-        },
-        &ws->reduce_partials());
-    kernel::ForEachChunk(pool, n,
-                         [&next, norm](uint64_t, uint64_t begin,
-                                       uint64_t end) {
-                           for (uint64_t x = begin; x < end; ++x) {
-                             next[x] /= norm;
-                           }
-                         });
-    const double diff = kernel::DeterministicSum(
-        pool, n,
-        [&next, &p](uint64_t begin, uint64_t end) {
-          double s = 0;
-          for (uint64_t x = begin; x < end; ++x) {
-            s += std::abs(next[x] - p[x]);
-          }
-          return s;
-        },
-        &ws->reduce_partials());
-    p.swap(next);
-    result.iterations = i + 1;
-    result.residual = diff;
-    SweepsCounter()->Increment();
-    if (opt.track_residuals) result.residual_history.push_back(diff);
-    if (diff < opt.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  // Copy (not move): p aliases the workspace's reusable iterate buffer.
-  result.scores.assign(p.begin(), p.end());
-  ws->RecordSolve();
-  SolvesCounter()->Increment();
-  IterationsHistogram()->Observe(result.iterations);
-  return result;
-}
-
 /// Argument checks shared by the single- and multi-vector entry points.
 Status CheckGraphAndOptions(const WebGraph& graph,
                             const SolverOptions& options) {
@@ -349,19 +237,6 @@ Status CheckJump(const WebGraph& graph, const JumpVector& jump) {
   return Status::OK();
 }
 
-/// Dispatches one validated solve through `ws` (never null here).
-PageRankResult SolveDispatch(const WebGraph& graph, const JumpVector& jump,
-                             const SolverOptions& options,
-                             SolverWorkspace* ws) {
-  switch (options.method) {
-    case Method::kJacobi:
-      return SolveJacobi(graph, jump, options, ws);
-    case Method::kPowerIteration:
-      return SolvePowerIteration(graph, jump, options, ws);
-  }
-  return PageRankResult{};
-}
-
 }  // namespace
 
 Result<PageRankResult> ComputePageRank(const WebGraph& graph,
@@ -372,8 +247,8 @@ Result<PageRankResult> ComputePageRank(const WebGraph& graph,
   SolverWorkspace* ws = workspace != nullptr ? workspace : &local;
   SPAMMASS_RETURN_NOT_OK(CheckGraphAndOptions(graph, options));
   SPAMMASS_RETURN_NOT_OK(CheckJump(graph, jump));
-  PageRankResult result = SolveDispatch(graph, jump, options, ws);
-  if (result.scores.empty()) return Status::Internal("unknown method");
+  PageRankResult result =
+      std::move(SolveJacobiBatch(graph, {&jump}, options, ws).front());
   // Post-conditions (non-negativity, mass conservation). O(n), debug only.
   DCHECK_OK(ValidateSolverResult(graph, jump, options, result));
   return result;
@@ -394,30 +269,19 @@ Result<std::vector<PageRankResult>> ComputePageRankMulti(
 
   std::vector<PageRankResult> results;
   results.reserve(jumps.size());
-  if (options.method == Method::kJacobi) {
-    // Fused multi-RHS path, in batches of at most kMaxVectorsPerSweep.
-    for (size_t base = 0; base < jumps.size();
-         base += kernel::kMaxVectorsPerSweep) {
-      const size_t batch_end =
-          std::min(base + kernel::kMaxVectorsPerSweep, jumps.size());
-      std::vector<const JumpVector*> batch;
-      batch.reserve(batch_end - base);
-      for (size_t j = base; j < batch_end; ++j) batch.push_back(&jumps[j]);
-      std::vector<PageRankResult> batch_results =
-          SolveJacobiBatch(graph, batch, options, ws);
-      for (PageRankResult& r : batch_results) {
-        results.push_back(std::move(r));
-      }
-    }
-  } else {
-    // Power iteration: one vector at a time, still sharing the workspace
-    // (pool + scratch reuse).
-    for (const JumpVector& jump : jumps) {
-      results.push_back(SolveDispatch(graph, jump, options, ws));
-    }
+  // Fused multi-RHS solves, in batches of at most kMaxVectorsPerSweep.
+  for (size_t base = 0; base < jumps.size();
+       base += kernel::kMaxVectorsPerSweep) {
+    const size_t batch_end =
+        std::min(base + kernel::kMaxVectorsPerSweep, jumps.size());
+    std::vector<const JumpVector*> batch;
+    batch.reserve(batch_end - base);
+    for (size_t j = base; j < batch_end; ++j) batch.push_back(&jumps[j]);
+    std::vector<PageRankResult> batch_results =
+        SolveJacobiBatch(graph, batch, options, ws);
+    for (PageRankResult& r : batch_results) results.push_back(std::move(r));
   }
   for (size_t j = 0; j < results.size(); ++j) {
-    if (results[j].scores.empty()) return Status::Internal("unknown method");
     DCHECK_OK(ValidateSolverResult(graph, jumps[j], options, results[j]));
   }
   return results;

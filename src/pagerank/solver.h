@@ -3,21 +3,19 @@
 // The paper adopts the linear-system formulation
 //     (I − cTᵀ) p = (1 − c) v                                   (Eq. 3)
 // with the substochastic transition matrix T (dangling rows are zero), and
-// solves it with the Jacobi method (Algorithm 1). This module implements:
-//   * kJacobi       — Algorithm 1 verbatim, the preset method,
-//   * kPowerIteration — the classic eigensystem formulation (Eq. 1) on the
-//                     fully stochasticized matrix T'', for comparison.
+// solves it with the Jacobi method (Algorithm 1), the one method here.
 // Dangling handling is selectable: kLeak matches Eq. 3 exactly (dangling
 // PageRank simply dissipates, only rescaling the solution), while
 // kRedistributeToJump adds the d·vᵀ patch of T′ so the solution is the true
-// random-walk stationary distribution. Both methods sweep in float64
-// through one kernel (kernel.h) whose AVX2 and scalar bodies give the same
-// bits, so no option picks an instruction set or a lane precision.
+// random-walk stationary distribution; with a unit-norm jump vector that is
+// the eigenvector of the teleporting matrix T″ (Eq. 1), ‖p‖₁ = 1. Every
+// solve sweeps in float64 through one kernel (kernel.h) whose AVX2 and
+// scalar bodies give the same bits, so no option picks an instruction set
+// or a lane precision.
 
 #ifndef SPAMMASS_PAGERANK_SOLVER_H_
 #define SPAMMASS_PAGERANK_SOLVER_H_
 
-#include <string_view>
 #include <vector>
 
 #include "graph/web_graph.h"
@@ -27,8 +25,10 @@
 
 namespace spammass::pagerank {
 
-/// Iterative method selection.
-enum class Method { kJacobi, kPowerIteration };
+/// Vestigial: Jacobi is the only method, so no solve reads this. It stays
+/// only because perfbench/perfbench.cc still assigns `kJacobi`; it goes
+/// when the next benchmark change drops that line.
+enum class Method { kJacobi };
 
 /// What to do with the PageRank that reaches a node without outlinks.
 enum class DanglingPolicy {
@@ -47,12 +47,13 @@ struct SolverOptions {
   double tolerance = 1e-12;
   /// Hard iteration cap.
   int max_iterations = 1000;
+  /// Vestigial, like `compressed_gather` below: see Method.
   Method method = Method::kJacobi;
   DanglingPolicy dangling = DanglingPolicy::kLeak;
   /// Worker threads for the sweeps (each output entry depends only on the
-  /// previous iterate, so rows split cleanly). 1 = serial. Both methods
-  /// give bit-identical scores AND residuals for every thread count
-  /// (deterministic chunked reductions, pagerank/kernel.h).
+  /// previous iterate, so rows split cleanly). 1 = serial. Scores AND
+  /// residuals are bit-identical for every thread count (deterministic
+  /// chunked reductions, pagerank/kernel.h).
   uint32_t num_threads = 1;
   /// When true, PageRankResult::residual_history records the L1 residual of
   /// every iteration (for convergence studies).
@@ -71,13 +72,6 @@ struct SolverOptions {
   /// tolerance matrix (EXPERIMENTS.md E17, bench_tolerance_verdicts).
   static SolverOptions BenchPreset();
 };
-
-/// Human-readable method name ("jacobi", "power-iteration") for manifests
-/// and CLI help.
-const char* MethodToString(Method method);
-
-/// Inverse of MethodToString. Fails with InvalidArgument on unknown names.
-util::Result<Method> MethodFromString(std::string_view name);
 
 /// Instruction set of the sweep body every solve runs on this host: "avx2"
 /// when the kernel dispatches to the AVX2 body (pagerank/simd.h), otherwise
@@ -111,25 +105,23 @@ struct SolveStats {
 };
 
 /// Solves PageRank for the given jump vector. Fails with InvalidArgument on
-/// bad options (damping outside (0,1), empty graph, dimension mismatch, or
-/// power iteration with an unnormalizable zero jump vector). A non-null
-/// `workspace` lends its thread pool and scratch buffers — the fast path for
-/// repeated solves over one graph (workspace.h); null uses per-call scratch.
+/// bad options (damping outside (0,1), empty graph, dimension mismatch, or a
+/// jump vector norm outside (0, 1]). A non-null `workspace` lends its thread
+/// pool and scratch buffers — the fast path for repeated solves over one
+/// graph (workspace.h); null uses per-call scratch.
 /// Results are bit-identical either way.
 util::Result<PageRankResult> ComputePageRank(
     const graph::WebGraph& graph, const JumpVector& jump,
     const SolverOptions& options, SolverWorkspace* workspace = nullptr);
 
-/// Solves PageRank for several jump vectors over one graph. With
-/// Method::kJacobi the solve is fused: up to kernel::kMaxVectorsPerSweep
-/// vectors advance through ONE CSR traversal per sweep (multi-RHS), paying
-/// the graph's memory traffic once instead of once per vector — the spam
-/// mass p/p′ pair is the canonical k = 2 caller. Each vector converges
-/// independently (a converged vector is compacted out of the working set
-/// and stops costing sweeps), so results[j] is bit-identical to a
-/// standalone ComputePageRank with jumps[j]. Power iteration solves the
-/// vectors one at a time through the shared workspace. Fails on the first
-/// invalid jump vector.
+/// Solves PageRank for several jump vectors over one graph. The solve is
+/// fused: up to kernel::kMaxVectorsPerSweep vectors advance through ONE CSR
+/// traversal per sweep (multi-RHS), paying the graph's memory traffic once
+/// instead of once per vector — the spam mass p/p′ pair is the canonical
+/// k = 2 caller. Each vector converges independently (a converged vector is
+/// compacted out of the working set and stops costing sweeps), so
+/// results[j] is bit-identical to a standalone ComputePageRank with
+/// jumps[j]. Fails on the first invalid jump vector.
 util::Result<std::vector<PageRankResult>> ComputePageRankMulti(
     const graph::WebGraph& graph, const std::vector<JumpVector>& jumps,
     const SolverOptions& options, SolverWorkspace* workspace = nullptr);

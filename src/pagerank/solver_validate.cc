@@ -84,11 +84,9 @@ Status ValidateSolverResult(const graph::WebGraph& graph,
 
   // Mass conservation. The geometric-series solution of Eq. 3 satisfies
   // (1−c)||v|| ≤ ||p||₁ ≤ ||v|| for every dangling policy (the transition
-  // matrix never amplifies L1 mass); power iteration explicitly normalizes
-  // to ||p||₁ = 1.
+  // matrix never amplifies L1 mass).
   const double c = options.damping;
-  const double vnorm =
-      options.method == Method::kPowerIteration ? 1.0 : jump.Norm();
+  const double vnorm = jump.Norm();
   if (mass > vnorm + slack) {
     return Status::FailedPrecondition(
         "total PageRank mass " + std::to_string(mass) +
@@ -100,12 +98,6 @@ Status ValidateSolverResult(const graph::WebGraph& graph,
         "total PageRank mass " + std::to_string(mass) +
         " fell below the teleportation floor (1-c)||v|| = " +
         std::to_string((1.0 - c) * vnorm));
-  }
-  if (options.method == Method::kPowerIteration &&
-      std::abs(mass - 1.0) > slack) {
-    return Status::FailedPrecondition(
-        "power-iteration solution has mass " + std::to_string(mass) +
-        " != 1 despite explicit normalization");
   }
   if (options.dangling == DanglingPolicy::kRedistributeToJump &&
       result.converged && std::abs(jump.Norm() - 1.0) <= tolerance &&

@@ -42,8 +42,8 @@ util::Status ValidateJumpVector(const JumpVector& jump,
 ///   * every score finite and non-negative,
 ///   * mass conservation: under DanglingPolicy::kLeak the geometric-series
 ///     solution satisfies (1−c)‖v‖ ≤ ‖p‖₁ ≤ ‖v‖ (+slack); under
-///     kRedistributeToJump a converged solution carries ‖p‖₁ = ‖v‖
-///     exactly; power iteration always normalizes to ‖p‖₁ = 1.
+///     kRedistributeToJump a converged solution with a unit-norm jump
+///     carries ‖p‖₁ = 1 exactly.
 /// `tolerance` bounds the allowed conservation slack and is additionally
 /// widened by the solver's convergence residual.
 util::Status ValidateSolverResult(const graph::WebGraph& graph,

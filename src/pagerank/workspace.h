@@ -69,15 +69,12 @@ class SolverWorkspace {
   // kernel-level tests and benches can drive sweeps directly. The
   // interleaved lane buffers are util::LaneVector: their data() is
   // cache-line aligned, so each gathered row touches the fewest lines.
-  // The Jacobi sweeps update `iterate` in place; only power iteration,
-  // whose residual compares against the previous iterate, sizes `next`.
+  // The Jacobi sweeps update `iterate` in place.
   util::LaneVector<double>& iterate() { return iterate_; }
-  util::LaneVector<double>& next() { return next_; }
   util::LaneVector<double>& scaled() { return scaled_; }
   util::LaneVector<double>& scaled_next() { return scaled_next_; }
   std::vector<double>& node_partials() { return node_partials_; }
   std::vector<double>& dangling_partials() { return dangling_partials_; }
-  std::vector<double>& reduce_partials() { return reduce_partials_; }
 
   /// Bumps the solve counter (called by the solvers).
   void RecordSolve() { ++solve_count_; }
@@ -90,17 +87,15 @@ class SolverWorkspace {
   // Interleaved k-wide buffers (n·k): the iterate, swept in place, and
   // the double-buffered scaled iterate (the sweep writes next_scaled
   // alongside the iterate, so the rescale pass runs once per solve, not
-  // once per sweep). `next` is power iteration's previous iterate. The
-  // jump vectors are not here: a sweep reads them through a table over
-  // their supports (kernel::LaneJumpTable), built per batch.
+  // once per sweep). The jump vectors are not here: a sweep reads them
+  // through a table over their supports (kernel::LaneJumpTable), built per
+  // batch.
   util::LaneVector<double> iterate_;
-  util::LaneVector<double> next_;
   util::LaneVector<double> scaled_;
   util::LaneVector<double> scaled_next_;
   // Chunk-indexed partials for the deterministic reductions.
   std::vector<double> node_partials_;
   std::vector<double> dangling_partials_;
-  std::vector<double> reduce_partials_;
 };
 
 }  // namespace spammass::pagerank

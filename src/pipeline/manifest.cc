@@ -37,7 +37,8 @@ std::string BuildManifestJson(const ManifestInputs& inputs) {
 
   json.Key("config").BeginObject();
   json.Key("solver").BeginObject();
-  json.KV("method", pagerank::MethodToString(config.solver.method));
+  // Jacobi is the one method; the key stays so the schema does not change.
+  json.KV("method", "jacobi");
   json.KV("damping", config.solver.damping);
   json.KV("tolerance", config.solver.tolerance);
   json.KV("max_iterations", config.solver.max_iterations);

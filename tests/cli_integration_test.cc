@@ -37,11 +37,12 @@ class CliTest : public ::testing::Test {
     ASSERT_EQ(std::system(mkdir.c_str()), 0);
   }
 
-  /// Runs the CLI with the given arguments; returns the exit code.
+  /// Runs the CLI inside Dir() with the given arguments, so relative
+  /// output paths land there; returns the exit code.
   int Run(const std::string& args) {
-    std::string cmd = std::string(SPAMMASS_CLI_PATH) + " " + args +
-                      " > " + Dir() + "/stdout.txt 2>" + Dir() +
-                      "/stderr.txt";
+    std::string cmd = "cd " + Dir() + " && " +
+                      std::string(SPAMMASS_CLI_PATH) + " " + args + " > " +
+                      Dir() + "/stdout.txt 2>" + Dir() + "/stderr.txt";
     int rc = std::system(cmd.c_str());
     return WEXITSTATUS(rc);
   }
@@ -198,7 +199,7 @@ TEST_F(CliTest, ObsOutputsMatchManifestAndAreParseable) {
   // outputs. --threads 2 makes the thread pool execute tasks, so the
   // trace must contain pool_task spans on named worker tracks.
   ASSERT_EQ(Run("run --graph synthetic:0.02:5 --detectors "
-                "spam_mass,trustrank --threads 2 --method jacobi "
+                "spam_mass,trustrank --threads 2 "
                 "--record-convergence --manifest " + d +
                 "/obs_manifest.json --trace-out " + d +
                 "/obs_trace.json --metrics-out " + d + "/obs_metrics.json"),
@@ -257,13 +258,11 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
   const std::string d = Dir();
 
   // --out-paged writes the v2.2 container that --mmap requires.
-  ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-edges " + d +
-                "/prom.edges --out-paged " + d + "/prom.smwg --out-core " +
-                d + "/prom.core"),
+  ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-paged " + d +
+                "/prom.smwg --out-core " + d + "/prom.core"),
             0);
   // The acceptance path: a mapped threaded run exporting Prometheus text.
-  ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --method jacobi "
-                "--threads 2 "
+  ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --threads 2 "
                 "--detectors spam_mass --core " + d + "/prom.core "
                 "--manifest " + d + "/prom_manifest.json "
                 "--metrics-format prom --metrics-out " + d +
@@ -376,13 +375,39 @@ TEST_F(CliTest, RunWarnsAboutUnconvergedSolves) {
 }
 
 TEST_F(CliTest, RunRejectsRemovedSolverMethods) {
-  // Jacobi and power iteration are the only solvers; the removed stationary
-  // methods are rejected by name before any graph is read.
-  for (const char* method : {"gauss-seidel", "sor"}) {
+  // Jacobi is the only solver, so --method is gone: every value, the one
+  // that used to be the default included, is refused before any graph is
+  // read.
+  for (const char* method : {"jacobi", "power-iteration", "gauss-seidel",
+                             "sor"}) {
     EXPECT_EQ(Run(std::string("run --method ") + method), 1) << method;
     const std::string err = ReadFile("stderr.txt");
-    EXPECT_NE(err.find("unknown solver method"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown flag --method"), std::string::npos) << err;
   }
+}
+
+TEST_F(CliTest, GenerateWritesOnlyTheRequestedFiles) {
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
+  EXPECT_TRUE(FileExists("g.smwg"));
+  EXPECT_FALSE(FileExists("web.edges"));
+  EXPECT_NE(Stdout().find("-> g.smwg\n"), std::string::npos) << Stdout();
+
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-edges g.edges "
+                "--out-core g.core"),
+            0);
+  EXPECT_NE(Stdout().find("-> g.edges, g.core\n"), std::string::npos)
+      << Stdout();
+
+  // No graph output asked for: refused before anything is generated.
+  for (const char* args : {"", " --out-core other.core"}) {
+    EXPECT_EQ(Run(std::string("generate --scale 0.02 --seed 3") + args), 1)
+        << args;
+    EXPECT_NE(ReadFile("stderr.txt").find("--out-edges or --out-paged"),
+              std::string::npos)
+        << ReadFile("stderr.txt");
+  }
+  EXPECT_FALSE(FileExists("web.edges"));
+  EXPECT_FALSE(FileExists("other.core"));
 }
 
 TEST_F(CliTest, RunRejectsCsvOutputsUnlessOneSpamMassGraph) {
@@ -453,6 +478,26 @@ TEST_F(CliTest, RunHandlesDegenerateInputs) {
   ASSERT_EQ(run("web.edges", "all.core"), 0) << ReadFile("stderr.txt");
   EXPECT_EQ(CsvLines("cand.csv").size(), 1u);
   EXPECT_EQ(ManifestFlagged("run.json", "spam_mass"), 0);
+
+  // The same inputs through trustrank, which needs no core.
+  auto trustrank = [&](const std::string& graph, const std::string& extra) {
+    return Run("run --graph " + d + "/" + graph +
+               " --detectors trustrank --manifest " + d + "/run.json" +
+               extra);
+  };
+  EXPECT_EQ(trustrank("empty.edges", ""), 1);
+  EXPECT_NE(ReadFile("stderr.txt").find("empty graph file"), std::string::npos)
+      << ReadFile("stderr.txt");
+  for (const char* graph : {"single.edges", "pair.edges"}) {
+    ASSERT_EQ(trustrank(graph, ""), 0) << graph << ReadFile("stderr.txt");
+    EXPECT_EQ(ManifestFlagged("run.json", "trustrank"), 0) << graph;
+  }
+  // An oracle that calls every host spam leaves no seed: a clean error.
+  WriteFile("spam.labels", "0\tspam\n1\tspam\n");
+  EXPECT_EQ(trustrank("pair.edges", " --labels " + d + "/spam.labels"), 1);
+  EXPECT_NE(ReadFile("stderr.txt").find("oracle rejected every seed candidate"),
+            std::string::npos)
+      << ReadFile("stderr.txt");
 }
 
 TEST_F(CliTest, PageRankBreaksTiesByNodeId) {

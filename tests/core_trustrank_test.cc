@@ -169,7 +169,7 @@ TEST(TrustRankSeedMarginTest, NearTieIsNotCertifiedAtALooseTolerance) {
   EXPECT_GT(tight.value().margin->gap, tight.value().margin->bound);
 }
 
-TEST(TrustRankSeedMarginTest, OmittedWithoutACutOrForOtherMethods) {
+TEST(TrustRankSeedMarginTest, OmittedOnlyWithoutACut) {
   WebGraph g = TwoHubGraph(1, 3, 4);
   const uint32_t n = g.num_nodes();
   for (uint32_t k : {n, n + 1}) {
@@ -181,11 +181,12 @@ TEST(TrustRankSeedMarginTest, OmittedWithoutACutOrForOtherMethods) {
   ASSERT_TRUE(below.ok());
   EXPECT_TRUE(below.value().margin.has_value());
 
+  // The bound holds for either dangling policy, so a cut always gets one.
   SolverOptions opt = Precise();
-  opt.method = pagerank::Method::kPowerIteration;
-  auto power = SelectTrustRankSeeds(g, 1, nullptr, opt);
-  ASSERT_TRUE(power.ok());
-  EXPECT_FALSE(power.value().margin.has_value());
+  opt.dangling = pagerank::DanglingPolicy::kRedistributeToJump;
+  auto redistribute = SelectTrustRankSeeds(g, 1, nullptr, opt);
+  ASSERT_TRUE(redistribute.ok());
+  EXPECT_TRUE(redistribute.value().margin.has_value());
 }
 
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -219,7 +220,6 @@ TEST_F(GraphMmapTest, SolverScoresBitIdenticalToHeapLoad) {
   ASSERT_TRUE(heap.ok());
 
   pagerank::SolverOptions opt;
-  opt.method = pagerank::Method::kJacobi;
   opt.tolerance = 1e-12;
   auto from_mapped = pagerank::ComputeUniformPageRank(mapped.value(), opt);
   auto from_heap = pagerank::ComputeUniformPageRank(heap.value(), opt);
@@ -574,6 +574,10 @@ struct RejectionCase {
   util::StatusCode code;
   const char* message;
 };
+
+// Without it gtest prints a case as raw bytes, pointers included, and the
+// ctest names would change from run to run.
+void PrintTo(const RejectionCase& c, std::ostream* os) { *os << c.name; }
 
 /// Header field offsets (docs/graph_format.md).
 constexpr uint64_t kVersionAt = 4, kFlagsAt = 8, kMinorAt = 12;

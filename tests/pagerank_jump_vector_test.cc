@@ -10,9 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph_builder.h"
-#include "pagerank/solver.h"
-
 namespace spammass {
 namespace {
 
@@ -174,39 +171,6 @@ TEST(JumpVectorTest, SupportStorageMatchesDenseConstruction) {
                      DenseScaled(DensePlus(raw, uniform), 0.3));
   ExpectMatchesDense("scaled by zero", JumpVector::Core(n, core).Scaled(0.0),
                      DenseScaled(DenseCore(n, core, 1.0 / n), 0.0));
-}
-
-TEST(JumpVectorTest, PowerIterationSeesTheDenseNormalization) {
-  // Power iteration divides every entry by the left-to-right sum of all n
-  // entries, so a uniform jump and its dense twin solve identically.
-  graph::GraphBuilder b(300);
-  for (NodeId x = 0; x < 290; ++x) {
-    b.AddEdge(x, (7 * x + 11) % 300);
-    b.AddEdge(x, (13 * x + 5) % 300);
-  }
-  const graph::WebGraph g = b.Build();
-  pagerank::SolverOptions opt;
-  opt.method = pagerank::Method::kPowerIteration;
-  opt.tolerance = 1e-13;
-  opt.max_iterations = 500;
-  opt.track_residuals = true;
-  const JumpVector uniform = JumpVector::Uniform(g.num_nodes());
-  auto compact = pagerank::ComputePageRank(g, uniform, opt);
-  auto dense = pagerank::ComputePageRank(
-      g, JumpVector::FromDense(uniform.ToDense()), opt);
-  ASSERT_TRUE(compact.ok() && dense.ok());
-  ASSERT_EQ(compact.value().scores.size(), dense.value().scores.size());
-  for (size_t x = 0; x < dense.value().scores.size(); ++x) {
-    ASSERT_EQ(Bits(compact.value().scores[x]), Bits(dense.value().scores[x]))
-        << "node " << x;
-  }
-  ASSERT_EQ(compact.value().residual_history.size(),
-            dense.value().residual_history.size());
-  for (size_t i = 0; i < dense.value().residual_history.size(); ++i) {
-    EXPECT_EQ(Bits(compact.value().residual_history[i]),
-              Bits(dense.value().residual_history[i]))
-        << "sweep " << i;
-  }
 }
 
 }  // namespace

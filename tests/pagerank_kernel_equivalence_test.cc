@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -21,7 +20,6 @@
 #include "pagerank/kernel.h"
 #include "pagerank/solver.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace spammass {
 namespace {
@@ -191,37 +189,6 @@ TEST(KernelChunkingTest, DecompositionCoversRangeExactly) {
     EXPECT_EQ(covered, total);
     EXPECT_EQ(seen, chunks);
   }
-}
-
-TEST(KernelChunkingTest, DeterministicSumBitIdenticalAcrossPools) {
-  constexpr uint64_t kTotal = 100'000;
-  util::Rng rng(13);
-  std::vector<double> values(kTotal);
-  for (double& x : values) x = rng.Uniform01() - 0.5;
-
-  auto range_sum = [&values](uint64_t begin, uint64_t end) {
-    double s = 0;
-    for (uint64_t i = begin; i < end; ++i) s += values[i];
-    return s;
-  };
-
-  std::vector<double> partials;
-  const double serial =
-      kernel::DeterministicSum(nullptr, kTotal, range_sum, &partials);
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    std::vector<double> pool_partials;
-    const double parallel =
-        kernel::DeterministicSum(&pool, kTotal, range_sum, &pool_partials);
-    uint64_t a, b;
-    std::memcpy(&a, &serial, sizeof(a));
-    std::memcpy(&b, &parallel, sizeof(b));
-    EXPECT_EQ(a, b) << "threads=" << threads;
-  }
-  // And the value itself is the plain left-to-right chunked sum.
-  double direct = 0;
-  for (size_t i = 0; i < partials.size(); ++i) direct += partials[i];
-  EXPECT_EQ(serial, direct);
 }
 
 }  // namespace

@@ -250,27 +250,6 @@ TEST(MultiVectorTest, BatchLargerThanSweepCapSplitsTransparently) {
   }
 }
 
-TEST(MultiVectorTest, NonJacobiMethodsSolveSequentially) {
-  WebGraph g = MakeSyntheticGraph(300, 1500, /*seed=*/37);
-  std::vector<JumpVector> jumps;
-  jumps.push_back(JumpVector::Uniform(g.num_nodes()));
-  jumps.push_back(JumpVector::Core(g.num_nodes(), {7, 8, 9}));
-
-  SolverOptions opt;
-  opt.method = pagerank::Method::kPowerIteration;
-  opt.tolerance = 1e-11;
-  opt.max_iterations = 2000;
-  opt.dangling = pagerank::DanglingPolicy::kRedistributeToJump;
-  auto multi = pagerank::ComputePageRankMulti(g, jumps, opt);
-  ASSERT_TRUE(multi.ok());
-  ASSERT_EQ(multi.value().size(), jumps.size());
-  for (size_t j = 0; j < jumps.size(); ++j) {
-    auto standalone = pagerank::ComputePageRank(g, jumps[j], opt);
-    ASSERT_TRUE(standalone.ok());
-    ExpectBitIdentical(multi.value()[j].scores, standalone.value().scores);
-  }
-}
-
 TEST(MultiVectorTest, RejectsEmptyBatch) {
   WebGraph g = MakeSyntheticGraph(50, 200, /*seed=*/43);
   auto r = pagerank::ComputePageRankMulti(g, {}, SolverOptions{});

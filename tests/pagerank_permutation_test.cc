@@ -35,7 +35,6 @@ WebGraph MakeGraph(uint32_t n, uint32_t edges, uint64_t seed) {
 TEST(ReorderTest, PageRankIsPermutationEquivariant) {
   WebGraph g = MakeGraph(500, 3000, /*seed=*/19);
   pagerank::SolverOptions opt;
-  opt.method = pagerank::Method::kJacobi;
   opt.tolerance = 1e-12;
 
   auto base = pagerank::ComputeUniformPageRank(g, opt);

@@ -19,15 +19,13 @@ using pagerank::ComputeUniformPageRank;
 using pagerank::DanglingPolicy;
 using pagerank::JumpVector;
 using pagerank::L1Norm;
-using pagerank::Method;
 using pagerank::ScaledScores;
 using pagerank::SolverOptions;
 
-SolverOptions Precise(Method method = Method::kJacobi) {
+SolverOptions Precise() {
   SolverOptions opt;
   opt.tolerance = 1e-14;
   opt.max_iterations = 5000;
-  opt.method = method;
   return opt;
 }
 
@@ -143,29 +141,6 @@ TEST(SolverTest, RedistributePolicyHasUnitNorm) {
   auto r = ComputeUniformPageRank(g, opt);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(L1Norm(r.value().scores), 1.0, 1e-10);
-}
-
-TEST(SolverTest, PowerIterationMatchesNormalizedLinearSolution) {
-  // The stationary distribution of T'' equals the (unit-norm) solution of
-  // the linear system with the redistribute policy.
-  GraphBuilder b(5);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(2, 3);
-  b.AddEdge(3, 0);
-  b.AddEdge(4, 1);  // 4 never receives links; 3->0 closes a cycle
-  WebGraph g = b.Build();
-  SolverOptions lin = Precise(Method::kJacobi);
-  lin.dangling = DanglingPolicy::kRedistributeToJump;
-  auto linear = ComputeUniformPageRank(g, lin);
-  auto power = ComputeUniformPageRank(g, Precise(Method::kPowerIteration));
-  ASSERT_TRUE(linear.ok());
-  ASSERT_TRUE(power.ok());
-  double norm = L1Norm(linear.value().scores);
-  for (NodeId x = 0; x < g.num_nodes(); ++x) {
-    EXPECT_NEAR(linear.value().scores[x] / norm, power.value().scores[x],
-                1e-9);
-  }
 }
 
 TEST(SolverTest, ScaledScoresInverseOfScaling) {

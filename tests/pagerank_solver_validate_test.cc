@@ -97,10 +97,11 @@ class ValidateSolverResultTest : public ::testing::Test {
 };
 
 TEST_F(ValidateSolverResultTest, GenuineSolutionsPassForEveryMethod) {
-  for (auto method :
-       {pagerank::Method::kJacobi, pagerank::Method::kPowerIteration}) {
+  // Jacobi is the one method; its solves pass under both dangling policies.
+  for (auto dangling : {pagerank::DanglingPolicy::kLeak,
+                        pagerank::DanglingPolicy::kRedistributeToJump}) {
     SolverOptions options;
-    options.method = method;
+    options.dangling = dangling;
     PageRankResult result = Solve(options);
     JumpVector v = JumpVector::Uniform(graph_.num_nodes());
     EXPECT_TRUE(ValidateSolverResult(graph_, v, options, result).ok());

@@ -1,12 +1,12 @@
-// Sweep-body equivalence. The Jacobi and power-iteration kernels run the
-// AVX2 body on hosts with AVX2 and the scalar body elsewhere; the two must
-// give the same bits, so a result never depends on the host:
-//   * at the kernel: for every lane width 1..16, with and without the
-//     scaled output, in place and out of place, over several chunks of a
-//     graph with hubs and dangling nodes, the AVX2 body equals the scalar
-//     body bit for bit (both reached through simd::PickSweep),
-//   * at the solver: a whole multi-lane Jacobi solve and a power iteration
-//     pinned to the scalar body equal the default solve bit for bit,
+// Sweep-body equivalence. The Jacobi kernel runs the AVX2 body on hosts
+// with AVX2 and the scalar body elsewhere; the two must give the same bits,
+// so a result never depends on the host:
+//   * at the kernel: for every lane width 1..16, in place and out of place,
+//     over several chunks of a graph with hubs and dangling nodes, the AVX2
+//     body equals the scalar body bit for bit (both reached through
+//     simd::PickSweep),
+//   * at the solver: a whole multi-lane Jacobi solve pinned to the scalar
+//     body equals the default solve bit for bit,
 //   * every body stays bit-identical to itself across thread counts.
 // The AVX2 comparisons skip on hosts without AVX2.
 
@@ -34,7 +34,6 @@ using graph::GraphBuilder;
 using graph::NodeId;
 using graph::WebGraph;
 using pagerank::JumpVector;
-using pagerank::Method;
 using pagerank::PageRankResult;
 using pagerank::SolverOptions;
 namespace kernel = pagerank::kernel;
@@ -161,38 +160,34 @@ TEST(SweepBodyTest, Avx2MatchesScalarBitwiseAtEveryWidth) {
     std::vector<double> m(k);
     for (double& x : m) x = 0.15 + 0.3 * rng.Uniform01();
 
-    for (const bool with_scaled : {false, true}) {
-      for (const bool in_place : {false, true}) {
-        SCOPED_TRACE("k = " + std::to_string(k) +
-                     (with_scaled ? ", next_scaled" : "") +
-                     (in_place ? ", in place" : ""));
-        struct Output {
-          std::vector<double> next, next_scaled, diffs;
-        } out[2];
-        const simd::Level levels[2] = {simd::Level::kScalar,
-                                       simd::Level::kAvx2};
-        for (int b = 0; b < 2; ++b) {
-          out[b].next = in_place ? p : std::vector<double>(p.size(), -1.0);
-          out[b].next_scaled.assign(p.size(), -1.0);
-          simd::SweepArgs args;
-          args.in_offsets = g.InOffsets().data();
-          args.sources = g.Sources().data();
-          args.inv = g.InvOutDegrees().data();
-          args.v = jumps.View();
-          args.c = 0.85;
-          args.m = m.data();
-          args.p = in_place ? out[b].next.data() : p.data();
-          args.scaled = scaled.data();
-          args.next = out[b].next.data();
-          args.next_scaled =
-              with_scaled ? out[b].next_scaled.data() : nullptr;
-          RunChunked(simd::PickSweep(levels[b], k), args, n, k,
-                     &out[b].diffs);
-        }
-        EXPECT_TRUE(BitIdentical(out[0].next, out[1].next));
-        EXPECT_TRUE(BitIdentical(out[0].next_scaled, out[1].next_scaled));
-        EXPECT_TRUE(BitIdentical(out[0].diffs, out[1].diffs));
+    for (const bool in_place : {false, true}) {
+      SCOPED_TRACE("k = " + std::to_string(k) +
+                   (in_place ? ", in place" : ""));
+      struct Output {
+        std::vector<double> next, next_scaled, diffs;
+      } out[2];
+      const simd::Level levels[2] = {simd::Level::kScalar,
+                                     simd::Level::kAvx2};
+      for (int b = 0; b < 2; ++b) {
+        out[b].next = in_place ? p : std::vector<double>(p.size(), -1.0);
+        out[b].next_scaled.assign(p.size(), -1.0);
+        simd::SweepArgs args;
+        args.in_offsets = g.InOffsets().data();
+        args.sources = g.Sources().data();
+        args.inv = g.InvOutDegrees().data();
+        args.v = jumps.View();
+        args.c = 0.85;
+        args.m = m.data();
+        args.p = in_place ? out[b].next.data() : p.data();
+        args.scaled = scaled.data();
+        args.next = out[b].next.data();
+        args.next_scaled = out[b].next_scaled.data();
+        RunChunked(simd::PickSweep(levels[b], k), args, n, k,
+                   &out[b].diffs);
       }
+      EXPECT_TRUE(BitIdentical(out[0].next, out[1].next));
+      EXPECT_TRUE(BitIdentical(out[0].next_scaled, out[1].next_scaled));
+      EXPECT_TRUE(BitIdentical(out[0].diffs, out[1].diffs));
     }
   }
 }
@@ -206,7 +201,6 @@ class SweepVariantTest : public ::testing::Test {
 
   SolverOptions BaseOptions() {
     SolverOptions opt;
-    opt.method = Method::kJacobi;
     opt.tolerance = 1e-12;
     opt.max_iterations = 300;
     opt.track_residuals = true;
@@ -279,22 +273,6 @@ TEST_F(SweepVariantTest, DefaultOptionsUnchangedByVariantMachinery) {
   auto b = Solve(graph_, opt);
   for (size_t j = 0; j < a.size(); ++j) {
     ExpectSameResult(a[j], b[j], "lane " + std::to_string(j));
-  }
-}
-
-TEST_F(SweepVariantTest, PowerIterationSupportsVariants) {
-  SolverOptions opt = BaseOptions();
-  opt.method = Method::kPowerIteration;
-  std::vector<PageRankResult> results;
-  for (const simd::Level level : Levels()) {
-    const simd::ScopedLevelOverride pin(level);
-    auto r = pagerank::ComputeUniformPageRank(graph_, opt);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r.value().converged);
-    results.push_back(std::move(r).value());
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    ExpectSameResult(results[0], results[i], "power iteration");
   }
 }
 

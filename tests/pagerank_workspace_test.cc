@@ -127,26 +127,25 @@ TEST(SolverWorkspaceTest, MultiSolveAndMethodsShareOneWorkspace) {
   opt.max_iterations = 2000;
 
   SolverWorkspace ws;
-  // Jacobi multi, then power iteration, both through the same workspace;
-  // each must match its fresh-state twin.
+  // A multi-solve, then a single solve under the other dangling policy,
+  // both through the same workspace; each must match its fresh-state twin.
   auto multi = pagerank::ComputePageRankMulti(g, jumps, opt, &ws);
   ASSERT_TRUE(multi.ok());
 
-  opt.method = pagerank::Method::kPowerIteration;
-  auto pi = pagerank::ComputePageRank(g, jumps[0], opt, &ws);
-  ASSERT_TRUE(pi.ok());
+  SolverOptions redistribute = opt;
+  redistribute.dangling = pagerank::DanglingPolicy::kRedistributeToJump;
+  auto single = pagerank::ComputePageRank(g, jumps[0], redistribute, &ws);
+  ASSERT_TRUE(single.ok());
 
-  opt.method = pagerank::Method::kJacobi;
   auto fresh_multi = pagerank::ComputePageRankMulti(g, jumps, opt);
   ASSERT_TRUE(fresh_multi.ok());
   for (size_t j = 0; j < jumps.size(); ++j) {
     ExpectBitIdentical(multi.value()[j].scores,
                        fresh_multi.value()[j].scores);
   }
-  opt.method = pagerank::Method::kPowerIteration;
-  auto fresh_pi = pagerank::ComputePageRank(g, jumps[0], opt);
-  ASSERT_TRUE(fresh_pi.ok());
-  ExpectBitIdentical(pi.value().scores, fresh_pi.value().scores);
+  auto fresh_single = pagerank::ComputePageRank(g, jumps[0], redistribute);
+  ASSERT_TRUE(fresh_single.ok());
+  ExpectBitIdentical(single.value().scores, fresh_single.value().scores);
 }
 
 TEST(SolverWorkspaceTest, LongReuseChainStaysExact) {
@@ -174,7 +173,6 @@ void ExpectLaneBuffersAligned(SolverWorkspace& ws, const std::string& when) {
     const void* data;
   } buffers[] = {
       {"iterate", ws.iterate().data()},
-      {"next", ws.next().data()},
       {"scaled", ws.scaled().data()},
       {"scaled_next", ws.scaled_next().data()},
   };
@@ -198,10 +196,6 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
       JumpVector::Uniform(small.num_nodes()),
       JumpVector::Core(small.num_nodes(), {1, 3, 5})};
   ASSERT_TRUE(pagerank::ComputePageRankMulti(small, pair, jacobi, &ws).ok());
-  // Only power iteration sizes `next`.
-  SolverOptions power = jacobi;
-  power.method = pagerank::Method::kPowerIteration;
-  ASSERT_TRUE(pagerank::ComputePageRank(small, pair[0], power, &ws).ok());
   ExpectLaneBuffersAligned(ws, "first resize");
 
   WebGraph big = MakeSyntheticGraph(500, 2500, /*seed=*/1);
@@ -214,7 +208,6 @@ TEST(SolverWorkspaceTest, LaneBuffersStayCacheLineAligned) {
   ASSERT_GT(ws.iterate().size(), small_size);
   ExpectLaneBuffersAligned(ws, "growth");
 
-  ws.iterate().swap(ws.next());
   ws.scaled().swap(ws.scaled_next());
   ExpectLaneBuffersAligned(ws, "swap");
 
@@ -247,7 +240,6 @@ TEST(SolverWorkspaceTest, JacobiLaneStateIsThreeArrays) {
   EXPECT_EQ(ws.iterate().size(), n * k);
   EXPECT_EQ(ws.scaled().size(), n * k);
   EXPECT_EQ(ws.scaled_next().size(), n * k);
-  EXPECT_TRUE(ws.next().empty());
 }
 
 TEST(SolverWorkspaceTest, PreSpawnedPoolConstructor) {

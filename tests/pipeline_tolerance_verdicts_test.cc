@@ -2,10 +2,7 @@
 // tight enough for the verdicts: on the scale-0.5 scenario, the preset
 // and a 1e-12 solve must flag exactly the same hosts — for the spam_mass
 // and trustrank detectors, and for Algorithm 2 under four of Figure 5's
-// good cores. The preset cases run the preset as it stands; the Jacobi
-// cases pin the explicit `method = kJacobi` override that `run --method
-// jacobi` and perfbench use, so they hold even if the preset's method
-// changes.
+// good cores.
 // EXPERIMENTS.md E17 has the matrix the preset was chosen from and this
 // test's resolving power.
 
@@ -27,7 +24,6 @@ namespace {
 
 constexpr double kReferenceTolerance = 1e-12;
 
-
 std::vector<graph::NodeId> FlaggedHosts(const pipeline::DetectorOutput& out) {
   std::vector<graph::NodeId> hosts;
   for (graph::NodeId x = 0; x < out.flagged.size(); ++x) {
@@ -38,26 +34,19 @@ std::vector<graph::NodeId> FlaggedHosts(const pipeline::DetectorOutput& out) {
 
 struct Case {
   uint64_t seed;
-  bool jacobi;
 };
 
-// Without it gtest prints a Case as raw bytes, padding included, and the
-// ctest names would change from build to build.
-void PrintTo(const Case& c, std::ostream* os) {
-  *os << "seed " << c.seed << (c.jacobi ? " jacobi" : " preset");
-}
+// Without it gtest prints a Case as raw bytes, and the ctest names would
+// change from build to build.
+void PrintTo(const Case& c, std::ostream* os) { *os << "seed " << c.seed; }
 
 class PresetVerdictTest : public ::testing::TestWithParam<Case> {
  protected:
   pipeline::GraphSource Source() const {
     return pipeline::GraphSource::Scenario(0.5, GetParam().seed);
   }
-  /// The preset, with only the method overridden for the Jacobi cases.
-  pipeline::PipelineConfig PresetConfig() const {
-    pipeline::PipelineConfig config;
-    if (GetParam().jacobi) config.solver.method = pagerank::Method::kJacobi;
-    return config;
-  }
+  /// The preset, as PipelineConfig carries it.
+  pipeline::PipelineConfig PresetConfig() const { return {}; }
   /// The same configuration at the reference tolerance.
   pipeline::PipelineConfig ReferenceConfig() const {
     pipeline::PipelineConfig config = PresetConfig();
@@ -130,11 +119,9 @@ TEST_P(PresetVerdictTest, Figure5CoresFlagTheSameHostsAsAReferenceSolve) {
 
 INSTANTIATE_TEST_SUITE_P(
     Scale05, PresetVerdictTest,
-    ::testing::Values(Case{1, false}, Case{2, false}, Case{1, true},
-                      Case{2, true}),
+    ::testing::Values(Case{1}, Case{2}),
     [](const ::testing::TestParamInfo<Case>& info) {
-      return "Seed" + std::to_string(info.param.seed) +
-             (info.param.jacobi ? "Jacobi" : "Preset");
+      return "Seed" + std::to_string(info.param.seed) + "Preset";
     });
 
 }  // namespace

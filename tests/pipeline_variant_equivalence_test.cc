@@ -3,8 +3,7 @@
 // must be bitwise the same whether the sweeps run the AVX2 body or the
 // scalar one, because the instruction set is not a model change.
 // Also the permutation-invariance property test: spam mass and relative
-// mass are invariant under a random node permutation for Jacobi at 1 and
-// 4 threads.
+// mass are invariant under a random node permutation at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +30,6 @@ namespace simd = pagerank::simd;
 
 pipeline::PipelineConfig BaseConfig() {
   pipeline::PipelineConfig config;
-  config.solver.method = pagerank::Method::kJacobi;
   config.solver.tolerance = 1e-12;
   config.solver.max_iterations = 500;
   return config;
@@ -119,25 +117,20 @@ TEST(PipelineVariantEquivalenceTest, SweepVariantsPreserveDetection) {
 }
 
 TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
-  // "sweep_isa" names the body that ran: the host's best for either
-  // method, scalar when pinned there.
+  // "sweep_isa" names the body that ran: the host's best, scalar when
+  // pinned there.
   struct Case {
-    pagerank::Method method;
     bool pin_scalar;
     const char* want;
   };
   const Case cases[] = {
-      {pagerank::Method::kJacobi, false, simd::LevelToString(simd::Best())},
-      {pagerank::Method::kJacobi, true, "scalar"},
-      {pagerank::Method::kPowerIteration, false,
-       simd::LevelToString(simd::Best())},
+      {false, simd::LevelToString(simd::Best())},
+      {true, "scalar"},
   };
   for (const Case& c : cases) {
-    pipeline::PipelineConfig config = BaseConfig();
-    config.solver.method = c.method;
     std::optional<simd::ScopedLevelOverride> pin;
     if (c.pin_scalar) pin.emplace(simd::Level::kScalar);
-    auto run = RunScenario(config);
+    auto run = RunScenario(BaseConfig());
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     const std::string& json = run.value().manifest_json;
     const std::string needle = std::string("\"sweep_isa\":\"") + c.want + "\"";
@@ -151,13 +144,9 @@ TEST(PipelineVariantEquivalenceTest, ManifestEchoesVariantConfig) {
 
 // ---- Permutation-invariance property test (core level) ------------------
 
-struct PermCase {
-  pagerank::Method method;
-  uint32_t threads;
-};
-
+// The parameter is the solver thread count.
 class MassPermutationInvarianceTest
-    : public ::testing::TestWithParam<PermCase> {};
+    : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
   pipeline::GraphSource source = pipeline::GraphSource::Scenario(0.03, 23);
@@ -167,8 +156,7 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
   const uint32_t n = g.num_nodes();
 
   core::SpamMassOptions options;
-  options.solver.method = GetParam().method;
-  options.solver.num_threads = GetParam().threads;
+  options.solver.num_threads = GetParam();
   options.solver.tolerance = 1e-12;
   options.solver.max_iterations = 500;
   options.gamma = 0.8;
@@ -195,10 +183,9 @@ TEST_P(MassPermutationInvarianceTest, MassAndVerdictsInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     MethodsAndThreads, MassPermutationInvarianceTest,
-    ::testing::Values(PermCase{pagerank::Method::kJacobi, 1},
-                      PermCase{pagerank::Method::kJacobi, 4}),
-    [](const ::testing::TestParamInfo<PermCase>& info) {
-      return "Jacobi" + std::to_string(info.param.threads) + "Threads";
+    ::testing::Values(1u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return "Jacobi" + std::to_string(info.param) + "Threads";
     });
 
 }  // namespace

@@ -191,8 +191,6 @@ class ObsSession {
 
 void DefineSolverFlags(util::FlagParser* flags) {
   const pagerank::SolverOptions preset = pagerank::SolverOptions::BenchPreset();
-  flags->Define("method", pagerank::MethodToString(preset.method),
-                "solver: jacobi | power-iteration");
   flags->Define("damping", util::StringPrintf("%g", preset.damping),
                 "PageRank damping factor c");
   flags->Define("tolerance", util::StringPrintf("%g", preset.tolerance),
@@ -209,12 +207,8 @@ void DefineSolverFlags(util::FlagParser* flags) {
                     "tools/plot_convergence.py)");
 }
 
-util::Result<pagerank::SolverOptions> SolverFromFlags(
-    const util::FlagParser& flags) {
+pagerank::SolverOptions SolverFromFlags(const util::FlagParser& flags) {
   pagerank::SolverOptions solver = pagerank::SolverOptions::BenchPreset();
-  auto method = pagerank::MethodFromString(flags.GetString("method"));
-  if (!method.ok()) return method.status();
-  solver.method = method.value();
   solver.damping = flags.GetDouble("damping");
   solver.tolerance = flags.GetDouble("tolerance");
   solver.max_iterations = static_cast<int>(flags.GetInt("max-iterations"));
@@ -249,10 +243,10 @@ int CmdGenerate(int argc, const char* const* argv) {
   util::FlagParser flags;
   flags.Define("scale", "0.1", "scenario scale (1.0 ~ 170k hosts)");
   flags.Define("seed", "42", "generator seed");
-  flags.Define("out-edges", "web.edges", "edge-list output path");
+  flags.Define("out-edges", "", "text edge-list output path");
   flags.Define("out-paged", "",
-               "optional paged SMWG (v2.2) output path, mmap-loadable "
-               "with --mmap");
+               "paged SMWG (v2.2) output path, mmap-loadable with --mmap; "
+               "give this or --out-edges, or both");
   flags.Define("out-hosts", "", "optional host-name map output path");
   flags.Define("out-labels", "", "optional ground-truth label output path");
   flags.Define("out-core", "", "optional assembled good-core output path");
@@ -261,6 +255,11 @@ int CmdGenerate(int argc, const char* const* argv) {
   if (!ParseOrHelp(&flags, "generate", argc, argv, &code)) return code;
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
+  if (flags.GetString("out-edges").empty() &&
+      flags.GetString("out-paged").empty()) {
+    return Fail(util::Status::InvalidArgument(
+        "generate needs --out-edges or --out-paged"));
+  }
 
   obs::ScopedStageTimer timer("generate", nullptr);
   auto web = synth::GenerateWeb(synth::Yahoo2004Scenario(
@@ -268,9 +267,11 @@ int CmdGenerate(int argc, const char* const* argv) {
       static_cast<uint64_t>(flags.GetInt("seed"))));
   if (!web.ok()) return Fail(web.status());
   const synth::SyntheticWeb& w = web.value();
-  util::Status status =
-      graph::WriteEdgeListText(w.graph, flags.GetString("out-edges"));
-  if (!status.ok()) return Fail(status);
+  util::Status status;
+  if (!flags.GetString("out-edges").empty()) {
+    status = graph::WriteEdgeListText(w.graph, flags.GetString("out-edges"));
+    if (!status.ok()) return Fail(status);
+  }
   if (!flags.GetString("out-paged").empty()) {
     status = graph::WriteBinaryV22(w.graph, flags.GetString("out-paged"));
     if (!status.ok()) return Fail(status);
@@ -288,10 +289,16 @@ int CmdGenerate(int argc, const char* const* argv) {
                                  flags.GetString("out-core"));
     if (!status.ok()) return Fail(status);
   }
+  std::string written;
+  for (const char* flag :
+       {"out-edges", "out-paged", "out-hosts", "out-labels", "out-core"}) {
+    const std::string path = flags.GetString(flag);
+    if (!path.empty()) written += (written.empty() ? "" : ", ") + path;
+  }
   std::printf("generated %s hosts, %s links in %.1fs -> %s\n",
               util::FormatWithCommas(w.graph.num_nodes()).c_str(),
               util::FormatWithCommas(w.graph.num_edges()).c_str(),
-              timer.Seconds(), flags.GetString("out-edges").c_str());
+              timer.Seconds(), written.c_str());
   util::Status obs_status = obs.Finish();
   if (!obs_status.ok()) return Fail(obs_status);
   return 0;
@@ -400,10 +407,8 @@ int CmdPageRank(int argc, const char* const* argv) {
   pipeline::GraphSource source = SourceFromFlags(flags);
   auto loaded = source.Load();
   if (!loaded.ok()) return Fail(loaded.status());
-  auto solver = SolverFromFlags(flags);
-  if (!solver.ok()) return Fail(solver.status());
   pipeline::PipelineConfig config;
-  config.solver = solver.value();
+  config.solver = SolverFromFlags(flags);
 
   obs::ScopedStageTimer timer("pagerank_solve", nullptr);
   pipeline::PipelineContext context(loaded.value(), config);
@@ -601,10 +606,8 @@ int CmdRun(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  auto solver = SolverFromFlags(flags);
-  if (!solver.ok()) return Fail(solver.status());
   pipeline::PipelineConfig config;
-  config.solver = solver.value();
+  config.solver = SolverFromFlags(flags);
   config.gamma = flags.GetDouble("gamma");
   config.scale_core_jump = !flags.GetBool("no-jump-scaling");
   config.detection.relative_mass_threshold = flags.GetDouble("tau");
