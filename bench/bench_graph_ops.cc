@@ -1,7 +1,7 @@
 // Micro-benchmarks of the graph substrate: CSR construction (serial and
-// ThreadPool-parallel), transpose, v2.2 binary load (the full-validation
-// heap load vs the zero-copy mmap load), BFS, statistics, and
-// synthetic-web generation throughput.
+// ThreadPool-parallel), transpose, v2.2 binary load (the zero-copy mapped
+// load with its full validation), BFS, statistics, and synthetic-web
+// generation throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -150,10 +150,9 @@ BENCHMARK(BM_TransposeParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// -- Paged container: heap load vs the zero-copy mmap load ------------------
+// -- Paged container: the mapped load, fully validated ----------------------
 // A power-law web (hub-heavy sources, uniform targets) whose CSR is tens of
-// megabytes, so the full-validation heap read is measurable against the
-// mmap load (`mmap_load_speedup`).
+// megabytes, so the load's checksum and validation passes are measurable.
 
 const graph::WebGraph& LoadGraph() {
   static const graph::WebGraph* g = [] {
@@ -183,16 +182,6 @@ const std::string& LoadV22Path() {
   }();
   return *path;
 }
-
-void BM_PagedLoadHeap(benchmark::State& state) {
-  const std::string& path = LoadV22Path();
-  for (auto _ : state) {
-    auto g = graph::ReadBinary(path);
-    CHECK_OK(g.status());
-    benchmark::DoNotOptimize(g.value());
-  }
-}
-BENCHMARK(BM_PagedLoadHeap)->Unit(benchmark::kMillisecond);
 
 void BM_PagedLoadMmap(benchmark::State& state) {
   const std::string& path = LoadV22Path();

@@ -13,7 +13,6 @@
 #include "graph/graph_validate.h"
 #include "obs/trace.h"
 #include "util/checksum.h"
-#include "util/debug.h"
 #include "util/mmap_file.h"
 #include "util/string_util.h"
 
@@ -138,9 +137,9 @@ constexpr uint32_t kMinorPaged = 2;
 // v2.2 geometry: the header page and every section start on a 4 KiB
 // boundary (the ubiquitous page size; mappings of the file are at least
 // page-aligned, so each section pointer is safely castable to its element
-// type). Section checksums cover the full body (verified in debug and by
-// ReadBinary) and a bounded head+tail sample (always verified, catches
-// truncation and localized corruption at O(1) cost).
+// type). Section checksums cover the full body and a bounded head+tail
+// sample; the load verifies both (the sample first, so truncation and
+// damage at a section's ends are named before the full pass runs).
 constexpr uint64_t kPageSize = 4096;
 constexpr uint64_t kSampleBytes = 64 * 1024;
 constexpr uint64_t kHeaderChecksumOffset = kPageSize - 8;
@@ -240,21 +239,18 @@ std::span<const T> SectionSpan(const uint8_t* base, const SectionEntry& e) {
           static_cast<size_t>(e.length / sizeof(T))};
 }
 
-/// Maps `path` and validates it as a v2.2 file. Always verified: header
+/// Maps `path` and validates it as a v2.2 file, in every build: header
 /// page checksum, the complete section-table geometry (every section
 /// 4 KiB-aligned, in canonical order, with the exact length its kind
 /// demands, inside the file — after this no array access can fault),
-/// every section's bounded sample checksum, the dangling list's structure
+/// every section's sample and full checksum, the dangling list's structure
 /// (it indexes solver arrays), both CSR directions in full (ValidateCsr:
-/// the sweeps and the transpose index through them), and the host-name
-/// sections in full (they are copied anyway). With `full_validate` —
-/// debug builds and ReadBinary — every full-section checksum and the
-/// derived-array validator run too. Release mmap loads otherwise trust the
-/// inverse out-degrees past their sample checksums, and the two directions
-/// are not cross-checked against each other (docs/graph_format.md, "v2.2
-/// trust model"). Files of the removed v1, v2.0 and v2.1 containers are
-/// rejected by name.
-Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
+/// the sweeps and the transpose index through them), the derived arrays
+/// against the out-offsets (ValidateDerivedArrays) and the host-name
+/// offsets. Only the two directions are not cross-checked against each
+/// other (docs/graph_format.md, "v2.2 trust model"). Files of the removed
+/// v1, v2.0 and v2.1 containers are rejected by name.
+Result<MappedV22> MapV22(const std::string& path) {
   auto open = util::MmapFile::Open(path);
   if (!open.ok()) return open.status();
   MappedV22 m;
@@ -395,8 +391,7 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
                                      std::to_string(e.kind) +
                                      " checksum mismatch");
     }
-    if (full_validate &&
-        FullSectionDigest(base + e.offset, e.length) != e.checksum_full) {
+    if (FullSectionDigest(base + e.offset, e.length) != e.checksum_full) {
       return Status::InvalidArgument(path + ": section " +
                                      std::to_string(e.kind) +
                                      " checksum mismatch");
@@ -434,27 +429,15 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
   }
   if (!csr.ok()) return Status::InvalidArgument(path + ": " + csr.message());
 
-  if (full_validate) {
-    Status derived = ValidateDerivedArrays(m.num_nodes, m.out_offsets,
-                                           m.inv_out_degree, m.dangling);
-    if (!derived.ok()) {
-      return Status(derived.code(), path + ": " + derived.message());
-    }
+  Status derived = ValidateDerivedArrays(m.num_nodes, m.out_offsets,
+                                         m.inv_out_degree, m.dangling);
+  if (!derived.ok()) {
+    return Status(derived.code(), path + ": " + derived.message());
   }
 
   if (has_names) {
     const SectionEntry& off_entry = entries[6];
     const SectionEntry& blob_entry = entries[7];
-    // Fully verified: the names are materialized here regardless, so the
-    // whole-body checksum costs nothing extra.
-    if (!full_validate) {
-      if (FullSectionDigest(base + off_entry.offset, off_entry.length) !=
-              off_entry.checksum_full ||
-          FullSectionDigest(base + blob_entry.offset, blob_entry.length) !=
-              blob_entry.checksum_full) {
-        return Status::InvalidArgument(path + ": host-name checksum mismatch");
-      }
-    }
     const auto name_offsets = SectionSpan<uint64_t>(base, off_entry);
     const uint8_t* blob = base + blob_entry.offset;
     const uint64_t blob_size = blob_entry.length;
@@ -470,6 +453,9 @@ Result<MappedV22> MapV22(const std::string& path, bool full_validate) {
                                name_offsets[i],
                            name_offsets[i + 1] - name_offsets[i]);
     }
+    // The names now live in strings; the two name sections, which end the
+    // file, leave this process's RSS.
+    m.file->DropResidentPages(off_entry.offset, file_size - off_entry.offset);
   }
   return m;
 }
@@ -575,7 +561,7 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path) {
 
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path) {
   SPAMMASS_TRACE_SPAN("graph.read_mmap", "path", std::string_view(path));
-  auto mapped = MapV22(path, /*full_validate=*/util::kDebugBuild);
+  auto mapped = MapV22(path);
   if (!mapped.ok()) return mapped.status();
   MappedV22& m = mapped.value();
   WebGraph g = WebGraph::FromMappedSections(
@@ -594,22 +580,6 @@ util::Result<WebGraph> ReadBinaryMmap(const std::string& path) {
   // Load-time residency baseline; snapshot points (CLI stats, manifest
   // build) republish so exports see the post-compute state.
   PublishMappedResidency(g);
-  return g;
-}
-
-util::Result<WebGraph> ReadBinary(const std::string& path,
-                                  util::ThreadPool* pool) {
-  SPAMMASS_TRACE_SPAN("graph.read_binary", "path", std::string_view(path));
-  auto mapped = MapV22(path, /*full_validate=*/true);
-  if (!mapped.ok()) return mapped.status();
-  MappedV22& m = mapped.value();
-  WebGraph g = WebGraph::FromCsrPair(
-      m.num_nodes,
-      std::vector<uint64_t>(m.out_offsets.begin(), m.out_offsets.end()),
-      std::vector<NodeId>(m.targets.begin(), m.targets.end()),
-      std::vector<uint64_t>(m.in_offsets.begin(), m.in_offsets.end()),
-      std::vector<NodeId>(m.sources.begin(), m.sources.end()), pool);
-  if (m.has_names) g.set_host_names(std::move(m.names));
   return g;
 }
 

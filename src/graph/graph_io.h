@@ -4,11 +4,11 @@
 //   * Binary — the little-endian paged container, magic "SMWG" version 2.2
 //     (WriteBinaryV22): a checksummed section table in a 4 KiB header page,
 //     then both CSR directions, the derived solver arrays and the optional
-//     host names, each 4 KiB-aligned with its own checksums. ReadBinaryMmap
-//     backs a WebGraph zero-copy by the mapped file; ReadBinary validates
-//     it in full and copies it onto the heap. See docs/graph_format.md for
-//     the byte layout. The older v1, v2.0 and v2.1 containers are no longer
-//     read or written; both readers reject them by name.
+//     host names, each 4 KiB-aligned with its own checksums. ReadBinaryMmap,
+//     the one reader, validates it in full and backs a WebGraph zero-copy
+//     by the mapped file. See docs/graph_format.md for the byte layout. The
+//     older v1, v2.0 and v2.1 containers are no longer read or written; the
+//     reader rejects them by name.
 // Host names travel inside the binary when present; the companion
 // "<id>\t<host>" text map remains available for the text format.
 
@@ -46,27 +46,20 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path,
 util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 
 /// Maps a v2.2 file and returns a WebGraph whose arrays are zero-copy
-/// views into the mapping (WebGraph::is_mapped()). The header page is
-/// validated (magic, section table, header checksum, all section bounds —
-/// so no access can fault past EOF), each section's bounded head/tail
-/// sample checksum is verified, the small dangling section is fully
-/// validated, and both CSR directions are validated in full (ValidateCsr:
-/// offsets monotone, ids < n, rows sorted): the sweeps gather through the
-/// in-CSR, and through the out-CSR once WebGraph::Transposed() copies it.
-/// So a corrupt file is an InvalidArgument, never an out-of-bounds
-/// gather. That is the only O(n+m) step. Debug builds additionally verify
-/// every full-section checksum and validate the derived arrays. Host
-/// names (when present) are copied to the heap. A v1, v2.0 or v2.1 file
-/// fails with an InvalidArgument that names its version.
+/// views into the mapping (WebGraph::is_mapped()). Every build validates
+/// it in full before any array is handed out: the header page (magic,
+/// section table, header checksum, all section bounds — so no access can
+/// fault past EOF), every section's sample and full checksum, the dangling
+/// section, both CSR directions (ValidateCsr: offsets monotone, ids < n,
+/// rows sorted — the sweeps gather through the in-CSR, and through the
+/// out-CSR once WebGraph::Transposed() copies it) and the derived arrays
+/// (ValidateDerivedArrays). So a corrupt file is an error Status, never an
+/// out-of-bounds gather. Host names (when present) are copied to the heap,
+/// and the out-CSR and name pages then leave the process's RSS. A v1, v2.0
+/// or v2.1 file fails with an InvalidArgument that names its version. The
+/// file must not be rewritten while the graph is alive
+/// (docs/graph_format.md, "v2.2 trust model").
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
-
-/// Reads a v2.2 file into heap-owned storage. Every check ReadBinaryMmap
-/// makes runs, plus every full-section checksum and the derived-array
-/// validator; the CSR arrays are then copied out of a temporary mapping
-/// and the derived solver arrays rebuilt — in parallel when `pool` is
-/// non-null. Every file ReadBinaryMmap rejects is rejected here too.
-util::Result<WebGraph> ReadBinary(const std::string& path,
-                                  util::ThreadPool* pool = nullptr);
 
 /// Writes "<id>\t<host_name>" lines for every node.
 util::Status WriteHostNames(const WebGraph& graph, const std::string& path);

@@ -85,29 +85,6 @@ WebGraph WebGraph::FromCsr(NodeId num_nodes,
   return g;
 }
 
-WebGraph WebGraph::FromCsrPair(NodeId num_nodes,
-                               std::vector<uint64_t> out_offsets,
-                               std::vector<NodeId> targets,
-                               std::vector<uint64_t> in_offsets,
-                               std::vector<NodeId> sources,
-                               util::ThreadPool* pool) {
-  CHECK_EQ(out_offsets.size(), static_cast<size_t>(num_nodes) + 1);
-  CHECK_EQ(out_offsets.back(), targets.size());
-  CHECK_EQ(in_offsets.size(), static_cast<size_t>(num_nodes) + 1);
-  CHECK_EQ(in_offsets.back(), sources.size());
-  CHECK_EQ(targets.size(), sources.size());
-  WebGraph g;
-  g.num_nodes_ = num_nodes;
-  g.out_offsets_ = std::move(out_offsets);
-  g.targets_ = std::move(targets);
-  g.in_offsets_ = std::move(in_offsets);
-  g.sources_ = std::move(sources);
-  g.SyncViews();
-  g.BuildDerivedArrays(pool);
-  DCHECK_OK(ValidateGraph(g));
-  return g;
-}
-
 WebGraph WebGraph::FromMappedSections(
     NodeId num_nodes, std::span<const uint64_t> out_offsets,
     std::span<const NodeId> targets, std::span<const uint64_t> in_offsets,

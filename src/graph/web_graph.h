@@ -62,26 +62,11 @@ class WebGraph {
   /// offsets monotonically non-decreasing from 0 to targets.size(), every
   /// row strictly ascending with in-range targets, no self-links. Trusted
   /// input only — debug builds re-validate, release builds do not; callers
-  /// ingesting untrusted bytes (the binary loader) must run ValidateCsr
-  /// first. The derived arrays are bit-identical for every pool size,
-  /// including none.
+  /// ingesting untrusted bytes must run ValidateCsr first. The derived
+  /// arrays are bit-identical for every pool size, including none.
   static WebGraph FromCsr(NodeId num_nodes, std::vector<uint64_t> out_offsets,
                           std::vector<NodeId> targets,
                           util::ThreadPool* pool = nullptr);
-
-  /// Adopts BOTH adjacency directions — the forward CSR and its transpose
-  /// — and only derives the cheap solver-support arrays (inverse
-  /// out-degrees, dangling list). This is ReadBinary's load path: no edge
-  /// scan, no counting sort. Both array pairs must individually satisfy
-  /// ValidateCsr and the in-arrays must be the exact transpose of the
-  /// out-arrays; debug builds CHECK the full cross-consistency
-  /// (ValidateGraph), release builds trust the caller.
-  static WebGraph FromCsrPair(NodeId num_nodes,
-                              std::vector<uint64_t> out_offsets,
-                              std::vector<NodeId> targets,
-                              std::vector<uint64_t> in_offsets,
-                              std::vector<NodeId> sources,
-                              util::ThreadPool* pool = nullptr);
 
   /// Zero-copy construction over sections of a read-only file mapping (the
   /// v2.2 load path, graph_io.h). All six arrays — both CSR directions plus

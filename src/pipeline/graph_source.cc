@@ -113,10 +113,7 @@ GraphSource& GraphSource::WithGoodCore(std::vector<graph::NodeId> core) {
   return *this;
 }
 
-GraphSource& GraphSource::WithMmap(bool mmap) {
-  mmap_ = mmap;
-  return *this;
-}
+GraphSource& GraphSource::WithMmap() { return *this; }
 
 namespace {
 
@@ -146,10 +143,6 @@ Result<LoadedGraph> GraphSource::Load(util::ThreadPool* pool) {
   LoadedGraph loaded;
   loaded.description = description_;
 
-  if (mmap_ && kind_ != Kind::kFile) {
-    return Status::InvalidArgument(
-        "mmap loading requires a file source (v2.2 binary container)");
-  }
   switch (kind_) {
     case Kind::kSynthetic: {
       auto web = synth::GenerateWeb(config_);
@@ -167,16 +160,9 @@ Result<LoadedGraph> GraphSource::Load(util::ThreadPool* pool) {
       auto format = SniffGraphFormat(path_);
       if (!format.ok()) return format.status();
       loaded.format = format.value();
-      if (mmap_ && loaded.format != GraphFormat::kBinary) {
-        return Status::InvalidArgument(
-            "mmap loading requires a v2.2 binary container, got a text "
-            "edge list: " +
-            path_);
-      }
-      auto graph = loaded.format != GraphFormat::kBinary
-                       ? graph::ReadEdgeListText(path_, pool)
-                       : (mmap_ ? graph::ReadBinaryMmap(path_)
-                                : graph::ReadBinary(path_, pool));
+      auto graph = loaded.format == GraphFormat::kBinary
+                       ? graph::ReadBinaryMmap(path_)
+                       : graph::ReadEdgeListText(path_, pool);
       if (!graph.ok()) return graph.status();
       loaded.web.graph = std::move(graph.value());
       break;

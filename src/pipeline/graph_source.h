@@ -4,8 +4,8 @@
 // LoadedGraph: graph plus whatever ground truth travels with it (labels,
 // good core, host names). On-disk files are format-sniffed by magic
 // ("SMWG" → binary container, printable text → edge list), so every entry
-// point — CLI subcommands, benches, examples — gets the zero-rebuild v2.2
-// binary loader without opting in.
+// point — CLI subcommands, benches, examples — maps a v2.2 file zero-copy
+// without opting in.
 
 #ifndef SPAMMASS_PIPELINE_GRAPH_SOURCE_H_
 #define SPAMMASS_PIPELINE_GRAPH_SOURCE_H_
@@ -91,18 +91,18 @@ class GraphSource {
   /// Uses an explicit in-memory good core (in-memory or file sources).
   GraphSource& WithGoodCore(std::vector<graph::NodeId> core);
 
-  /// Loads a binary file source zero-copy via graph::ReadBinaryMmap — the
-  /// O(1)-load out-of-core path. Strict: the file must be the v2.2 paged
-  /// container (write one with `spammass_cli convert --format paged` or
-  /// graph::WriteBinaryV22), and a text or synthetic source with mmap
-  /// requested fails with InvalidArgument instead of silently ignoring the
-  /// flag.
-  GraphSource& WithMmap(bool mmap = true);
+  /// Vestigial: does nothing and returns *this, since every binary file
+  /// source is mapped (graph::ReadBinaryMmap). It stays only because
+  /// perfbench/perfbench.cc still calls it; it goes when the next benchmark
+  /// change drops those calls.
+  GraphSource& WithMmap();
 
-  /// Materializes the graph. `pool` parallelizes file ingest (sort/dedup /
-  /// derived arrays); null loads serially. Synthetic and file sources can
-  /// be loaded repeatedly; an in-memory source is one-shot (WebGraph is
-  /// move-only) — a second Load fails with FailedPrecondition.
+  /// Materializes the graph. A binary file is mapped zero-copy
+  /// (graph::ReadBinaryMmap); a text edge list is built on the heap, its
+  /// sort/dedup parallelized by `pool` (null builds serially). Synthetic
+  /// and file sources can be loaded repeatedly; an in-memory source is
+  /// one-shot (WebGraph is move-only) — a second Load fails with
+  /// FailedPrecondition.
   util::Result<LoadedGraph> Load(util::ThreadPool* pool = nullptr);
 
  private:
@@ -120,7 +120,6 @@ class GraphSource {
   std::string core_path_;
   std::string host_names_path_;
   std::vector<graph::NodeId> good_core_;
-  bool mmap_ = false;
 };
 
 }  // namespace spammass::pipeline

@@ -6,8 +6,9 @@
 //
 // The mapping is MAP_PRIVATE + PROT_READ: the file on disk can never be
 // modified through it, and writes through the returned pointers are a
-// fault by construction. Callers that need mutable arrays copy out
-// (see graph::ReadBinary).
+// fault by construction. Callers that need mutable arrays copy out.
+// MAP_PRIVATE does not isolate the mapping from later writes to the file,
+// so the file must not be rewritten or truncated while it is mapped.
 
 #ifndef SPAMMASS_UTIL_MMAP_FILE_H_
 #define SPAMMASS_UTIL_MMAP_FILE_H_

@@ -53,7 +53,7 @@ class SpammassLintFixtureTest(unittest.TestCase):
 
     def test_exit_code_and_count(self):
         self.assertEqual(self.code, 1, self.stdout + self.stderr)
-        self.assertIn("13 violation(s)", self.stderr)
+        self.assertIn("14 violation(s)", self.stderr)
 
     def test_exact_violation_set(self):
         self.assertEqual(violation_keys(self.stdout), [
@@ -70,6 +70,7 @@ class SpammassLintFixtureTest(unittest.TestCase):
             ("src/util/bad_random.cc", 9, "banned-function"),
             ("src/util/bad_random.cc", 10, "banned-function"),
             ("src/util/bad_random.cc", 11, "banned-function"),
+            ("tools/bad_loader.cc", 9, "pipeline-orchestration"),
         ])
 
     def test_messages_name_the_offenders(self):
@@ -88,6 +89,8 @@ class SpammassLintFixtureTest(unittest.TestCase):
         self.assertIn("std::random_device", lines[10])
         self.assertIn("srand()", lines[11])
         self.assertIn("rand()", lines[12])
+        self.assertIn("graph::ReadBinaryMmap() called directly", lines[13])
+        self.assertIn("pipeline::GraphSource", lines[13])
 
     def test_simd_fallback_post_pass(self):
         # A tree whose vector backend TU exists but whose dispatch shim

@@ -257,12 +257,12 @@ TEST_F(CliTest, MetricsFormatPromRoundTrip) {
   ASSERT_STRNE(SPAMMASS_CLI_PATH, "");
   const std::string d = Dir();
 
-  // --out-paged writes the v2.2 container that --mmap requires.
+  // --out-paged writes the v2.2 container, which every load maps.
   ASSERT_EQ(Run("generate --scale 0.03 --seed 55 --out-paged " + d +
                 "/prom.smwg --out-core " + d + "/prom.core"),
             0);
   // The acceptance path: a mapped threaded run exporting Prometheus text.
-  ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --mmap --threads 2 "
+  ASSERT_EQ(Run("run --graph " + d + "/prom.smwg --threads 2 "
                 "--detectors spam_mass --core " + d + "/prom.core "
                 "--manifest " + d + "/prom_manifest.json "
                 "--metrics-format prom --metrics-out " + d +
@@ -536,6 +536,67 @@ TEST_F(CliTest, UnknownFlagFails) {
   const std::string err = ReadFile("stderr.txt");
   EXPECT_NE(err.find("unknown flag --compressed-gather"), std::string::npos)
       << err;
+}
+
+TEST_F(CliTest, GraphInputFlagsHaveNoDefault) {
+  // A file named like an old default is not read in place of the flag.
+  WriteFile("web.edges", "0 1\n");
+  for (const char* command : {"stats", "pagerank", "convert", "sites"}) {
+    EXPECT_EQ(Run(command), 1) << command;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+    EXPECT_NE(err.find(std::string(command) + " needs --edges"),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_EQ(Run("run"), 1);
+  const std::string err = ReadFile("stderr.txt");
+  EXPECT_NE(err.find("InvalidArgument: run needs --graph"), std::string::npos)
+      << err;
+  EXPECT_FALSE(FileExists("web.smwg"));
+  EXPECT_FALSE(FileExists("run_manifest.json"));
+}
+
+TEST_F(CliTest, SitesUsesEmbeddedHostNames) {
+  // A generated v2.2 file carries its host names, so sites needs no map.
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
+  ASSERT_EQ(Run("sites --edges g.smwg --out-edges sites.edges"), 0)
+      << ReadFile("stderr.txt");
+  EXPECT_NE(Stdout().find("aggregated"), std::string::npos) << Stdout();
+  EXPECT_TRUE(FileExists("sites.edges"));
+}
+
+TEST_F(CliTest, ConvertRefusesToOverwriteItsInput) {
+  // The input stays mapped while convert writes: writing over it would
+  // destroy it. Refused however the two paths are spelled.
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
+  const std::string before = ReadFile("g.smwg");
+  ASSERT_FALSE(before.empty());
+  for (const char* out : {"g.smwg", "./g.smwg"}) {
+    EXPECT_EQ(Run(std::string("convert --edges g.smwg --out ") + out), 1)
+        << out;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find("InvalidArgument: convert --out names the input file"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(ReadFile("g.smwg"), before) << out;
+  }
+  // A different output still converts.
+  ASSERT_EQ(Run("convert --edges g.smwg --out copy.smwg"), 0)
+      << ReadFile("stderr.txt");
+  EXPECT_EQ(ReadFile("copy.smwg"), before);
+}
+
+TEST_F(CliTest, RemovedMmapFlagIsRejected) {
+  // Every v2.2 file is mapped, so --mmap is gone from every command.
+  for (const char* command : {"run", "stats", "pagerank", "convert"}) {
+    EXPECT_EQ(Run(std::string(command) + " --mmap"), 1) << command;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find("unknown flag --mmap"), std::string::npos) << err;
+  }
+  ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
+  ASSERT_EQ(Run("stats --edges g.smwg"), 0) << ReadFile("stderr.txt");
+  EXPECT_NE(Stdout().find("mapped bytes"), std::string::npos) << Stdout();
 }
 
 TEST_F(CliTest, HelpSucceeds) {

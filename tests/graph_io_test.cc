@@ -1,7 +1,6 @@
 // Round-trip and error-path tests of graph (de)serialization: the text
-// edge list, the host-name map and heap loads of the v2.2 binary container.
-// The v2.2 corruption cases live in graph_mmap_test.cc, where each one is
-// checked against both binary readers.
+// edge list, the host-name map and loads of the v2.2 binary container.
+// The v2.2 corruption cases live in graph_mmap_test.cc.
 
 #include "graph/graph_io.h"
 
@@ -9,13 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 
 #include "graph/graph_builder.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace spammass {
 namespace {
@@ -65,7 +62,7 @@ TEST_F(GraphIoTest, BinaryRoundTrip) {
   WebGraph g = SampleGraph();
   std::string path = TempPath("graph.bin");
   ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
-  auto loaded = graph::ReadBinary(path);
+  auto loaded = graph::ReadBinaryMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameStructure(g, loaded.value());
 }
@@ -120,7 +117,7 @@ TEST_F(GraphIoTest, BinaryRejectsCorruptMagic) {
     std::ofstream f(path, std::ios::binary);
     f << "NOPE-not-a-graph";
   }
-  EXPECT_FALSE(graph::ReadBinary(path).ok());
+  EXPECT_FALSE(graph::ReadBinaryMmap(path).ok());
 }
 
 TEST_F(GraphIoTest, BinaryRejectsTruncation) {
@@ -136,7 +133,7 @@ TEST_F(GraphIoTest, BinaryRejectsTruncation) {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 6));
   }
-  EXPECT_FALSE(graph::ReadBinary(path).ok());
+  EXPECT_FALSE(graph::ReadBinaryMmap(path).ok());
 }
 
 TEST_F(GraphIoTest, HostNamesRoundTrip) {
@@ -166,45 +163,12 @@ TEST_F(GraphIoTest, BinaryHostNamesRoundTrip) {
   WebGraph g = b.Build();
   std::string path = TempPath("named.bin");
   ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
-  auto loaded = graph::ReadBinary(path);
+  auto loaded = graph::ReadBinaryMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameStructure(g, loaded.value());
   EXPECT_EQ(loaded.value().HostName(x), "alpha.example.com");
   EXPECT_EQ(loaded.value().HostName(y), "");
   EXPECT_EQ(loaded.value().HostName(z), "gamma.example.org");
-}
-
-TEST_F(GraphIoTest, BinaryParallelLoadMatchesSerial) {
-  util::Rng rng(123);
-  GraphBuilder b(5000);
-  for (int e = 0; e < 40000; ++e) {
-    auto u = static_cast<NodeId>(rng.UniformIndex(5000));
-    auto v = static_cast<NodeId>(rng.UniformIndex(5000));
-    if (u != v) b.AddEdge(u, v);
-  }
-  WebGraph g = b.Build();
-  std::string path = TempPath("parallel_load.bin");
-  ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
-  auto serial = graph::ReadBinary(path);
-  util::ThreadPool pool(4);
-  auto parallel = graph::ReadBinary(path, &pool);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  const WebGraph& s = serial.value();
-  const WebGraph& p = parallel.value();
-  // Every array, the derived ones the pool rebuilds included, is bitwise
-  // equal (the inverse out-degrees compared as their bytes).
-  auto same = [](auto a, auto b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
-  };
-  EXPECT_TRUE(same(s.OutOffsets(), p.OutOffsets()));
-  EXPECT_TRUE(same(s.Targets(), p.Targets()));
-  EXPECT_TRUE(same(s.InOffsets(), p.InOffsets()));
-  EXPECT_TRUE(same(s.Sources(), p.Sources()));
-  EXPECT_TRUE(same(s.InvOutDegrees(), p.InvOutDegrees()));
-  EXPECT_TRUE(same(s.DanglingNodes(), p.DanglingNodes()));
-  ExpectSameStructure(g, p);
 }
 
 TEST_F(GraphIoTest, BinaryRandomGraphRoundTripProperty) {
@@ -221,7 +185,7 @@ TEST_F(GraphIoTest, BinaryRandomGraphRoundTripProperty) {
     WebGraph g = b.Build();
     std::string path = TempPath("prop.bin");
     ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
-    auto loaded = graph::ReadBinary(path);
+    auto loaded = graph::ReadBinaryMmap(path);
     ASSERT_TRUE(loaded.ok()) << "seed " << seed << ": "
                              << loaded.status().ToString();
     ExpectSameStructure(g, loaded.value());

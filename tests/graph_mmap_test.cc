@@ -1,14 +1,14 @@
-// The v2.2 paged container and its two readers, the zero-copy mmap load
-// and the heap load: round trips (with and without host names), solver
-// equivalence between the two load paths, and — the part the trust model
+// The v2.2 paged container and its one reader, the zero-copy mmap load:
+// round trips (with and without host names), solver equivalence with a
+// heap graph built from the same edges, and — the part the trust model
 // rests on — the failure paths. Every corruption test byte-patches a real
-// file and demands a clean error Status: truncation, a misaligned section
-// table entry, a flipped payload byte (sample checksum), and a header that
-// claims more data than the file holds must all be caught during
-// validation, never surface as a SIGBUS from a later array access. The
-// rejection table at the end reaches every validation gate through both
-// readers, and files of the removed v1/v2.0/v2.1 containers must be
-// rejected by name.
+// file and demands a clean error Status in every build: truncation, a
+// misaligned section table entry, a flipped payload byte (sample or full
+// checksum), a wrong derived array, and a header that claims more data
+// than the file holds must all be caught during validation, never surface
+// as a SIGBUS or a wrong score later. The rejection table at the end
+// reaches every validation gate, and files of the removed v1/v2.0/v2.1
+// containers must be rejected by name.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@
 #include "pipeline/graph_source.h"
 #include "pipeline/pipeline.h"
 #include "util/checksum.h"
-#include "util/debug.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -196,28 +195,33 @@ TEST_F(GraphMmapTest, PagedRoundTripCarriesHostNames) {
 }
 
 TEST_F(GraphMmapTest, HeapReaderLoadsPagedFiles) {
-  // ReadBinary accepts v2.2 too (full validation, arrays copied out), so
-  // a paged file is still consumable where mmap is unwanted.
+  // The one reader maps every v2.2 file, the whole file, and a heap graph
+  // written out reads back as the same graph.
   WebGraph g = SampleGraph();
   const std::string path = TempPath("paged_heap.smwg");
   ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
 
-  auto loaded = graph::ReadBinary(path);
+  auto loaded = graph::ReadBinaryMmap(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().is_mapped());
-  EXPECT_EQ(loaded.value().mapped_bytes(), 0u);
+  EXPECT_TRUE(loaded.value().is_mapped());
+  EXPECT_EQ(loaded.value().mapped_bytes(), std::filesystem::file_size(path));
   ExpectSameGraph(g, loaded.value());
 }
 
 TEST_F(GraphMmapTest, SolverScoresBitIdenticalToHeapLoad) {
-  // The whole point of the mapped representation: the solver cannot tell.
+  // The whole point of the mapped representation: the solver cannot tell
+  // it from the heap graph the text reader builds from the same edges.
   WebGraph g = SampleGraph();
+  const std::string text_path = TempPath("paged_solver.edges");
   const std::string path = TempPath("paged_solver.smwg");
+  ASSERT_TRUE(graph::WriteEdgeListText(g, text_path).ok());
   ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
   auto mapped = graph::ReadBinaryMmap(path);
   ASSERT_TRUE(mapped.ok());
-  auto heap = graph::ReadBinary(path);
+  auto heap = graph::ReadEdgeListText(text_path);
   ASSERT_TRUE(heap.ok());
+  ASSERT_FALSE(heap.value().is_mapped());
+  ExpectSameGraph(heap.value(), mapped.value());
 
   pagerank::SolverOptions opt;
   opt.tolerance = 1e-12;
@@ -264,27 +268,27 @@ TEST_F(GraphMmapTest, RejectsRemovedContainersByName) {
     const std::string path = TempPath(c.file);
     WriteFileBytes(path, bytes);
 
-    auto heap = graph::ReadBinary(path);
-    auto mapped = graph::ReadBinaryMmap(path);
-    ASSERT_FALSE(heap.ok());
-    ASSERT_FALSE(mapped.ok());
-    EXPECT_EQ(heap.status().code(), util::StatusCode::kInvalidArgument);
-    const std::string message = heap.status().message();
+    auto loaded = graph::ReadBinaryMmap(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string message = loaded.status().message();
     EXPECT_NE(message.find(c.name), std::string::npos) << message;
     EXPECT_NE(message.find("convert --edges"), std::string::npos) << message;
-    EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
   }
 }
 
 TEST_F(GraphMmapTest, MissingFileIsIoErrorFromBothReaders) {
+  // The binary and the text reader.
   const std::string path = TempPath("no_such_graph.smwg");
   std::filesystem::remove(path);
-  auto heap = graph::ReadBinary(path);
   auto mapped = graph::ReadBinaryMmap(path);
-  ASSERT_FALSE(heap.ok());
+  auto text = graph::ReadEdgeListText(path);
   ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(heap.status().code(), util::StatusCode::kIoError);
-  EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(mapped.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(text.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(mapped.status().message().find(path), std::string::npos)
+      << mapped.status().ToString();
 }
 
 TEST_F(GraphMmapTest, RejectsFileTruncatedBelowHeader) {
@@ -395,23 +399,25 @@ TEST_F(GraphMmapTest, RejectsHeaderClaimingMoreDataThanFileHolds) {
       << loaded.status().ToString();
 }
 
-// Interior CSR damage the sample checksums cannot see: the sections are
-// larger than both 64 KiB sample windows and the patch lands between
-// them. The sweeps gather without a bounds check through the in-CSR and
-// through the transpose of the out-CSR, so the release load itself must
-// refuse the file. Debug builds verify the full-section checksum first;
-// both are InvalidArgument.
+// Interior damage the sample checksums cannot see: the sections are larger
+// than both 64 KiB sample windows and the patch lands between them. Every
+// build verifies every section's full checksum, which catches a flipped
+// byte there. With the checksums recomputed over the damage (a file a
+// faulty writer produced), the structural validators must still refuse
+// it: the sweeps gather without a bounds check through the in-CSR and
+// through the transpose of the out-CSR. Both are InvalidArgument.
 class GraphMmapInteriorDamageTest : public GraphMmapTest {
  protected:
   static constexpr uint32_t kNodes = 20000;
 
   /// Writes a sample graph, lets `patch` damage the body of section
-  /// `section` (a pointer to its first byte and its length), and returns
-  /// the file's path.
+  /// `section` (a pointer to its first byte and its length), recomputes
+  /// that section's checksums when `repair_checksums`, and returns the
+  /// file's path.
   std::string WritePatched(
       const std::string& name, uint32_t section,
       const std::function<void(uint8_t* body, uint64_t length)>& patch,
-      bool with_names = false) {
+      bool repair_checksums, bool with_names = false) {
     const std::string path = TempPath(name);
     EXPECT_TRUE(graph::WriteBinaryV22(
                     SampleGraph(kNodes, 4 * kNodes, with_names), path)
@@ -420,15 +426,17 @@ class GraphMmapInteriorDamageTest : public GraphMmapTest {
     auto [offset, length] = SectionGeometry(bytes, section);
     EXPECT_GT(length, 2 * kSampleWindowBytes);
     patch(bytes.data() + offset, length);
+    if (repair_checksums) RepairSectionChecksums(&bytes, section);
     WriteFileBytes(path, bytes);
     return path;
   }
 
-  /// WritePatched, then the mmap load.
+  /// WritePatched with the checksums repaired, then the load.
   util::Result<WebGraph> LoadPatched(
       const std::string& name, uint32_t section,
       const std::function<void(uint8_t* body, uint64_t length)>& patch) {
-    return graph::ReadBinaryMmap(WritePatched(name, section, patch));
+    return graph::ReadBinaryMmap(
+        WritePatched(name, section, patch, /*repair_checksums=*/true));
   }
 
   /// Overwrites the middle id of an id section with 0x7FFFFFFF.
@@ -437,13 +445,16 @@ class GraphMmapInteriorDamageTest : public GraphMmapTest {
     std::memcpy(body + length / 2 / 4 * 4, &hostile, sizeof(hostile));
   }
 
+  /// Flips the low bit of a section's middle byte.
+  static void FlipMiddleByte(uint8_t* body, uint64_t length) {
+    body[length / 2] ^= 0x01;
+  }
+
   static void ExpectRejected(const util::Result<WebGraph>& loaded,
-                             const std::string& release_message) {
+                             const std::string& message) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
-    const std::string want =
-        util::kDebugBuild ? "checksum mismatch" : release_message;
-    EXPECT_NE(loaded.status().ToString().find(want), std::string::npos)
+    EXPECT_NE(loaded.status().ToString().find(message), std::string::npos)
         << loaded.status().ToString();
   }
 };
@@ -465,9 +476,8 @@ TEST_F(GraphMmapInteriorDamageTest, HostileTargetIdFailsTrustRankCleanly) {
   // the in-CSR that TrustRank's seed solve gathers through unchecked. The
   // whole detector run over the mapped file must end in a clean error.
   pipeline::GraphSource source = pipeline::GraphSource::FromFile(
-      WritePatched("hostile_target_run.smwg", /*section=*/1,
-                   PatchHostileId));
-  source.WithMmap();
+      WritePatched("hostile_target_run.smwg", /*section=*/1, PatchHostileId,
+                   /*repair_checksums=*/true));
   auto run = pipeline::RunDetectors(source, pipeline::PipelineConfig{},
                                     {"trustrank"});
   ASSERT_FALSE(run.ok());
@@ -487,35 +497,25 @@ TEST_F(GraphMmapInteriorDamageTest, RejectsDecreasingInOffsets) {
 }
 
 TEST_F(GraphMmapInteriorDamageTest, RejectsInteriorHostNameDamage) {
-  // Release mmap loads verify the host-name sections' full checksums
-  // themselves, since the names are copied out anyway.
-  auto loaded = graph::ReadBinaryMmap(WritePatched(
-      "interior_names.smwg", /*section=*/6,
-      [](uint8_t* body, uint64_t length) { body[length / 2] ^= 0x01; },
-      /*with_names=*/true));
-  ExpectRejected(loaded, "host-name checksum mismatch");
+  auto loaded = graph::ReadBinaryMmap(
+      WritePatched("interior_names.smwg", /*section=*/6, FlipMiddleByte,
+                   /*repair_checksums=*/false, /*with_names=*/true));
+  ExpectRejected(loaded, "section 7 checksum mismatch");
 }
 
 TEST_F(GraphMmapInteriorDamageTest, HeapReaderCatchesDamageBetweenSamples) {
-  // The inverse out-degrees are trusted by a release mmap load past their
-  // sample checksums (the v2.2 trust model); ReadBinary verifies the full
-  // checksum of every section, so it refuses the file.
-  const std::string path = WritePatched(
-      "interior_inv_out.smwg", /*section=*/4,
-      [](uint8_t* body, uint64_t length) { body[length / 2] ^= 0x01; });
-  auto heap = graph::ReadBinary(path);
-  ASSERT_FALSE(heap.ok());
-  EXPECT_EQ(heap.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(heap.status().message().find("section 5 checksum mismatch"),
-            std::string::npos)
-      << heap.status().ToString();
-  EXPECT_EQ(graph::ReadBinaryMmap(path).ok(), !util::kDebugBuild);
+  // A flipped byte of the inverse out-degrees between the sample windows
+  // is refused by the section's full checksum, in every build, before the
+  // derived-array check (HeapReaderValidatesDerivedArrays) runs.
+  const std::string path =
+      WritePatched("interior_inv_out.smwg", /*section=*/4, FlipMiddleByte,
+                   /*repair_checksums=*/false);
+  ExpectRejected(graph::ReadBinaryMmap(path), "section 5 checksum mismatch");
 }
 
 TEST_F(GraphMmapTest, HeapReaderValidatesDerivedArrays) {
   // With every checksum repaired, a wrong inverse out-degree passes the
-  // byte-level gates. ReadBinary (and a debug mmap load) still reject it
-  // through the derived-array validator; a release mmap load trusts it.
+  // byte-level gates. The derived-array validator still rejects it.
   WebGraph g = SampleGraph();
   ASSERT_GT(g.OutDegree(0), 0u);
   const std::string path = TempPath("bad_inv_out.smwg");
@@ -525,24 +525,16 @@ TEST_F(GraphMmapTest, HeapReaderValidatesDerivedArrays) {
   RepairSectionChecksums(&bytes, 4);
   WriteFileBytes(path, bytes);
 
-  auto heap = graph::ReadBinary(path);
-  ASSERT_FALSE(heap.ok());
-  EXPECT_EQ(heap.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(heap.status().message().find("inverse out-degree"),
+  auto loaded = graph::ReadBinaryMmap(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("inverse out-degree"),
             std::string::npos)
-      << heap.status().ToString();
-  auto mapped = graph::ReadBinaryMmap(path);
-  if (util::kDebugBuild) {
-    ASSERT_FALSE(mapped.ok());
-    EXPECT_EQ(mapped.status().ToString(), heap.status().ToString());
-  } else {
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_EQ(mapped.value().InvOutDegree(0), 0.125);
-  }
+      << loaded.status().ToString();
 }
 
 TEST_F(GraphMmapTest, HeapReaderAlsoRejectsCorruptPagedFiles) {
-  // The heap path runs full validation; it must reject the same damage.
+  // A flipped byte in the sources section, caught by its checksums.
   WebGraph g = SampleGraph();
   const std::string path = TempPath("bitflip_heap.smwg");
   ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
@@ -553,20 +545,19 @@ TEST_F(GraphMmapTest, HeapReaderAlsoRejectsCorruptPagedFiles) {
   bytes[offset + length / 3] ^= 0x10;
   WriteFileBytes(path, bytes);
 
-  auto loaded = graph::ReadBinary(path);
+  auto loaded = graph::ReadBinaryMmap(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("checksum mismatch"),
+  EXPECT_NE(loaded.status().ToString().find("section 4 checksum mismatch"),
             std::string::npos)
       << loaded.status().ToString();
 }
 
-
-// ---- Every validation gate, through both readers --------------------------
+// ---- Every validation gate --------------------------------------------------
 
 /// One damaged v2.2 file: `patch` edits the bytes of a freshly written
 /// sample graph (with host names when `with_names`), repairing the header
-/// or section checksums where the gate it aims at sits behind them. Both
-/// readers must then fail with `code` and a message holding `message`.
+/// or section checksums where the gate it aims at sits behind them. The
+/// load must then fail with `code` and a message holding `message`.
 struct RejectionCase {
   const char* name;
   bool with_names;
@@ -771,6 +762,8 @@ class GraphRejectionTest
     : public GraphMmapTest,
       public ::testing::WithParamInterface<RejectionCase> {};
 
+// The name dates from a second, heap reader that is gone; it is kept so
+// the case ids stay stable.
 TEST_P(GraphRejectionTest, BothReadersFailWithTheSameStatus) {
   const RejectionCase& c = GetParam();
   const std::string path = TempPath(std::string("reject_") + c.name);
@@ -783,14 +776,11 @@ TEST_P(GraphRejectionTest, BothReadersFailWithTheSameStatus) {
   c.patch(&bytes);
   WriteFileBytes(path, bytes);
 
-  auto heap = graph::ReadBinary(path);
-  auto mapped = graph::ReadBinaryMmap(path);
-  ASSERT_FALSE(heap.ok());
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(heap.status().code(), c.code) << heap.status().ToString();
-  EXPECT_NE(heap.status().message().find(c.message), std::string::npos)
-      << heap.status().ToString();
-  EXPECT_EQ(heap.status().ToString(), mapped.status().ToString());
+  auto loaded = graph::ReadBinaryMmap(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), c.code) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+      << loaded.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

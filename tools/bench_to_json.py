@@ -31,10 +31,6 @@ Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
         BM_CsrBuildSerial / BM_CsrBuildParallel/<k>
   * graph_transpose_parallel_speedup_T<k>:
         BM_TransposeSerial / BM_TransposeParallel/<k>
-  * mmap_load_speedup (300k-node power-law web, ~50 MB CSR; target ≥10×):
-        BM_PagedLoadHeap / BM_PagedLoadMmap
-    (full-validation heap load of a v2.2 file over the zero-copy
-    sample-checksum mmap load of the same file)
 
 Suite `pipeline` (bench_pipeline, shared synthetic web):
 
@@ -131,7 +127,6 @@ GRAPH_RATIO_PAIRS = [
      "BM_TransposeParallel/4"),
     ("graph_transpose_parallel_speedup_T8", "BM_TransposeSerial",
      "BM_TransposeParallel/8"),
-    ("mmap_load_speedup", "BM_PagedLoadHeap", "BM_PagedLoadMmap"),
 ]
 
 PIPELINE_RATIO_PAIRS = [

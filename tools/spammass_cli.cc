@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -218,25 +220,27 @@ pagerank::SolverOptions SolverFromFlags(const util::FlagParser& flags) {
 }
 
 void DefineGraphFlags(util::FlagParser* flags) {
-  flags->Define("edges", "web.edges",
+  flags->Define("edges", "",
                 "graph input path (text edge list or SMWG binary, "
-                "auto-detected)");
-  flags->Define("hosts", "", "optional host-name map input path");
-  flags->DefineBool("mmap",
-                    "map the graph zero-copy instead of reading it onto "
-                    "the heap (requires the paged v2.2 SMWG container; "
-                    "see 'convert --format paged')");
+                "auto-detected; a v2.2 file is mapped zero-copy)");
+  flags->Define("hosts", "",
+                "optional host-name map input path (a v2.2 file may embed "
+                "the names)");
 }
 
-/// Builds a GraphSource from the shared graph flags.
-pipeline::GraphSource SourceFromFlags(const util::FlagParser& flags) {
+/// Loads the graph the shared graph flags name; `command` names the
+/// subcommand in the error when --edges is missing.
+util::Result<pipeline::LoadedGraph> LoadGraphFromFlags(
+    const util::FlagParser& flags, const std::string& command) {
+  if (flags.GetString("edges").empty()) {
+    return util::Status::InvalidArgument(command + " needs --edges");
+  }
   pipeline::GraphSource source =
       pipeline::GraphSource::FromFile(flags.GetString("edges"));
   if (!flags.GetString("hosts").empty()) {
     source.WithHostNamesFile(flags.GetString("hosts"));
   }
-  if (flags.GetBool("mmap")) source.WithMmap();
-  return source;
+  return source.Load();
 }
 
 int CmdGenerate(int argc, const char* const* argv) {
@@ -245,8 +249,8 @@ int CmdGenerate(int argc, const char* const* argv) {
   flags.Define("seed", "42", "generator seed");
   flags.Define("out-edges", "", "text edge-list output path");
   flags.Define("out-paged", "",
-               "paged SMWG (v2.2) output path, mmap-loadable with --mmap; "
-               "give this or --out-edges, or both");
+               "paged SMWG (v2.2) output path, mapped zero-copy where it "
+               "is read; give this or --out-edges, or both");
   flags.Define("out-hosts", "", "optional host-name map output path");
   flags.Define("out-labels", "", "optional ground-truth label output path");
   flags.Define("out-core", "", "optional assembled good-core output path");
@@ -313,8 +317,7 @@ int CmdStats(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  pipeline::GraphSource source = SourceFromFlags(flags);
-  auto loaded = source.Load();
+  auto loaded = LoadGraphFromFlags(flags, "stats");
   if (!loaded.ok()) return Fail(loaded.status());
   auto stats = graph::ComputeGraphStats(loaded.value().graph());
   util::TextTable table;
@@ -366,12 +369,19 @@ int CmdConvert(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  pipeline::GraphSource source = SourceFromFlags(flags);
-  auto loaded = source.Load();
+  // The input stays mapped while the output is written, so writing over it
+  // would destroy the graph being read: refuse before anything loads.
+  const std::string out = flags.GetString("out");
+  std::error_code ec;
+  if (std::filesystem::exists(out, ec) &&
+      std::filesystem::equivalent(flags.GetString("edges"), out, ec)) {
+    return Fail(util::Status::InvalidArgument(
+        "convert --out names the input file: " + out));
+  }
+  auto loaded = LoadGraphFromFlags(flags, "convert");
   if (!loaded.ok()) return Fail(loaded.status());
   const graph::WebGraph& g = loaded.value().graph();
   const std::string format = flags.GetString("format");
-  const std::string out = flags.GetString("out");
   util::Status status;
   if (format == "paged") {
     status = graph::WriteBinaryV22(g, out);
@@ -404,8 +414,7 @@ int CmdPageRank(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  pipeline::GraphSource source = SourceFromFlags(flags);
-  auto loaded = source.Load();
+  auto loaded = LoadGraphFromFlags(flags, "pagerank");
   if (!loaded.ok()) return Fail(loaded.status());
   pipeline::PipelineConfig config;
   config.solver = SolverFromFlags(flags);
@@ -453,9 +462,7 @@ int CmdPageRank(int argc, const char* const* argv) {
 
 int CmdSites(int argc, const char* const* argv) {
   util::FlagParser flags;
-  flags.Define("edges", "web.edges",
-               "host graph input path (text or SMWG binary)");
-  flags.Define("hosts", "web.hosts", "host-name map input path");
+  DefineGraphFlags(&flags);
   flags.Define("out-edges", "sites.edges", "site edge-list output path");
   flags.Define("out-hosts", "", "optional site-name map output path");
   ObsSession::DefineFlags(&flags);
@@ -464,10 +471,7 @@ int CmdSites(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
-  pipeline::GraphSource source =
-      pipeline::GraphSource::FromFile(flags.GetString("edges"));
-  source.WithHostNamesFile(flags.GetString("hosts"));
-  auto loaded = source.Load();
+  auto loaded = LoadGraphFromFlags(flags, "sites");
   if (!loaded.ok()) return Fail(loaded.status());
   auto sites = graph::AggregateToSites(loaded.value().graph());
   if (!sites.ok()) return Fail(sites.status());
@@ -566,7 +570,7 @@ util::Status WriteMassCsv(const core::MassEstimates& est,
 
 int CmdRun(int argc, const char* const* argv) {
   util::FlagParser flags;
-  flags.Define("graph", "web.edges",
+  flags.Define("graph", "",
                "comma-separated graph inputs; each entry is a file path "
                "(text or SMWG binary, sniffed) or "
                "'synthetic:<scale>:<seed>'");
@@ -583,8 +587,6 @@ int CmdRun(int argc, const char* const* argv) {
   DefineSolverFlags(&flags);
   flags.Define("tau", "0.98", "relative-mass threshold (Algorithm 2)");
   flags.Define("rho", "10", "scaled-PageRank threshold (Algorithm 2)");
-  flags.DefineBool("mmap",
-                   "map file graphs zero-copy (paged v2.2 containers only)");
   flags.Define("candidates-out", "",
                "CSV of every spam_mass candidate "
                "(node,scaled_pagerank,rel_mass); one graph only");
@@ -625,6 +627,9 @@ int CmdRun(int argc, const char* const* argv) {
   std::vector<std::string> graph_specs;
   for (const std::string& spec : util::Split(flags.GetString("graph"), ',')) {
     if (!spec.empty()) graph_specs.push_back(spec);
+  }
+  if (graph_specs.empty()) {
+    return Fail(util::Status::InvalidArgument("run needs --graph"));
   }
 
   // The CSV outputs hold one graph's spam_mass results; refuse them before
@@ -673,7 +678,6 @@ int CmdRun(int argc, const char* const* argv) {
       if (!flags.GetString("hosts").empty()) {
         source.WithHostNamesFile(flags.GetString("hosts"));
       }
-      if (flags.GetBool("mmap")) source.WithMmap();
     }
 
     auto run =

@@ -99,7 +99,7 @@ ORCHESTRATION_RE = re.compile(
     r"\b(pagerank::(?:ComputeUniformPageRank|ComputePageRankMulti|"
     r"ComputePageRank)|"
     r"core::(?:EstimateSpamMass|ComputeTrustRank|RunTrustRank)|"
-    r"graph::(?:ReadEdgeListText|ReadBinary))\s*\(")
+    r"graph::(?:ReadEdgeListText|ReadBinaryMmap))\s*\(")
 # Directories the pipeline-orchestration rule applies to (bench/ is
 # excluded: perf benches compare raw kernels against the fused path).
 ORCHESTRATION_DIRS = ("examples/", "tools/")
