@@ -1,7 +1,6 @@
-// Micro-benchmarks of the graph substrate: CSR construction (serial and
-// ThreadPool-parallel), transpose, v2.2 binary load (the zero-copy mapped
-// load with its full validation), BFS, statistics, and synthetic-web
-// generation throughput.
+// Micro-benchmarks of the graph substrate: CSR construction, transpose,
+// v2.2 binary load (the zero-copy mapped load with its full validation),
+// BFS, statistics, and synthetic-web generation throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -18,13 +17,11 @@
 #include "synth/scenario.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace spammass {
 namespace {
 
-// The ingest benchmarks run on a ~100k-node, ~800k-edge random web — the
-// scale the build/transpose speedups at 4 threads are quoted at.
+// The ingest benchmark runs on a ~100k-node, ~800k-edge random web.
 constexpr uint32_t kIngestNodes = 100000;
 constexpr double kIngestMeanDegree = 8.0;
 
@@ -43,13 +40,6 @@ graph::WebGraph RandomGraph(uint32_t n, double mean_degree, uint64_t seed) {
   graph::GraphBuilder b(n);
   FillRandomEdges(&b, n, mean_degree, seed);
   return b.Build();
-}
-
-// Shared ingest fixture graph, built once.
-const graph::WebGraph& IngestGraph() {
-  static const graph::WebGraph* g = new graph::WebGraph(
-      RandomGraph(kIngestNodes, kIngestMeanDegree, 31));
-  return *g;
 }
 
 std::string BenchTempPath(const char* name) {
@@ -76,10 +66,9 @@ void BM_Transpose(benchmark::State& state) {
 }
 BENCHMARK(BM_Transpose)->Unit(benchmark::kMillisecond);
 
-// -- Parallel ingest pipeline ------------------------------------------------
-// Serial baselines and their ThreadPool counterparts at 1/2/4/8 workers on
-// the shared 100k-node web. The edge-stream refill is excluded via
-// Pause/ResumeTiming so only GraphBuilder::Build is measured.
+// -- Ingest -----------------------------------------------------------------
+// GraphBuilder::Build on the 100k-node web. The edge-stream refill is
+// excluded via Pause/ResumeTiming so only the build is measured.
 
 void BM_CsrBuildSerial(benchmark::State& state) {
   for (auto _ : state) {
@@ -92,63 +81,6 @@ void BM_CsrBuildSerial(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrBuildSerial)->Unit(benchmark::kMillisecond);
-
-void BM_CsrBuildParallel(benchmark::State& state) {
-  util::ThreadPool pool(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    graph::GraphBuilder b(kIngestNodes);
-    FillRandomEdges(&b, kIngestNodes, kIngestMeanDegree, 31);
-    state.ResumeTiming();
-    graph::WebGraph g = b.Build(&pool);
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-}
-BENCHMARK(BM_CsrBuildParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// The transpose benches go through FromCsr, which rebuilds the in-CSR
-// (counting sort + scatter) and the derived arrays from the forward
-// arrays — `Transposed()` itself only swaps the two directions. The
-// array copies handed to FromCsr are excluded from the timed region.
-
-void BM_TransposeSerial(benchmark::State& state) {
-  const graph::WebGraph& g = IngestGraph();
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<uint64_t> off(g.OutOffsets().begin(), g.OutOffsets().end());
-    std::vector<graph::NodeId> tg(g.Targets().begin(), g.Targets().end());
-    state.ResumeTiming();
-    graph::WebGraph t =
-        graph::WebGraph::FromCsr(g.num_nodes(), std::move(off), std::move(tg));
-    benchmark::DoNotOptimize(t.num_edges());
-  }
-}
-BENCHMARK(BM_TransposeSerial)->Unit(benchmark::kMillisecond);
-
-void BM_TransposeParallel(benchmark::State& state) {
-  const graph::WebGraph& g = IngestGraph();
-  util::ThreadPool pool(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<uint64_t> off(g.OutOffsets().begin(), g.OutOffsets().end());
-    std::vector<graph::NodeId> tg(g.Targets().begin(), g.Targets().end());
-    state.ResumeTiming();
-    graph::WebGraph t = graph::WebGraph::FromCsr(g.num_nodes(), std::move(off),
-                                                 std::move(tg), &pool);
-    benchmark::DoNotOptimize(t.num_edges());
-  }
-}
-BENCHMARK(BM_TransposeParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 // -- Paged container: the mapped load, fully validated ----------------------
 // A power-law web (hub-heavy sources, uniform targets) whose CSR is tens of

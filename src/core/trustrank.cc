@@ -73,39 +73,4 @@ Result<std::vector<double>> ComputeTrustRank(
   return std::move(pr.value().scores);
 }
 
-Result<TrustRankResult> RunTrustRank(const WebGraph& graph,
-                                     const LabelStore& labels,
-                                     const TrustRankOptions& options,
-                                     pagerank::SolverWorkspace* workspace) {
-  if (labels.num_nodes() != graph.num_nodes()) {
-    return Status::InvalidArgument("label store does not match the graph");
-  }
-  // One workspace (pool + scratch) backs both the inverse-PageRank seed
-  // solve and the forward trust solve; workspaces are graph-agnostic, so
-  // the transposed and forward graphs can share it.
-  pagerank::SolverWorkspace local;
-  pagerank::SolverWorkspace* ws = workspace != nullptr ? workspace : &local;
-  auto selection = SelectTrustRankSeeds(
-      graph, options.seed_candidates,
-      options.filter_seeds_by_oracle ? &labels : nullptr, options.solver, ws);
-  if (!selection.ok()) return selection.status();
-
-  TrustRankResult result;
-  result.seeds = std::move(selection.value().seeds);
-  result.seed_margin = selection.value().margin;
-  auto trust = ComputeTrustRank(graph, result.seeds, options.solver, ws);
-  if (!trust.ok()) return trust.status();
-  result.trust = std::move(trust.value());
-  return result;
-}
-
-std::vector<NodeId> RankByTrust(const std::vector<double>& trust) {
-  std::vector<NodeId> order(trust.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&trust](NodeId a, NodeId b) {
-    return trust[a] > trust[b];
-  });
-  return order;
-}
-
 }  // namespace spammass::core

@@ -18,16 +18,6 @@
 
 namespace spammass::core {
 
-/// TrustRank configuration.
-struct TrustRankOptions {
-  pagerank::SolverOptions solver;
-  /// Size of the seed set selected by inverse PageRank.
-  uint32_t seed_candidates = 50;
-  /// Seeds whose oracle label is not good are discarded (the TrustRank
-  /// paper has a human oracle inspect the candidate seeds).
-  bool filter_seeds_by_oracle = true;
-};
-
 /// How well the inverse-PageRank solve separates the K seed candidates
 /// from the rest. The candidate set is the exact solution's top K
 /// whenever gap > bound: the true score difference of any pair across the
@@ -79,20 +69,6 @@ util::Result<std::vector<double>> ComputeTrustRank(
     const graph::WebGraph& graph, const std::vector<graph::NodeId>& seeds,
     const pagerank::SolverOptions& solver,
     pagerank::SolverWorkspace* workspace = nullptr);
-
-/// Full pipeline: SelectTrustRankSeeds (with `labels` as the oracle when
-/// options.filter_seeds_by_oracle is set), then trust propagation. The two
-/// PageRank solves (inverse and forward) share one solver workspace — pass
-/// `workspace` to extend the reuse across repeated TrustRank runs.
-util::Result<TrustRankResult> RunTrustRank(const graph::WebGraph& graph,
-                                           const LabelStore& labels,
-                                           const TrustRankOptions& options,
-                                           pagerank::SolverWorkspace* workspace = nullptr);
-
-/// Demotion-style ranking signal: orders nodes by trust (descending).
-/// Spam-mass detection can be compared against "everything below trust
-/// percentile q is demoted".
-std::vector<graph::NodeId> RankByTrust(const std::vector<double>& trust);
 
 }  // namespace spammass::core
 

@@ -7,24 +7,8 @@
 #include "obs/trace.h"
 #include "util/debug.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace spammass::graph {
-
-namespace {
-
-// Below this many pending edges the serial sort wins over the partition /
-// per-shard-sort / merge pipeline (cross-thread hops plus one extra copy of
-// the edge array).
-constexpr uint64_t kParallelBuildMinEdges = 1u << 14;
-
-// More shards than workers keeps the per-shard sorts load-balanced when the
-// source distribution is skewed (web graphs are power-law); capped so the
-// per-chunk histograms stay tiny.
-constexpr uint64_t kShardsPerWorker = 4;
-constexpr uint64_t kMaxBuildShards = 64;
-
-}  // namespace
 
 NodeId GraphBuilder::AddNode() {
   if (any_names_) host_names_.emplace_back();
@@ -54,19 +38,13 @@ void GraphBuilder::AddEdge(NodeId from, NodeId to) {
   edges_.emplace_back(from, to);
 }
 
-WebGraph GraphBuilder::Build(util::ThreadPool* pool) {
+WebGraph GraphBuilder::Build() {
   SPAMMASS_TRACE_SPAN("graph.build", "pending_edges",
                       static_cast<uint64_t>(edges_.size()), "nodes",
                       static_cast<uint64_t>(num_nodes_));
-  WebGraph g;
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      edges_.size() >= kParallelBuildMinEdges) {
-    g = BuildParallel(pool);
-  } else {
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-    g = WebGraph::FromSortedEdges(num_nodes_, edges_);
-  }
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  WebGraph g = WebGraph::FromSortedEdges(num_nodes_, edges_);
   if (any_names_) g.set_host_names(std::move(host_names_));
   edges_.clear();
   edges_.shrink_to_fit();
@@ -75,96 +53,6 @@ WebGraph GraphBuilder::Build(util::ThreadPool* pool) {
   num_nodes_ = 0;
   DCHECK_OK(ValidateGraph(g));
   return g;
-}
-
-WebGraph GraphBuilder::BuildParallel(util::ThreadPool* pool) {
-  // Every shard owns a contiguous source-id range, so (a) duplicates of an
-  // edge always land in the same shard and per-shard dedup equals global
-  // dedup, and (b) concatenating the sorted shards yields the globally
-  // sorted unique edge list — the same list the serial path produces. All
-  // scatter positions below are computed exactly from per-chunk histograms
-  // (never raced), so the output is bit-identical for any pool size.
-  const uint64_t n = num_nodes_;
-  const uint64_t num_edges = edges_.size();
-  const uint64_t want_shards = std::max<uint64_t>(
-      1, std::min<uint64_t>(
-             {n, kMaxBuildShards, pool->num_threads() * kShardsPerWorker}));
-  const uint64_t shard_nodes = (n + want_shards - 1) / want_shards;
-  const uint64_t num_shards = (n + shard_nodes - 1) / shard_nodes;
-
-  // Phase 1: per-(edge-chunk, shard) histogram.
-  const uint64_t chunk_size =
-      std::max<uint64_t>(1u << 14, (num_edges + 63) / 64);
-  const uint64_t num_chunks = (num_edges + chunk_size - 1) / chunk_size;
-  std::vector<uint64_t> cursors(num_chunks * num_shards, 0);
-  pool->ParallelForChunked(
-      num_edges, chunk_size, [&](uint64_t c, uint64_t begin, uint64_t end) {
-        uint64_t* local = cursors.data() + c * num_shards;
-        for (uint64_t i = begin; i < end; ++i) {
-          local[edges_[i].first / shard_nodes]++;
-        }
-      });
-
-  // Exclusive prefix in (shard, chunk) order turns the histogram into the
-  // scatter cursor for chunk c's first edge of shard s, and yields the
-  // shard boundaries as a byproduct.
-  std::vector<uint64_t> shard_begin(num_shards + 1, 0);
-  uint64_t running = 0;
-  for (uint64_t s = 0; s < num_shards; ++s) {
-    shard_begin[s] = running;
-    for (uint64_t c = 0; c < num_chunks; ++c) {
-      const uint64_t count = cursors[c * num_shards + s];
-      cursors[c * num_shards + s] = running;
-      running += count;
-    }
-  }
-  shard_begin[num_shards] = running;
-
-  // Phase 2: scatter edges into shard-grouped order.
-  std::vector<std::pair<NodeId, NodeId>> partitioned(num_edges);
-  pool->ParallelForChunked(
-      num_edges, chunk_size, [&](uint64_t c, uint64_t begin, uint64_t end) {
-        uint64_t* local = cursors.data() + c * num_shards;
-        for (uint64_t i = begin; i < end; ++i) {
-          partitioned[local[edges_[i].first / shard_nodes]++] = edges_[i];
-        }
-      });
-
-  // Phase 3: sort + dedup each shard independently.
-  std::vector<uint64_t> shard_unique(num_shards, 0);
-  pool->ParallelForChunked(
-      num_shards, 1, [&](uint64_t s, uint64_t, uint64_t) {
-        auto first = partitioned.begin() +
-                     static_cast<ptrdiff_t>(shard_begin[s]);
-        auto last = partitioned.begin() +
-                    static_cast<ptrdiff_t>(shard_begin[s + 1]);
-        std::sort(first, last);
-        shard_unique[s] =
-            static_cast<uint64_t>(std::unique(first, last) - first);
-      });
-
-  // Phase 4: prefix-sum the deduped shard sizes into output bases, then
-  // emit per-node degree counts and the target array. Shards own disjoint
-  // source ranges, so the offsets writes don't overlap.
-  std::vector<uint64_t> out_base(num_shards + 1, 0);
-  for (uint64_t s = 0; s < num_shards; ++s) {
-    out_base[s + 1] = out_base[s] + shard_unique[s];
-  }
-  std::vector<uint64_t> offsets(n + 1, 0);
-  std::vector<NodeId> targets(out_base[num_shards]);
-  pool->ParallelForChunked(
-      num_shards, 1, [&](uint64_t s, uint64_t, uint64_t) {
-        const auto* shard = partitioned.data() + shard_begin[s];
-        uint64_t pos = out_base[s];
-        for (uint64_t i = 0; i < shard_unique[s]; ++i) {
-          offsets[shard[i].first + 1]++;
-          targets[pos++] = shard[i].second;
-        }
-      });
-  for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  return WebGraph::FromCsr(num_nodes_, std::move(offsets),
-                           std::move(targets), pool);
 }
 
 }  // namespace spammass::graph

@@ -11,10 +11,6 @@
 
 #include "graph/web_graph.h"
 
-namespace spammass::util {
-class ThreadPool;
-}  // namespace spammass::util
-
 namespace spammass::graph {
 
 /// Accumulates nodes and edges, then produces an immutable WebGraph.
@@ -41,20 +37,9 @@ class GraphBuilder {
   uint64_t num_pending_edges() const { return edges_.size(); }
 
   /// Sorts, dedupes and freezes into a WebGraph. The builder is left empty.
-  ///
-  /// When `pool` is non-null and the edge set is large enough, the build
-  /// runs the parallel pipeline: edges are partitioned into contiguous
-  /// source-id shards, each shard is sorted and deduplicated on a worker,
-  /// and the shards are stitched into CSR via prefix sums. Because the
-  /// shards partition the source range, the concatenation of sorted shards
-  /// IS the globally sorted unique edge list — the resulting graph is
-  /// bit-identical to the serial build for every pool size. Small inputs
-  /// (and pool == nullptr) take the serial path.
-  WebGraph Build(util::ThreadPool* pool = nullptr);
+  WebGraph Build();
 
  private:
-  WebGraph BuildParallel(util::ThreadPool* pool);
-
   NodeId num_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> edges_;
   std::vector<std::string> host_names_;

@@ -65,8 +65,7 @@ util::Status WriteEdgeListText(const WebGraph& graph,
   return Status::OK();
 }
 
-util::Result<WebGraph> ReadEdgeListText(const std::string& path,
-                                        util::ThreadPool* pool) {
+util::Result<WebGraph> ReadEdgeListText(const std::string& path) {
   SPAMMASS_TRACE_SPAN("graph.read_text", "path", std::string_view(path));
   std::ifstream f(path);
   if (!f) return Status::IoError("cannot open: " + path);
@@ -119,7 +118,7 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path,
     builder.EnsureNodes(max_id + 1);
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  return builder.Build(pool);
+  return builder.Build();
 }
 
 namespace {

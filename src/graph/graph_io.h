@@ -20,10 +20,6 @@
 #include "graph/web_graph.h"
 #include "util/status.h"
 
-namespace spammass::util {
-class ThreadPool;
-}  // namespace spammass::util
-
 namespace spammass::graph {
 
 /// Writes "u v" lines (plus a size header comment). Output is assembled in
@@ -32,10 +28,8 @@ util::Status WriteEdgeListText(const WebGraph& graph, const std::string& path);
 
 /// Parses an edge list. Lines starting with '#' and blank lines are skipped;
 /// node count is max id + 1 unless a "# nodes: N" header raises it.
-/// Duplicate edges and self-loops in the file are normalized away. `pool`
-/// parallelizes the final sort/dedup/CSR build for large inputs.
-util::Result<WebGraph> ReadEdgeListText(const std::string& path,
-                                        util::ThreadPool* pool = nullptr);
+/// Duplicate edges and self-loops in the file are normalized away.
+util::Result<WebGraph> ReadEdgeListText(const std::string& path);
 
 /// Writes the page-aligned v2.2 container for mmap loading: a 4 KiB header
 /// page holding a checksummed section table, then every array — both CSR

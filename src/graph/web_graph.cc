@@ -7,30 +7,8 @@
 #include "util/debug.h"
 #include "util/logging.h"
 #include "util/mmap_file.h"
-#include "util/thread_pool.h"
 
 namespace spammass::graph {
-
-namespace {
-
-// Below this many edges the cross-thread hops cost more than the serial
-// scan; the parallel transpose/derived paths fall back to serial.
-constexpr uint64_t kParallelIngestMinEdges = 1u << 14;
-
-// Per-chunk histograms cost chunks * num_nodes counter slots, so the chunk
-// count is capped independently of the worker count.
-constexpr uint64_t kMaxIngestChunks = 16;
-
-// One contiguous source-node range per chunk. Returns the node count per
-// chunk; the chunk count follows as ceil(n / chunk_nodes).
-uint64_t IngestChunkNodes(uint64_t num_nodes, util::ThreadPool* pool) {
-  const uint64_t chunks = std::max<uint64_t>(
-      1, std::min<uint64_t>({pool->num_threads(), kMaxIngestChunks,
-                             num_nodes}));
-  return (num_nodes + chunks - 1) / chunks;
-}
-
-}  // namespace
 
 void WebGraph::SyncViews() {
   out_offsets_v_ = out_offsets_;
@@ -64,23 +42,6 @@ WebGraph WebGraph::FromSortedEdges(
   g.SyncViews();
   g.BuildTranspose();
   g.BuildDerivedArrays();
-  DCHECK_OK(ValidateGraph(g));
-  return g;
-}
-
-WebGraph WebGraph::FromCsr(NodeId num_nodes,
-                           std::vector<uint64_t> out_offsets,
-                           std::vector<NodeId> targets,
-                           util::ThreadPool* pool) {
-  CHECK_EQ(out_offsets.size(), static_cast<size_t>(num_nodes) + 1);
-  CHECK_EQ(out_offsets.back(), targets.size());
-  WebGraph g;
-  g.num_nodes_ = num_nodes;
-  g.out_offsets_ = std::move(out_offsets);
-  g.targets_ = std::move(targets);
-  g.SyncViews();
-  g.BuildTranspose(pool);
-  g.BuildDerivedArrays(pool);
   DCHECK_OK(ValidateGraph(g));
   return g;
 }
@@ -147,7 +108,7 @@ std::vector<WebGraph::SectionResidency> WebGraph::MappedSectionResidency()
   return sections;
 }
 
-void WebGraph::BuildTranspose(util::ThreadPool* pool) {
+void WebGraph::BuildTranspose() {
   const uint64_t n = num_nodes_;
   in_offsets_.assign(n + 1, 0);
   sources_.assign(targets_.size(), 0);
@@ -156,119 +117,31 @@ void WebGraph::BuildTranspose(util::ThreadPool* pool) {
   SyncViews();
   if (n == 0) return;
 
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      targets_.size() < kParallelIngestMinEdges) {
-    for (NodeId v : targets_) in_offsets_[v + 1]++;
-    for (size_t i = 1; i < in_offsets_.size(); ++i) {
-      in_offsets_[i] += in_offsets_[i - 1];
-    }
-    std::vector<uint64_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-    for (NodeId u = 0; u < num_nodes_; ++u) {
-      for (NodeId v : OutNeighbors(u)) {
-        sources_[cursor[v]++] = u;
-      }
-    }
-    // Out-neighbor lists are scanned in ascending source order, so each
-    // in-neighbor list comes out sorted already.
-    return;
-  }
-
-  // Parallel counting sort over contiguous source-node chunks. Every
-  // scatter position is computed exactly from the per-chunk histograms, so
-  // the output arrays are bit-identical to the serial path for any chunk
-  // count — and the chunks write disjoint slots, so no write races.
-  const uint64_t chunk_nodes = IngestChunkNodes(n, pool);
-  const uint64_t num_chunks = (n + chunk_nodes - 1) / chunk_nodes;
-
-  // Phase 1: per-chunk in-degree histograms, counts[c * n + v]. A node's
-  // total in-degree is below 2^32 (at most one link per ordered source
-  // pair), so 32-bit per-chunk counters cannot overflow.
-  std::vector<uint32_t> counts(num_chunks * n, 0);
-  pool->ParallelForChunked(
-      n, chunk_nodes, [&](uint64_t c, uint64_t begin, uint64_t end) {
-        uint32_t* local = counts.data() + c * n;
-        for (uint64_t u = begin; u < end; ++u) {
-          for (NodeId v : OutNeighbors(static_cast<NodeId>(u))) local[v]++;
-        }
-      });
-
-  // Phase 2: fold the histograms into global in_offsets_ and rewrite each
-  // counts slot into the chunk's starting offset within node v's row
-  // (exclusive prefix over chunks in source order — this is what keeps
-  // every in-neighbor list sorted by source).
-  for (uint64_t v = 0; v < n; ++v) {
-    uint32_t running = 0;
-    for (uint64_t c = 0; c < num_chunks; ++c) {
-      const uint32_t count = counts[c * n + v];
-      counts[c * n + v] = running;
-      running += count;
-    }
-    in_offsets_[v + 1] = running;
-  }
+  for (NodeId v : targets_) in_offsets_[v + 1]++;
   for (size_t i = 1; i < in_offsets_.size(); ++i) {
     in_offsets_[i] += in_offsets_[i - 1];
   }
-
-  // Phase 3: scatter. Chunk c's edge (u, v) lands at
-  // in_offsets_[v] + counts[c * n + v]++, a slot no other chunk touches.
-  pool->ParallelForChunked(
-      n, chunk_nodes, [&](uint64_t c, uint64_t begin, uint64_t end) {
-        uint32_t* local = counts.data() + c * n;
-        for (uint64_t u = begin; u < end; ++u) {
-          for (NodeId v : OutNeighbors(static_cast<NodeId>(u))) {
-            sources_[in_offsets_[v] + local[v]++] = static_cast<NodeId>(u);
-          }
-        }
-      });
+  std::vector<uint64_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    for (NodeId v : OutNeighbors(u)) {
+      sources_[cursor[v]++] = u;
+    }
+  }
+  // Out-neighbor lists are scanned in ascending source order, so each
+  // in-neighbor list comes out sorted already.
 }
 
-void WebGraph::BuildDerivedArrays(util::ThreadPool* pool) {
+void WebGraph::BuildDerivedArrays() {
   const uint64_t n = num_nodes_;
   inv_out_degree_.assign(n, 0.0);
   dangling_nodes_.clear();
-  if (n == 0) {
-    SyncViews();
-    return;
-  }
-
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      n < kParallelIngestMinEdges) {
-    for (NodeId x = 0; x < num_nodes_; ++x) {
-      const uint32_t d = OutDegree(x);
-      if (d == 0) {
-        dangling_nodes_.push_back(x);
-      } else {
-        inv_out_degree_[x] = 1.0 / d;
-      }
+  for (NodeId x = 0; x < num_nodes_; ++x) {
+    const uint32_t d = OutDegree(x);
+    if (d == 0) {
+      dangling_nodes_.push_back(x);
+    } else {
+      inv_out_degree_[x] = 1.0 / d;
     }
-    SyncViews();
-    return;
-  }
-
-  // Per-chunk dangling lists land in chunk-indexed slots and concatenate
-  // in chunk order, so the combined list is ascending and identical to the
-  // serial scan for any chunk count.
-  const uint64_t chunk_nodes = IngestChunkNodes(n, pool);
-  const uint64_t num_chunks = (n + chunk_nodes - 1) / chunk_nodes;
-  std::vector<std::vector<NodeId>> chunk_dangling(num_chunks);
-  pool->ParallelForChunked(
-      n, chunk_nodes, [&](uint64_t c, uint64_t begin, uint64_t end) {
-        std::vector<NodeId>& local = chunk_dangling[c];
-        for (uint64_t u = begin; u < end; ++u) {
-          const auto x = static_cast<NodeId>(u);
-          const uint32_t d = OutDegree(x);
-          if (d == 0) {
-            local.push_back(x);
-          } else {
-            inv_out_degree_[x] = 1.0 / d;
-          }
-        }
-      });
-  size_t total = 0;
-  for (const auto& local : chunk_dangling) total += local.size();
-  dangling_nodes_.reserve(total);
-  for (const auto& local : chunk_dangling) {
-    dangling_nodes_.insert(dangling_nodes_.end(), local.begin(), local.end());
   }
   SyncViews();
 }
@@ -278,7 +151,7 @@ bool WebGraph::HasEdge(NodeId x, NodeId y) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), y);
 }
 
-WebGraph WebGraph::Transposed(util::ThreadPool* pool) const {
+WebGraph WebGraph::Transposed() const {
   WebGraph g;
   g.num_nodes_ = num_nodes_;
   // Copy through the views so mapped graphs transpose into heap storage.
@@ -288,7 +161,7 @@ WebGraph WebGraph::Transposed(util::ThreadPool* pool) const {
   g.sources_.assign(targets_v_.begin(), targets_v_.end());
   g.host_names_ = host_names_;
   g.SyncViews();
-  g.BuildDerivedArrays(pool);
+  g.BuildDerivedArrays();
   DCHECK_OK(ValidateGraph(g));
   return g;
 }

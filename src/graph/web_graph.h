@@ -23,7 +23,6 @@
 
 namespace spammass::util {
 class MmapFile;
-class ThreadPool;
 }  // namespace spammass::util
 
 namespace spammass::graph {
@@ -35,9 +34,10 @@ using NodeId = uint32_t;
 inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
 /// Immutable directed graph in compressed-sparse-row form. Construct via
-/// GraphBuilder (which normalizes edges), FromSortedEdges, or FromCsr for
-/// trusted input. Both the forward (out-neighbor) and the transposed
-/// (in-neighbor) adjacency are materialized.
+/// GraphBuilder (which normalizes edges), FromSortedEdges for trusted
+/// input, or FromMappedSections for a v2.2 file. Both the forward
+/// (out-neighbor) and the transposed (in-neighbor) adjacency are
+/// materialized.
 class WebGraph {
  public:
   /// Empty graph.
@@ -55,18 +55,6 @@ class WebGraph {
   /// CHECK-enforced (use GraphBuilder for untrusted edge streams).
   static WebGraph FromSortedEdges(NodeId num_nodes,
                                   const std::vector<std::pair<NodeId, NodeId>>& edges);
-
-  /// Adopts already-built forward CSR arrays and derives the transpose and
-  /// the solver-support arrays from them, in parallel when `pool` is
-  /// non-null. The arrays must satisfy ValidateCsr (graph_validate.h):
-  /// offsets monotonically non-decreasing from 0 to targets.size(), every
-  /// row strictly ascending with in-range targets, no self-links. Trusted
-  /// input only — debug builds re-validate, release builds do not; callers
-  /// ingesting untrusted bytes must run ValidateCsr first. The derived
-  /// arrays are bit-identical for every pool size, including none.
-  static WebGraph FromCsr(NodeId num_nodes, std::vector<uint64_t> out_offsets,
-                          std::vector<NodeId> targets,
-                          util::ThreadPool* pool = nullptr);
 
   /// Zero-copy construction over sections of a read-only file mapping (the
   /// v2.2 load path, graph_io.h). All six arrays — both CSR directions plus
@@ -117,9 +105,8 @@ class WebGraph {
   }
 
   /// Returns the transposed graph (every edge reversed) as a new graph.
-  /// `pool` parallelizes the derived-array rebuild when non-null. The
-  /// result always owns heap storage, even when this graph is mapped.
-  WebGraph Transposed(util::ThreadPool* pool = nullptr) const;
+  /// The result always owns heap storage, even when this graph is mapped.
+  WebGraph Transposed() const;
 
   /// Raw CSR views (offset arrays have num_nodes()+1 entries). Exposed for
   /// the invariant validators (graph_validate.h) and bulk kernels that scan
@@ -186,8 +173,6 @@ class WebGraph {
   std::string_view HostName(NodeId x) const;
 
  private:
-  friend class GraphBuilder;
-
   NodeId num_nodes_ = 0;
   // Owned storage for heap-built graphs; empty when mapped. CSR forward:
   // out_offsets_ has num_nodes_+1 entries; targets_ holds the concatenated
@@ -220,12 +205,8 @@ class WebGraph {
   /// used; every factory and build helper ends with it.
   void SyncViews();
 
-  // Both builders produce output bit-identical to their serial versions
-  // for every pool size: all scatter positions are computed exactly from
-  // per-chunk counts, never raced, and per-chunk partial results are
-  // combined in chunk order.
-  void BuildTranspose(util::ThreadPool* pool = nullptr);
-  void BuildDerivedArrays(util::ThreadPool* pool = nullptr);
+  void BuildTranspose();
+  void BuildDerivedArrays();
 };
 
 /// Publishes the mapped graph's residency into the global MetricsRegistry:

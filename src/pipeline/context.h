@@ -29,10 +29,11 @@
 
 namespace spammass::pipeline {
 
-/// TrustRank-as-detector settings. Seed selection and propagation follow
-/// core::RunTrustRank; demotion turns the ranking signal into a verdict:
-/// within T = {x : p̂_x ≥ ρ}, the `demote_fraction` of nodes with the
-/// lowest trust/PageRank ratio are flagged (TrustRank itself never
+/// TrustRank-as-detector settings. PipelineContext::Prepare selects the
+/// seeds with core::SelectTrustRankSeeds and propagates trust on a fused
+/// forward lane; demotion turns the ranking signal into a verdict: within
+/// T = {x : p̂_x ≥ ρ}, the `demote_fraction` of nodes with the lowest
+/// trust/PageRank ratio are flagged (TrustRank itself never
 /// *detects* spam — this is the comparison convention the benches use).
 struct TrustRankDetectorConfig {
   uint32_t seed_candidates = 50;

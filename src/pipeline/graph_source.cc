@@ -137,7 +137,7 @@ void RecordLoadMetrics(const LoadedGraph& loaded) {
 
 }  // namespace
 
-Result<LoadedGraph> GraphSource::Load(util::ThreadPool* pool) {
+Result<LoadedGraph> GraphSource::Load() {
   obs::ScopedStageTimer timer("graph_source_load", nullptr);
   timer.span().Arg("source", std::string_view(description_));
   LoadedGraph loaded;
@@ -162,7 +162,7 @@ Result<LoadedGraph> GraphSource::Load(util::ThreadPool* pool) {
       loaded.format = format.value();
       auto graph = loaded.format == GraphFormat::kBinary
                        ? graph::ReadBinaryMmap(path_)
-                       : graph::ReadEdgeListText(path_, pool);
+                       : graph::ReadEdgeListText(path_);
       if (!graph.ok()) return graph.status();
       loaded.web.graph = std::move(graph.value());
       break;

@@ -18,10 +18,6 @@
 #include "synth/web_model.h"
 #include "util/status.h"
 
-namespace spammass::util {
-class ThreadPool;
-}  // namespace spammass::util
-
 namespace spammass::pipeline {
 
 /// Where a loaded graph came from.
@@ -98,12 +94,11 @@ class GraphSource {
   GraphSource& WithMmap();
 
   /// Materializes the graph. A binary file is mapped zero-copy
-  /// (graph::ReadBinaryMmap); a text edge list is built on the heap, its
-  /// sort/dedup parallelized by `pool` (null builds serially). Synthetic
-  /// and file sources can be loaded repeatedly; an in-memory source is
-  /// one-shot (WebGraph is move-only) — a second Load fails with
-  /// FailedPrecondition.
-  util::Result<LoadedGraph> Load(util::ThreadPool* pool = nullptr);
+  /// (graph::ReadBinaryMmap); a text edge list is built on the heap by
+  /// graph::GraphBuilder. Synthetic and file sources can be loaded
+  /// repeatedly; an in-memory source is one-shot (WebGraph is move-only) —
+  /// a second Load fails with FailedPrecondition.
+  util::Result<LoadedGraph> Load();
 
  private:
   enum class Kind { kSynthetic, kFile, kInMemory };

@@ -76,9 +76,8 @@ Result<PipelineRun> RunDetectors(
 
 Result<PipelineRun> RunDetectors(
     GraphSource& source, const PipelineConfig& config,
-    const std::vector<std::string>& detector_names,
-    util::ThreadPool* load_pool) {
-  auto loaded = source.Load(load_pool);
+    const std::vector<std::string>& detector_names) {
+  auto loaded = source.Load();
   if (!loaded.ok()) return loaded.status();
   return RunDetectors(std::move(loaded.value()), config, detector_names);
 }

@@ -47,13 +47,11 @@ util::Result<PipelineRun> RunDetectors(
     LoadedGraph loaded, const PipelineConfig& config,
     const std::vector<std::string>& detector_names);
 
-/// Convenience: Load() the source, then run. `load_pool` parallelizes
-/// file ingest. (Non-const: in-memory sources are one-shot, see
-/// GraphSource::Load.)
+/// Convenience: Load() the source, then run. (Non-const: in-memory
+/// sources are one-shot, see GraphSource::Load.)
 util::Result<PipelineRun> RunDetectors(
     GraphSource& source, const PipelineConfig& config,
-    const std::vector<std::string>& detector_names,
-    util::ThreadPool* load_pool = nullptr);
+    const std::vector<std::string>& detector_names);
 
 }  // namespace spammass::pipeline
 

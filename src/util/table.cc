@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "util/string_util.h"
 
@@ -61,38 +60,6 @@ std::string TextTable::ToString() const {
   }
   for (const auto& r : rows_) emit(r);
   return out;
-}
-
-std::string TextTable::ToCsv() const {
-  auto quote = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ',';
-      out += quote(row[i]);
-    }
-    out += '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out;
-}
-
-Status TextTable::WriteCsv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return Status::IoError("cannot open for writing: " + path);
-  f << ToCsv();
-  if (!f) return Status::IoError("write failed: " + path);
-  return Status::OK();
 }
 
 }  // namespace spammass::util

@@ -1,4 +1,4 @@
-// Aligned plain-text tables and CSV emission for the experiment harnesses.
+// Aligned plain-text tables for the experiment harnesses.
 // Every bench binary prints its paper table/figure series through TextTable
 // so the output is uniform and diffable.
 
@@ -9,8 +9,6 @@
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "util/status.h"
 
 namespace spammass::util {
 
@@ -33,13 +31,6 @@ class TextTable {
 
   /// Renders with a header separator and two-space column gaps.
   std::string ToString() const;
-
-  /// Renders as RFC-4180-ish CSV (cells containing comma/quote/newline are
-  /// quoted).
-  std::string ToCsv() const;
-
-  /// Writes ToCsv() to a file.
-  Status WriteCsv(const std::string& path) const;
 
   /// Streams ToString().
   friend std::ostream& operator<<(std::ostream& os, const TextTable& t) {

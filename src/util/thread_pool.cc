@@ -51,17 +51,6 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0) all_done_.Wait(&mutex_);
 }
 
-void ThreadPool::ParallelFor(
-    uint64_t total, const std::function<void(uint64_t, uint64_t)>& body) {
-  if (total == 0) return;
-  const uint64_t chunks = std::min<uint64_t>(num_threads(), total);
-  const uint64_t per_chunk = (total + chunks - 1) / chunks;
-  ParallelForChunked(total, per_chunk,
-                    [&body](uint64_t, uint64_t begin, uint64_t end) {
-                      body(begin, end);
-                    });
-}
-
 void ThreadPool::ParallelForChunked(
     uint64_t total, uint64_t chunk_size,
     const std::function<void(uint64_t, uint64_t, uint64_t)>& body) {
@@ -75,7 +64,7 @@ void ThreadPool::ParallelForChunked(
   }
 
   // Per-call completion latch. Waiting on the pool-global in_flight_
-  // counter (the old scheme) made one caller's ParallelFor block on
+  // counter (the old scheme) made one caller's call block on
   // *other* callers' tasks — and on Submits racing in between chunk
   // submission and the wait. The latch counts exactly this call's chunks,
   // however many that is — chunk counts above num_threads() just queue.

@@ -3,13 +3,13 @@
 // output entry reads only the previous iterate), so the solver shards the
 // node range across workers.
 //
-// Thread-safety: Submit, Wait, and ParallelFor may all be called
-// concurrently from multiple caller threads. ParallelFor tracks its own
-// chunks through a per-call latch, so two overlapping ParallelFor calls (or
-// a ParallelFor racing unrelated Submits) each return as soon as *their*
-// work finishes — they never wait on each other's tasks. Wait() is the
-// global variant: it blocks until the pool is fully drained, including
-// tasks submitted by other threads while waiting.
+// Thread-safety: Submit, Wait, and ParallelForChunked may all be called
+// concurrently from multiple caller threads. ParallelForChunked tracks its
+// own chunks through a per-call latch, so two overlapping calls (or one
+// racing unrelated Submits) each return as soon as *their* work finishes —
+// they never wait on each other's tasks. Wait() is the global variant: it
+// blocks until the pool is fully drained, including tasks submitted by
+// other threads while waiting.
 
 #ifndef SPAMMASS_UTIL_THREAD_POOL_H_
 #define SPAMMASS_UTIL_THREAD_POOL_H_
@@ -68,13 +68,6 @@ class ThreadPool {
   /// the wait (by any thread) has finished.
   void Wait() SPAMMASS_EXCLUDES(mutex_);
 
-  /// Splits [0, total) into roughly equal chunks (one per worker) and runs
-  /// `body(begin, end)` on each concurrently; returns when all chunks are
-  /// done. Only waits on its own chunks, never on concurrent callers'.
-  void ParallelFor(uint64_t total,
-                   const std::function<void(uint64_t, uint64_t)>& body)
-      SPAMMASS_EXCLUDES(mutex_);
-
   /// Runs `body(chunk_index, begin, end)` over [0, total) split into fixed
   /// `chunk_size` pieces: chunk c covers [c·chunk_size, min((c+1)·chunk_size,
   /// total)). The decomposition depends only on (total, chunk_size) — never
@@ -83,7 +76,8 @@ class ThreadPool {
   /// bit-identical floating-point sums for every thread count (the
   /// deterministic-reduction contract the PageRank kernels rely on). Chunks
   /// may execute in any order and more chunks than workers is fine; the
-  /// call returns when all of its own chunks are done.
+  /// call returns when all of its own chunks are done, never waiting on
+  /// concurrent callers'.
   void ParallelForChunked(
       uint64_t total, uint64_t chunk_size,
       const std::function<void(uint64_t, uint64_t, uint64_t)>& body)

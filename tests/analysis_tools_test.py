@@ -189,14 +189,14 @@ class BenchBaselineHostGuardTest(unittest.TestCase):
 
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
-        # A stand-in bench_graph_ops: writes a report whose serial/parallel
+        # A stand-in bench_pipeline: writes a report whose independent/shared
         # pair gives a 1.0x speedup to the path in --benchmark_out=.
         report = {"context": self.CONTEXT, "benchmarks": [
-            {"name": "BM_CsrBuildSerial", "real_time": 10.0,
+            {"name": "BM_TwoDetectorsIndependentRuns", "real_time": 10.0,
              "time_unit": "ms"},
-            {"name": "BM_CsrBuildParallel/2", "real_time": 10.0,
+            {"name": "BM_TwoDetectorsSharedContext", "real_time": 10.0,
              "time_unit": "ms"}]}
-        binary = os.path.join(self.dir.name, "bench_graph_ops")
+        binary = os.path.join(self.dir.name, "bench_pipeline")
         with open(binary, "w", encoding="utf-8") as f:
             f.write(f"#!{sys.executable}\n"
                     "import sys\n"
@@ -213,15 +213,16 @@ class BenchBaselineHostGuardTest(unittest.TestCase):
         with open(baseline, "w", encoding="utf-8") as f:
             # The committed run claims 2.0x: the current 1.0x is a drop.
             json.dump({"context": context, "speedups": {
-                "graph_build_parallel_speedup_T2": 2.0}}, f)
+                "pipeline_two_detector_cache_speedup": 2.0}}, f)
         return run_tool(BENCH_TO_JSON, "--bench-dir", self.dir.name,
-                        "--suite", "graph", "--baseline", baseline,
+                        "--suite", "pipeline", "--baseline", baseline,
                         "--out", os.path.join(self.dir.name, "out.json"))
 
     def test_like_host_baseline_is_compared(self):
         code, stdout, stderr = self.run_with_baseline(self.CONTEXT)
         self.assertEqual(code, 0, stdout + stderr)
-        self.assertIn("REGRESSION graph_build_parallel_speedup_T2", stderr)
+        self.assertIn("REGRESSION pipeline_two_detector_cache_speedup",
+                      stderr)
         self.assertNotIn("refusing baseline", stderr)
 
     def test_other_cpu_count_is_refused(self):
@@ -259,13 +260,14 @@ class BenchMedianTest(unittest.TestCase):
                             "real_time": median, "time_unit": "ms"})
             return entries
 
-        # The serial entry's last repetition is an outlier (30 ms): paired
+        # The baseline entry's last repetition is an outlier (30 ms): paired
         # by last repetition the ratio would read 6.0x, by median 2.0x.
         report = {"context": BenchBaselineHostGuardTest.CONTEXT,
-                  "benchmarks": reps("BM_CsrBuildSerial", [10, 10, 30], 10)
-                  + reps("BM_CsrBuildParallel/2", [5, 5, 5], 5)}
+                  "benchmarks":
+                  reps("BM_TwoDetectorsIndependentRuns", [10, 10, 30], 10)
+                  + reps("BM_TwoDetectorsSharedContext", [5, 5, 5], 5)}
         with tempfile.TemporaryDirectory() as tree:
-            binary = os.path.join(tree, "bench_graph_ops")
+            binary = os.path.join(tree, "bench_pipeline")
             with open(binary, "w", encoding="utf-8") as f:
                 f.write(f"#!{sys.executable}\n"
                         "import sys\n"
@@ -275,13 +277,13 @@ class BenchMedianTest(unittest.TestCase):
             os.chmod(binary, os.stat(binary).st_mode | stat.S_IXUSR)
             out = os.path.join(tree, "out.json")
             code, stdout, stderr = run_tool(
-                BENCH_TO_JSON, "--bench-dir", tree, "--suite", "graph",
+                BENCH_TO_JSON, "--bench-dir", tree, "--suite", "pipeline",
                 "--out", out)
             self.assertEqual(code, 0, stdout + stderr)
             with open(out, encoding="utf-8") as f:
                 speedups = json.load(f)["speedups"]
         self.assertAlmostEqual(
-            speedups["graph_build_parallel_speedup_T2"], 2.0)
+            speedups["pipeline_two_detector_cache_speedup"], 2.0)
 
 
 class RealTreeGuardTest(unittest.TestCase):

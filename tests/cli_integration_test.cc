@@ -1,6 +1,6 @@
 // End-to-end test of the spammass_cli binary: generate → stats → pagerank
-// → run (Algorithm 2 candidates and mass CSVs) → sites over real files. The binary path is injected by
-// CMake (SPAMMASS_CLI_PATH).
+// → run (Algorithm 2 candidates and mass CSVs) → sites over real files.
+// The binary path is injected by CMake (SPAMMASS_CLI_PATH).
 
 #include <gtest/gtest.h>
 
@@ -516,6 +516,57 @@ TEST_F(CliTest, PageRankBreaksTiesByNodeId) {
     const std::string& row = rows[static_cast<size_t>(x) + 2];
     ASSERT_EQ(row.substr(0, row.find(',')), std::to_string(x)) << row;
   }
+}
+
+TEST_F(CliTest, CsvOutputsPinExactBytes) {
+  // A farm target (4) fed by boosters 5-9 and one link from good host 3;
+  // the core {0, 1, 2} reaches the farm only through 3. The cells cover
+  // negative masses, integer-valued cells and tied ranks.
+  const std::string d = Dir();
+  WriteFile("tiny.edges",
+            "0 1\n1 0\n0 2\n1 3\n2 0\n3 4\n5 4\n6 4\n7 4\n8 4\n9 4\n"
+            "4 5\n4 6\n4 7\n");
+  WriteFile("tiny.core", "0\n1\n2\n");
+  ASSERT_EQ(Run("run --graph " + d + "/tiny.edges --core " + d +
+                "/tiny.core --detectors spam_mass --tau 0.5 --rho 1.5 "
+                "--manifest " + d + "/run.json --candidates-out " + d +
+                "/cand.csv --mass-out " + d + "/mass.csv"),
+            0)
+      << ReadFile("stderr.txt");
+  EXPECT_EQ(ReadFile("cand.csv"),
+            "node,scaled_pagerank,rel_mass\n"
+            "5,8.375519,0.611886\n"
+            "6,8.375519,0.611886\n"
+            "7,8.375519,0.611886\n"
+            "4,26.031243,0.559264\n");
+  EXPECT_EQ(ReadFile("mass.csv"),
+            "node,scaled_pagerank,scaled_abs_mass,rel_mass\n"
+            "0,4.965894,-9.104138,-1.833333\n"
+            "1,3.110505,-5.702592,-1.833333\n"
+            "2,3.110505,-5.702592,-1.833333\n"
+            "3,2.321965,-1.423602,-0.613102\n"
+            "4,26.031243,14.558337,0.559264\n"
+            "5,8.375519,5.124862,0.611886\n"
+            "6,8.375519,5.124862,0.611886\n"
+            "7,8.375519,5.124862,0.611886\n"
+            "8,1,1,1\n"
+            "9,1,1,1\n");
+  ASSERT_EQ(Run("pagerank --edges " + d + "/tiny.edges --out " + d +
+                "/pr.csv"),
+            0)
+      << ReadFile("stderr.txt");
+  EXPECT_EQ(ReadFile("pr.csv"),
+            "node,scaled_pagerank\n"
+            "4,26.031243\n"
+            "5,8.375519\n"
+            "6,8.375519\n"
+            "7,8.375519\n"
+            "0,4.965894\n"
+            "1,3.110505\n"
+            "2,3.110505\n"
+            "3,2.321965\n"
+            "8,1\n"
+            "9,1\n");
 }
 
 TEST_F(CliTest, UnknownCommandFails) {

@@ -13,10 +13,7 @@ namespace spammass {
 namespace {
 
 using core::ComputeTrustRank;
-using core::RankByTrust;
-using core::RunTrustRank;
 using core::SelectTrustRankSeeds;
-using core::TrustRankOptions;
 using graph::GraphBuilder;
 using graph::NodeId;
 using graph::WebGraph;
@@ -191,19 +188,11 @@ TEST(TrustRankSeedMarginTest, OmittedOnlyWithoutACut) {
 
 TEST(TrustRankTest, OracleFiltersSpamSeeds) {
   auto fig = synth::MakeFigure1Graph(30);
-  TrustRankOptions options;
-  options.solver = Precise();
-  options.seed_candidates = 4;
-  auto result = RunTrustRank(fig.graph, fig.labels, options);
+  auto result = SelectTrustRankSeeds(fig.graph, 4, &fig.labels, Precise());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (NodeId s : result.value().seeds) {
     EXPECT_TRUE(fig.labels.IsGood(s)) << "seed " << s;
   }
-}
-
-TEST(TrustRankTest, RankByTrustDescending) {
-  auto order = RankByTrust({0.1, 0.5, 0.3});
-  EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 0}));
 }
 
 TEST(TrustRankTest, DemotionVsDetectionOnFigure2) {

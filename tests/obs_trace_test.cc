@@ -123,7 +123,7 @@ TEST(ObsTraceTest, DisabledTracingRecordsNothing) {
   {
     SPAMMASS_TRACE_SPAN("test.should_not_appear");
     util::ThreadPool pool(2);
-    pool.ParallelFor(32, [](uint64_t, uint64_t) {});
+    pool.ParallelForChunked(32, 8, [](uint64_t, uint64_t, uint64_t) {});
     pool.Wait();
   }
   const JsonValue root = ParseTrace();

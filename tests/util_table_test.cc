@@ -1,10 +1,8 @@
-// Tests of the text-table / CSV renderer.
+// Tests of the text-table renderer.
 
 #include "util/table.h"
 
 #include <gtest/gtest.h>
-
-#include <fstream>
 
 namespace spammass {
 namespace {
@@ -41,29 +39,6 @@ TEST(TextTableTest, PadsShortRows) {
   t.AddRow({"only"});
   std::string s = t.ToString();
   EXPECT_NE(s.find("only"), std::string::npos);
-}
-
-TEST(TextTableTest, CsvQuoting) {
-  TextTable t;
-  t.SetHeader({"name", "note"});
-  t.AddRow({"a,b", "say \"hi\""});
-  std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(TextTableTest, CsvWriteToFile) {
-  TextTable t;
-  t.SetHeader({"x"});
-  t.AddRowValues(42);
-  std::string path = testing::TempDir() + "/table.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "x");
-  std::getline(f, line);
-  EXPECT_EQ(line, "42");
 }
 
 TEST(TextTableTest, MixedCellTypes) {

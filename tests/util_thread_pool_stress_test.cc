@@ -1,8 +1,9 @@
 // Multi-threaded stress tests for util::ThreadPool: many caller threads
-// hammering Submit/ParallelFor/Wait concurrently. Primarily a TSan target
-// (the CI thread-sanitizer job runs exactly this suite), but the invariants
-// checked — every task runs exactly once, ParallelFor covers its range
-// exactly once even with concurrent interference — hold in any build.
+// hammering Submit/ParallelForChunked/Wait concurrently. Primarily a TSan
+// target (the CI thread-sanitizer job runs exactly this suite), but the
+// invariants checked — every task runs exactly once, ParallelForChunked
+// covers its range exactly once even with concurrent interference — hold
+// in any build.
 
 #include "util/thread_pool.h"
 
@@ -43,8 +44,9 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForCallersCoverTheirRanges) {
   constexpr int kCallers = 6;
   constexpr uint64_t kRange = 2000;
 
-  // Each caller thread owns a hit array; ParallelFor must cover exactly its
-  // own range even while five other callers shard through the same pool.
+  // Each caller thread owns a hit array; ParallelForChunked must cover
+  // exactly its own range even while five other callers shard through the
+  // same pool.
   std::vector<std::vector<std::atomic<uint32_t>>> hits(kCallers);
   for (auto& h : hits) h = std::vector<std::atomic<uint32_t>>(kRange);
 
@@ -53,12 +55,13 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForCallersCoverTheirRanges) {
   for (int caller = 0; caller < kCallers; ++caller) {
     callers.emplace_back([&pool, &hits, caller] {
       for (int round = 0; round < 20; ++round) {
-        pool.ParallelFor(kRange, [&hits, caller](uint64_t begin,
-                                                 uint64_t end) {
-          for (uint64_t i = begin; i < end; ++i) {
-            hits[caller][i].fetch_add(1);
-          }
-        });
+        pool.ParallelForChunked(
+            kRange, 100,
+            [&hits, caller](uint64_t, uint64_t begin, uint64_t end) {
+              for (uint64_t i = begin; i < end; ++i) {
+                hits[caller][i].fetch_add(1);
+              }
+            });
       }
     });
   }
@@ -93,9 +96,10 @@ TEST(ThreadPoolStressTest, MixedSubmitParallelForWaitInterleavings) {
 
   std::thread sharder([&pool, &parallel_done] {
     for (int round = 0; round < 200; ++round) {
-      pool.ParallelFor(64, [&parallel_done](uint64_t begin, uint64_t end) {
-        parallel_done.fetch_add(end - begin);
-      });
+      pool.ParallelForChunked(
+          64, 8, [&parallel_done](uint64_t, uint64_t begin, uint64_t end) {
+            parallel_done.fetch_add(end - begin);
+          });
     }
   });
 

@@ -35,23 +35,28 @@ TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&hits](uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
+  pool.ParallelForChunked(1000, 7,
+                          [&hits](uint64_t, uint64_t begin, uint64_t end) {
+                            for (uint64_t i = begin; i < end; ++i) {
+                              hits[i].fetch_add(1);
+                            }
+                          });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, [&called](uint64_t, uint64_t) { called = true; });
+  pool.ParallelForChunked(
+      0, 1, [&called](uint64_t, uint64_t, uint64_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
   ThreadPool pool(8);
   std::atomic<uint64_t> sum{0};
-  pool.ParallelFor(3, [&sum](uint64_t begin, uint64_t end) {
+  pool.ParallelForChunked(3, 1, [&sum](uint64_t, uint64_t begin,
+                                       uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) sum.fetch_add(i + 1);
   });
   EXPECT_EQ(sum.load(), 6u);  // 1 + 2 + 3

@@ -25,12 +25,8 @@ Suite `solver` (bench_solver_perf + bench_multi_solve):
   Every benchmark these ratios name repeats 5 times and enters by the
   median of its repetitions.
 
-Suite `graph` (bench_graph_ops, 100k-node ingest fixtures):
-
-  * graph_build_parallel_speedup_T<k>:
-        BM_CsrBuildSerial / BM_CsrBuildParallel/<k>
-  * graph_transpose_parallel_speedup_T<k>:
-        BM_TransposeSerial / BM_TransposeParallel/<k>
+Suite `graph` (bench_graph_ops): absolute times only, no ratios. The graph
+is built and transposed serially, so there is no second path to pair.
 
 Suite `pipeline` (bench_pipeline, shared synthetic web):
 
@@ -114,21 +110,6 @@ SOLVER_RATIO_PAIRS = [
      "BM_SweepSimdF64Plain"),
 ]
 
-GRAPH_RATIO_PAIRS = [
-    ("graph_build_parallel_speedup_T2", "BM_CsrBuildSerial",
-     "BM_CsrBuildParallel/2"),
-    ("graph_build_parallel_speedup_T4", "BM_CsrBuildSerial",
-     "BM_CsrBuildParallel/4"),
-    ("graph_build_parallel_speedup_T8", "BM_CsrBuildSerial",
-     "BM_CsrBuildParallel/8"),
-    ("graph_transpose_parallel_speedup_T2", "BM_TransposeSerial",
-     "BM_TransposeParallel/2"),
-    ("graph_transpose_parallel_speedup_T4", "BM_TransposeSerial",
-     "BM_TransposeParallel/4"),
-    ("graph_transpose_parallel_speedup_T8", "BM_TransposeSerial",
-     "BM_TransposeParallel/8"),
-]
-
 PIPELINE_RATIO_PAIRS = [
     ("pipeline_two_detector_cache_speedup", "BM_TwoDetectorsIndependentRuns",
      "BM_TwoDetectorsSharedContext"),
@@ -173,7 +154,7 @@ SUITES = {
     },
     "graph": {
         "binaries": ["bench_graph_ops"],
-        "ratios": GRAPH_RATIO_PAIRS,
+        "ratios": [],
     },
     "pipeline": {
         "binaries": ["bench_pipeline"],

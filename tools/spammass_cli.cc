@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -54,6 +55,34 @@ namespace {
 int Fail(const util::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// Writes a CSV file of `header` plus `num_rows` rows, row i's cells
+/// appended by `append_row(i, &buf)` (without the newline). Rows are
+/// assembled in one buffer flushed in ~1 MiB slabs, as
+/// graph::WriteEdgeListText does, so memory stays flat in the row count.
+/// Cells are written unquoted: callers emit numbers only.
+template <typename AppendRow>
+util::Status WriteCsvRows(const std::string& path, const char* header,
+                          size_t num_rows, const AppendRow& append_row) {
+  constexpr size_t kFlushBytes = 1u << 20;
+  std::ofstream f(path, std::ios::binary);
+  if (!f) return util::Status::IoError("cannot open for writing: " + path);
+  std::string buf;
+  buf.reserve(kFlushBytes + 256);
+  buf += header;
+  buf += '\n';
+  for (size_t i = 0; i < num_rows; ++i) {
+    append_row(i, &buf);
+    buf += '\n';
+    if (buf.size() >= kFlushBytes) {
+      f.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
+  }
+  f.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  if (!f) return util::Status::IoError("write failed: " + path);
+  return util::Status::OK();
 }
 
 int Usage() {
@@ -431,8 +460,6 @@ int CmdPageRank(int argc, const char* const* argv) {
   std::fprintf(stderr, "solved in %d sweeps, %.2fs (converged: %s)\n",
                pr.iterations, timer.Seconds(), pr.converged ? "yes" : "no");
 
-  util::TextTable table;
-  table.SetHeader({"node", "scaled_pagerank"});
   std::vector<graph::NodeId> order(loaded.value().graph().num_nodes());
   for (graph::NodeId i = 0; i < order.size(); ++i) order[i] = i;
   // Ties (every host without in-links scores the same) go by node id.
@@ -440,14 +467,19 @@ int CmdPageRank(int argc, const char* const* argv) {
     return scaled[a] != scaled[b] ? scaled[a] > scaled[b] : a < b;
   });
   if (!flags.GetString("out").empty()) {
-    for (graph::NodeId x : order) {
-      table.AddRow({std::to_string(x), util::FormatDouble(scaled[x], 6)});
-    }
-    status = table.WriteCsv(flags.GetString("out"));
+    status = WriteCsvRows(
+        flags.GetString("out"), "node,scaled_pagerank", order.size(),
+        [&](size_t i, std::string* row) {
+          *row += std::to_string(order[i]);
+          *row += ',';
+          *row += util::FormatDouble(scaled[order[i]], 6);
+        });
     if (!status.ok()) return Fail(status);
     std::printf("wrote %u rows to %s\n", loaded.value().graph().num_nodes(),
                 flags.GetString("out").c_str());
   } else {
+    util::TextTable table;
+    table.SetHeader({"node", "scaled_pagerank"});
     size_t top = static_cast<size_t>(flags.GetInt("top"));
     for (size_t i = 0; i < order.size() && i < top; ++i) {
       table.AddRow({std::to_string(order[i]),
@@ -541,14 +573,15 @@ void PrintSpamMassVerdict(const pipeline::PipelineRun& run,
 util::Status WriteCandidatesCsv(
     const std::vector<core::SpamCandidate>& candidates,
     const std::string& path) {
-  util::TextTable csv;
-  csv.SetHeader({"node", "scaled_pagerank", "rel_mass"});
-  for (const core::SpamCandidate& c : candidates) {
-    csv.AddRow({std::to_string(c.node),
-                util::FormatDouble(c.scaled_pagerank, 6),
-                util::FormatDouble(c.relative_mass, 6)});
-  }
-  return csv.WriteCsv(path);
+  return WriteCsvRows(path, "node,scaled_pagerank,rel_mass", candidates.size(),
+                      [&](size_t i, std::string* row) {
+                        const core::SpamCandidate& c = candidates[i];
+                        *row += std::to_string(c.node);
+                        *row += ',';
+                        *row += util::FormatDouble(c.scaled_pagerank, 6);
+                        *row += ',';
+                        *row += util::FormatDouble(c.relative_mass, 6);
+                      });
 }
 
 /// Every node's mass estimates, scaled like p̂:
@@ -557,15 +590,17 @@ util::Status WriteMassCsv(const core::MassEstimates& est,
                           const std::string& path) {
   const double scale =
       static_cast<double>(est.pagerank.size()) / (1.0 - est.damping);
-  util::TextTable csv;
-  csv.SetHeader({"node", "scaled_pagerank", "scaled_abs_mass", "rel_mass"});
-  for (size_t x = 0; x < est.pagerank.size(); ++x) {
-    csv.AddRow({std::to_string(x),
-                util::FormatDouble(est.pagerank[x] * scale, 6),
-                util::FormatDouble(est.absolute_mass[x] * scale, 6),
-                util::FormatDouble(est.relative_mass[x], 6)});
-  }
-  return csv.WriteCsv(path);
+  return WriteCsvRows(
+      path, "node,scaled_pagerank,scaled_abs_mass,rel_mass",
+      est.pagerank.size(), [&](size_t x, std::string* row) {
+        *row += std::to_string(x);
+        *row += ',';
+        *row += util::FormatDouble(est.pagerank[x] * scale, 6);
+        *row += ',';
+        *row += util::FormatDouble(est.absolute_mass[x] * scale, 6);
+        *row += ',';
+        *row += util::FormatDouble(est.relative_mass[x], 6);
+      });
 }
 
 int CmdRun(int argc, const char* const* argv) {

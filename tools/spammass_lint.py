@@ -98,7 +98,7 @@ USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\s+([\w:]+)")
 ORCHESTRATION_RE = re.compile(
     r"\b(pagerank::(?:ComputeUniformPageRank|ComputePageRankMulti|"
     r"ComputePageRank)|"
-    r"core::(?:EstimateSpamMass|ComputeTrustRank|RunTrustRank)|"
+    r"core::(?:EstimateSpamMass|ComputeTrustRank)|"
     r"graph::(?:ReadEdgeListText|ReadBinaryMmap))\s*\(")
 # Directories the pipeline-orchestration rule applies to (bench/ is
 # excluded: perf benches compare raw kernels against the fused path).
