@@ -83,7 +83,7 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path) {
       if (sv.substr(0, kNodesPrefix.size()) == kNodesPrefix) {
         std::string_view rest = sv.substr(kNodesPrefix.size());
         uint64_t declared = 0;
-        if (util::ParseUint64(util::NextField(&rest), &declared) &&
+        if (util::ParseNumber(util::NextField(&rest), &declared) &&
             declared < kInvalidNode) {
           builder.EnsureNodes(static_cast<NodeId>(declared));
         }
@@ -99,13 +99,13 @@ util::Result<WebGraph> ReadEdgeListText(const std::string& path) {
                                      ": expected 'source target'");
     }
     uint64_t u = 0;
-    if (!util::ParseUint64(source_field, &u)) {
+    if (!util::ParseNumber(source_field, &u)) {
       return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                      ": bad source id '" +
                                      std::string(source_field) + "'");
     }
     uint64_t v = 0;
-    if (!util::ParseUint64(target_field, &v)) {
+    if (!util::ParseNumber(target_field, &v)) {
       return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                      ": bad target id '" +
                                      std::string(target_field) + "'");
@@ -618,7 +618,7 @@ util::Status ReadHostNames(const std::string& path, WebGraph* graph) {
                                      ": expected '<id>\\t<host>'");
     }
     uint64_t id = 0;
-    if (!util::ParseUint64(std::string_view(line).substr(0, tab), &id) ||
+    if (!util::ParseNumber(std::string_view(line).substr(0, tab), &id) ||
         id >= graph->num_nodes()) {
       return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                      ": bad node id");

@@ -11,9 +11,7 @@
 //     zero).
 //   * ResourceSampler — a background thread that publishes a snapshot
 //     every period. Started/stopped by the CLI's ObsSession so every
-//     subcommand gets RSS and fault curves next to its counters; the
-//     spammass_serve /metrics endpoint will run one for the process
-//     lifetime (ROADMAP item 1).
+//     subcommand gets RSS and fault curves next to its counters.
 //
 // Published metrics (names are Prometheus-manglable, see
 // MetricsRegistry::SnapshotPrometheus):

@@ -144,13 +144,14 @@ void RecordComplete(const char* name, uint64_t start_ns, uint64_t dur_ns,
 
 // --- thread-pool telemetry hooks ------------------------------------------
 //
-// Installed via util::SetThreadPoolHooks. The tasks counter counts always
-// (metrics are always-on); the pool_task span records only while tracing.
+// Installed via util::SetThreadPoolHooks, around every participant's share
+// of a pool call. The tasks counter counts always (metrics are always-on);
+// the pool_task span records only while tracing.
 
 thread_local uint64_t t_pool_task_start_ns = 0;
-thread_local bool t_pool_thread_named = false;
+thread_local bool t_thread_named = false;  // Named threads keep their name.
 
-void PoolTaskBegin(uint32_t worker_index) {
+void PoolTaskBegin(uint32_t participant) {
   static Counter* tasks =
       MetricsRegistry::Global().GetCounter("threadpool.tasks");
   tasks->Increment();
@@ -158,15 +159,14 @@ void PoolTaskBegin(uint32_t worker_index) {
     t_pool_task_start_ns = 0;
     return;
   }
-  if (!t_pool_thread_named) {
-    SetCurrentThreadName("pool-worker-" + std::to_string(worker_index));
-    t_pool_thread_named = true;
+  if (!t_thread_named) {
+    SetCurrentThreadName("pool-worker-" + std::to_string(participant));
   }
   t_pool_task_start_ns = TraceNowNs();
 }
 
-void PoolTaskEnd(uint32_t /*worker_index*/) {
-  // start == 0 means tracing was off at task begin; skip the partial span.
+void PoolTaskEnd(uint32_t /*participant*/) {
+  // start == 0 means tracing was off at share begin; skip the partial span.
   if (t_pool_task_start_ns == 0) return;
   const uint64_t start = t_pool_task_start_ns;
   t_pool_task_start_ns = 0;
@@ -242,6 +242,7 @@ void StopTracing() {
 }
 
 void SetCurrentThreadName(std::string name) {
+  t_thread_named = true;
   ThreadRing* ring = ThisThreadRing();
   util::MutexLock lock(&ring->mu);
   ring->thread_name = std::move(name);

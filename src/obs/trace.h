@@ -17,8 +17,8 @@
 // ParallelForChunked imbalance is visible as staggered pool_task spans.
 //
 // StartTracing() also installs the util::ThreadPool telemetry hooks, so
-// every pool task executed while tracing is enabled appears as a
-// "pool_task" span on its worker's track.
+// every participant's share of a pool call made while tracing is enabled
+// appears as a "pool_task" span on that thread's track.
 
 #ifndef SPAMMASS_OBS_TRACE_H_
 #define SPAMMASS_OBS_TRACE_H_
@@ -54,11 +54,12 @@ void StartTracing();
 /// Stops recording. Recorded events remain available for serialization.
 void StopTracing();
 
-/// Names the calling thread in trace output ("pool-worker-3"); pool
-/// workers are named automatically via the thread-pool hooks.
+/// Names the calling thread in trace output ("main"). Threads that take
+/// part in a pool call unnamed are named "pool-worker-<participant>" via
+/// the thread-pool hooks.
 void SetCurrentThreadName(std::string name);
 
-/// Installs the util::ThreadPool observability hooks (task spans + the
+/// Installs the util::ThreadPool observability hooks (share spans + the
 /// threadpool.tasks counter). Idempotent; StartTracing() calls it.
 void InstallThreadPoolTelemetry();
 

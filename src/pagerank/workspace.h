@@ -1,11 +1,10 @@
 // Reusable solver workspace: the thread pool and scratch buffers shared by
 // repeated PageRank solves.
 //
-// The eval harness's workload shape — many PageRank-like solves over one
-// fixed graph (spam mass issues two, TrustRank two more, every bench/eval
-// loop hundreds) — made the seed solver's per-call costs dominate: a fresh
-// ThreadPool (thread spawn + join) per SolveJacobi call and fresh iterate /
-// scratch allocations per solve. A SolverWorkspace owns both across calls:
+// Solves come in runs over one fixed graph (spam mass issues two,
+// TrustRank two more, every bench/eval loop hundreds), so a
+// SolverWorkspace keeps the pool and the iterate/scratch buffers across
+// calls:
 //
 //   SolverWorkspace ws(/*num_threads=*/8);
 //   auto p  = ComputePageRank(graph, v, options, &ws);   // pays setup

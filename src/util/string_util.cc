@@ -1,7 +1,6 @@
 #include "util/string_util.h"
 
 #include <cctype>
-#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -61,14 +60,6 @@ std::string_view NextField(std::string_view* s) {
   std::string_view field = s->substr(b, e - b);
   s->remove_prefix(e);
   return field;
-}
-
-bool ParseUint64(std::string_view field, uint64_t* out) {
-  if (field.empty()) return false;
-  const char* first = field.data();
-  const char* last = first + field.size();
-  auto [ptr, ec] = std::from_chars(first, last, *out, 10);
-  return ec == std::errc() && ptr == last;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

@@ -3,6 +3,7 @@
 #ifndef SPAMMASS_UTIL_STRING_UTIL_H_
 #define SPAMMASS_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,10 +29,16 @@ std::string_view Trim(std::string_view s);
 /// SplitWhitespace, which allocates one std::string per field.
 std::string_view NextField(std::string_view* s);
 
-/// Parses a whole field as an unsigned 64-bit decimal via std::from_chars.
-/// Returns false when the field is empty, contains any non-digit (including
-/// sign characters or trailing junk), or overflows.
-bool ParseUint64(std::string_view field, uint64_t* out);
+/// Parses a whole field as a T via std::from_chars: a decimal integer for
+/// integral T, fixed or scientific notation for floating-point T. Returns
+/// false when the field is empty, has anything left over (a '+' sign,
+/// whitespace, trailing junk, a '-' for unsigned T) or is out of T's range.
+template <typename T>
+bool ParseNumber(std::string_view field, T* out) {
+  const char* last = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

@@ -1,23 +1,24 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 
-#include "util/string_util.h"
+#include "util/logging.h"
 
 namespace spammass::util {
 
 std::string FormatDouble(double v, int digits) {
   if (v == 0.0) v = 0.0;  // Normalize -0.
-  std::string s = StringPrintf("%.*f", digits, v);
-  if (s.find('.') != std::string::npos) {
-    size_t last = s.find_last_not_of('0');
-    if (s[last] == '.') --last;
-    s.erase(last + 1);
+  char buf[512];  // DBL_MAX's 309 digits, sign, point and 200 decimals.
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::fixed, digits);
+  CHECK(ec == std::errc()) << "FormatDouble: " << digits << " digits";
+  if (std::find(buf, end, '.') != end) {
+    while (end[-1] == '0') --end;
+    if (end[-1] == '.') --end;
   }
-  if (s == "-0") s = "0";
-  return s;
+  if (end - buf == 2 && buf[0] == '-' && buf[1] == '0') return "0";
+  return std::string(buf, end);
 }
 
 std::string TextTable::ToCell(double v) { return FormatDouble(v); }

@@ -53,8 +53,9 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with `digits` significant decimals, trimming trailing
-/// zeros ("2.70" -> "2.7", "-0.00" -> "0").
+/// Formats a double in fixed notation with `digits` decimals (0 to 200),
+/// correctly rounded like printf's "%.*f", then trims trailing zeros
+/// ("2.70" -> "2.7", "-0.00" -> "0").
 std::string FormatDouble(double v, int digits = 4);
 
 }  // namespace spammass::util

@@ -386,6 +386,24 @@ TEST_F(CliTest, RunRejectsRemovedSolverMethods) {
   }
 }
 
+TEST_F(CliTest, RunRejectsMalformedNumericFlags) {
+  // Every numeric flag must parse in full. The graph does not exist: a bad
+  // value is refused before any graph is read and before any pool exists.
+  for (const char* args :
+       {"--threads abc", "--threads 4x", "--threads 0",
+        "--max-iterations 1e3", "--tau 0.9B", "--resource-sample-ms 10ms"}) {
+    EXPECT_EQ(Run(std::string("run --graph missing.edges ") + args), 1)
+        << args;
+    const std::string err = ReadFile("stderr.txt");
+    const std::string flag(args, std::string(args).find(' '));
+    EXPECT_NE(err.find(flag), std::string::npos) << args << "\n" << err;
+    EXPECT_EQ(err.find("missing.edges"), std::string::npos) << err;
+  }
+  EXPECT_EQ(Run("generate --scale 0.02x --out-edges g.edges"), 1);
+  EXPECT_NE(ReadFile("stderr.txt").find("--scale"), std::string::npos);
+  EXPECT_FALSE(FileExists("g.edges"));
+}
+
 TEST_F(CliTest, GenerateWritesOnlyTheRequestedFiles) {
   ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
   EXPECT_TRUE(FileExists("g.smwg"));

@@ -10,7 +10,6 @@ namespace {
 using util::FormatWithCommas;
 using util::Join;
 using util::NextField;
-using util::ParseUint64;
 using util::Split;
 using util::SplitWhitespace;
 using util::StringPrintf;
@@ -72,27 +71,58 @@ TEST(NextFieldTest, SingleFieldNoWhitespace) {
   EXPECT_EQ(NextField(&s), "");
 }
 
+TEST(ParseNumberTest, ParsesWholeFieldsOfEachType) {
+  int64_t i = 0;
+  EXPECT_TRUE(util::ParseNumber("-42", &i));
+  EXPECT_EQ(i, -42);
+  uint32_t u = 0;
+  EXPECT_TRUE(util::ParseNumber("4294967295", &u));
+  EXPECT_EQ(u, 4294967295u);
+  double d = 0;
+  EXPECT_TRUE(util::ParseNumber("0.98", &d));
+  EXPECT_EQ(d, 0.98);
+  EXPECT_TRUE(util::ParseNumber("1e-06", &d));
+  EXPECT_EQ(d, 1e-06);
+}
+
+TEST(ParseNumberTest, RejectsPartialAndOutOfRangeFields) {
+  int i = 0;
+  EXPECT_FALSE(util::ParseNumber("", &i));
+  EXPECT_FALSE(util::ParseNumber("abc", &i));
+  EXPECT_FALSE(util::ParseNumber("4x", &i));
+  EXPECT_FALSE(util::ParseNumber("1e3", &i));  // Integers take no exponent.
+  EXPECT_FALSE(util::ParseNumber("+4", &i));
+  EXPECT_FALSE(util::ParseNumber(" 4", &i));
+  uint32_t u = 0;
+  EXPECT_FALSE(util::ParseNumber("-1", &u));  // No wrap to 4294967295.
+  EXPECT_FALSE(util::ParseNumber("4294967296", &u));
+  double d = 0;
+  EXPECT_FALSE(util::ParseNumber("0.9B", &d));
+  EXPECT_FALSE(util::ParseNumber("0.5 ", &d));
+  EXPECT_FALSE(util::ParseNumber("1e400", &d));
+}
+
 TEST(ParseUint64Test, ParsesValidNumbers) {
   uint64_t v = 0;
-  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_TRUE(util::ParseNumber("0", &v));
   EXPECT_EQ(v, 0u);
-  EXPECT_TRUE(ParseUint64("42", &v));
+  EXPECT_TRUE(util::ParseNumber("42", &v));
   EXPECT_EQ(v, 42u);
-  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));  // UINT64_MAX
+  EXPECT_TRUE(util::ParseNumber("18446744073709551615", &v));  // UINT64_MAX
   EXPECT_EQ(v, 18446744073709551615ull);
 }
 
 TEST(ParseUint64Test, RejectsGarbage) {
   uint64_t v = 0;
-  EXPECT_FALSE(ParseUint64("", &v));
-  EXPECT_FALSE(ParseUint64("x", &v));
-  EXPECT_FALSE(ParseUint64("12x", &v));    // Trailing junk.
-  EXPECT_FALSE(ParseUint64(" 12", &v));    // No leading whitespace.
-  EXPECT_FALSE(ParseUint64("-1", &v));     // Negatives are not unsigned.
-  EXPECT_FALSE(ParseUint64("+1", &v));     // from_chars rejects '+'.
-  EXPECT_FALSE(ParseUint64("1.5", &v));
-  EXPECT_FALSE(ParseUint64("0x10", &v));   // No hex.
-  EXPECT_FALSE(ParseUint64("18446744073709551616", &v));  // Overflow.
+  EXPECT_FALSE(util::ParseNumber("", &v));
+  EXPECT_FALSE(util::ParseNumber("x", &v));
+  EXPECT_FALSE(util::ParseNumber("12x", &v));    // Trailing junk.
+  EXPECT_FALSE(util::ParseNumber(" 12", &v));    // No leading whitespace.
+  EXPECT_FALSE(util::ParseNumber("-1", &v));     // Negatives are not unsigned.
+  EXPECT_FALSE(util::ParseNumber("+1", &v));     // from_chars rejects '+'.
+  EXPECT_FALSE(util::ParseNumber("1.5", &v));
+  EXPECT_FALSE(util::ParseNumber("0x10", &v));   // No hex.
+  EXPECT_FALSE(util::ParseNumber("18446744073709551616", &v));  // Overflow.
 }
 
 TEST(FormatWithCommasTest, GroupsThousands) {

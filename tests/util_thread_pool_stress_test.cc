@@ -1,9 +1,9 @@
 // Multi-threaded stress tests for util::ThreadPool: many caller threads
-// hammering Submit/ParallelForChunked/Wait concurrently. Primarily a TSan
-// target (the CI thread-sanitizer job runs exactly this suite), but the
-// invariants checked — every task runs exactly once, ParallelForChunked
-// covers its range exactly once even with concurrent interference — hold
-// in any build.
+// sharing one pool, back-to-back calls, and pools destroyed right after
+// their last call. Primarily a TSan target (the CI thread-sanitizer job
+// runs this suite), but the invariant checked — ParallelForChunked covers
+// its range exactly once, whatever the other callers do — holds in any
+// build.
 
 #include "util/thread_pool.h"
 
@@ -18,26 +18,6 @@ namespace spammass {
 namespace {
 
 using util::ThreadPool;
-
-TEST(ThreadPoolStressTest, ConcurrentSubmittersAllTasksRun) {
-  ThreadPool pool(4);
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksPerSubmitter = 500;
-  std::atomic<int> counter{0};
-
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&pool, &counter] {
-      for (int i = 0; i < kTasksPerSubmitter; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksPerSubmitter);
-}
 
 TEST(ThreadPoolStressTest, ConcurrentParallelForCallersCoverTheirRanges) {
   ThreadPool pool(4);
@@ -75,67 +55,29 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForCallersCoverTheirRanges) {
   }
 }
 
-TEST(ThreadPoolStressTest, MixedSubmitParallelForWaitInterleavings) {
-  ThreadPool pool(3);
-  std::atomic<uint64_t> submit_done{0};
-  std::atomic<uint64_t> parallel_done{0};
-  std::atomic<bool> stop{false};
-
-  // One thread spins Wait() the whole time: Wait must neither crash, nor
-  // deadlock, nor return while claiming quiescence it can't observe.
-  std::thread waiter([&pool, &stop] {
-    while (!stop.load()) pool.Wait();
-  });
-
-  std::thread submitter([&pool, &submit_done] {
-    for (int i = 0; i < 2000; ++i) {
-      pool.Submit([&submit_done] { submit_done.fetch_add(1); });
-      if (i % 128 == 0) pool.Wait();
-    }
-  });
-
-  std::thread sharder([&pool, &parallel_done] {
-    for (int round = 0; round < 200; ++round) {
-      pool.ParallelForChunked(
-          64, 8, [&parallel_done](uint64_t, uint64_t begin, uint64_t end) {
-            parallel_done.fetch_add(end - begin);
-          });
-    }
-  });
-
-  submitter.join();
-  sharder.join();
-  pool.Wait();
-  stop.store(true);
-  waiter.join();
-
-  EXPECT_EQ(submit_done.load(), 2000u);
-  EXPECT_EQ(parallel_done.load(), 200u * 64u);
-}
-
 TEST(ThreadPoolStressTest, WaitAfterQuiescencePicksUpNewBatches) {
+  // Each call returns only after all of its chunks ran, and the next call
+  // wakes the same workers again.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 50; ++batch) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ParallelForChunked(20, 1, [&counter](uint64_t, uint64_t, uint64_t) {
+      counter.fetch_add(1);
+    });
     ASSERT_EQ(counter.load(), (batch + 1) * 20);
   }
 }
 
 TEST(ThreadPoolStressTest, ManyShortLivedPools) {
-  // Construction/destruction races: workers must drain and join cleanly
-  // even when the pool dies immediately after the last Submit.
+  // Construction/destruction races: workers must join cleanly even when
+  // the pool dies right after its last call.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> counter{0};
     {
       ThreadPool pool(4);
-      for (int i = 0; i < 32; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-      }
-      // No Wait: the destructor must drain the queue itself.
+      pool.ParallelForChunked(32, 1, [&counter](uint64_t, uint64_t, uint64_t) {
+        counter.fetch_add(1);
+      });
     }
     EXPECT_EQ(counter.load(), 32);
   }

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <thread>
+#include <vector>
 
 #include "graph/graph_builder.h"
 #include "pagerank/solver.h"
@@ -15,22 +17,6 @@ namespace spammass {
 namespace {
 
 using util::ThreadPool;
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
@@ -66,12 +52,56 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ParallelForChunked(10, 1, [&counter](uint64_t, uint64_t, uint64_t) {
+      counter.fetch_add(1);
+    });
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, SingleThreadPoolRunsChunksOnCallerInOrder) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<uint64_t> order;
+  pool.ParallelForChunked(
+      10, 3, [&](uint64_t c, uint64_t begin, uint64_t end) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(begin, 3 * c);
+        EXPECT_EQ(end, std::min<uint64_t>(begin + 3, 10));
+        order.push_back(c);
+      });
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPoolTest, EveryChunkIndexRunsOnceAroundParticipantCount) {
+  ThreadPool pool(4);
+  ASSERT_EQ(pool.num_threads(), 4u);
+  // Fewer chunks than participants, as many, and more.
+  for (uint64_t num_chunks : {1u, 2u, 3u, 4u, 5u, 64u}) {
+    std::vector<std::atomic<int>> runs(num_chunks);
+    pool.ParallelForChunked(
+        num_chunks * 5, 5, [&](uint64_t c, uint64_t begin, uint64_t end) {
+          EXPECT_EQ(begin, 5 * c);
+          EXPECT_EQ(end, begin + 5);
+          runs[c].fetch_add(1);
+        });
+    for (uint64_t c = 0; c < num_chunks; ++c) {
+      EXPECT_EQ(runs[c].load(), 1) << num_chunks << " chunks, chunk " << c;
+    }
+  }
+}
+
+TEST(ThreadPoolDeathTest, NestedCallFailsInsteadOfDeadlocking) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ParallelForChunked(4, 1, [&pool](uint64_t, uint64_t, uint64_t) {
+          pool.ParallelForChunked(2, 1, [](uint64_t, uint64_t, uint64_t) {});
+        });
+      },
+      "inside a chunk body");
 }
 
 TEST(ParallelJacobiTest, MatchesSerialSolution) {

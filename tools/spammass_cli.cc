@@ -85,6 +85,21 @@ util::Status WriteCsvRows(const std::string& path, const char* header,
   return util::Status::OK();
 }
 
+/// Numeric flag `name` parsed in full as a T (util::ParseNumber), unlike
+/// FlagParser::GetInt/GetDouble: "4x", "1e3" as an integer and "-1" as an
+/// unsigned fail. The first failure lands in *status; check it first.
+template <typename T>
+T ReadNumber(const util::FlagParser& flags, const char* name,
+             util::Status* status) {
+  T value{};
+  const std::string& text = flags.GetString(name);
+  if (!util::ParseNumber(text, &value) && status->ok()) {
+    *status = util::Status::InvalidArgument(
+        std::string("--") + name + ": not a valid number: '" + text + "'");
+  }
+  return value;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: spammass_cli "
@@ -141,8 +156,10 @@ class ObsSession {
       : trace_path_(flags.GetString("trace-out")),
         metrics_path_(flags.GetString("metrics-out")),
         metrics_format_(flags.GetString("metrics-format")),
+        sample_ms_(ReadNumber<int64_t>(flags, "resource-sample-ms", &status_)),
         sampler_(obs::ResourceSampler::Options{
-            std::max<int64_t>(flags.GetInt("resource-sample-ms"), 1)}) {
+            std::max<int64_t>(sample_ms_, 1)}) {
+    if (!status_.ok()) return;
     if (metrics_format_ != "json" && metrics_format_ != "prom") {
       status_ = util::Status::InvalidArgument(
           "unknown --metrics-format '" + metrics_format_ +
@@ -157,7 +174,7 @@ class ObsSession {
     // only controls whether a snapshot file is written. Resource sampling
     // also runs unconditionally so RSS/fault curves exist in every
     // snapshot; --resource-sample-ms 0 keeps just the exit-time sample.
-    if (flags.GetInt("resource-sample-ms") > 0) sampler_.Start();
+    if (sample_ms_ > 0) sampler_.Start();
   }
 
   ObsSession(const ObsSession&) = delete;
@@ -167,6 +184,13 @@ class ObsSession {
 
   /// Construction outcome; not OK when a telemetry flag was invalid.
   const util::Status& status() const { return status_; }
+
+  /// Finish() as the subcommand's exit code: 0, or 1 after printing the
+  /// write error.
+  int Exit() {
+    const util::Status status = Finish();
+    return status.ok() ? 0 : Fail(status);
+  }
 
   /// Stops the sampler and tracing and writes the requested files.
   /// Idempotent; returns the first write error. Both writers create
@@ -210,8 +234,10 @@ class ObsSession {
   std::string trace_path_;
   std::string metrics_path_;
   std::string metrics_format_;
-  obs::ResourceSampler sampler_;
+  // Declared before sampler_, whose period the constructor reads from them.
   util::Status status_;
+  int64_t sample_ms_;
+  obs::ResourceSampler sampler_;
   bool finished_ = false;
 };
 
@@ -219,6 +245,8 @@ class ObsSession {
 // ---- graph or configures a solver goes through these; the defaults are
 // ---- derived from SolverOptions::BenchPreset() so the CLI cannot drift
 // ---- from the preset the eval pipeline and benches use.
+
+constexpr uint32_t kMaxThreads = 1024;  // Larger --threads are refused.
 
 void DefineSolverFlags(util::FlagParser* flags) {
   const pagerank::SolverOptions preset = pagerank::SolverOptions::BenchPreset();
@@ -230,20 +258,26 @@ void DefineSolverFlags(util::FlagParser* flags) {
                 "iteration cap");
   flags->Define(
       "threads",
-      std::to_string(std::max(1u, std::thread::hardware_concurrency())),
-      "solver threads");
+      std::to_string(
+          std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads)),
+      "solver threads (1 to 1024)");
   flags->DefineBool("record-convergence",
                     "record per-iteration residual curves (manifest "
                     "convergence[].residual_curve; plot with "
                     "tools/plot_convergence.py)");
 }
 
-pagerank::SolverOptions SolverFromFlags(const util::FlagParser& flags) {
+pagerank::SolverOptions SolverFromFlags(const util::FlagParser& flags,
+                                        util::Status* status) {
   pagerank::SolverOptions solver = pagerank::SolverOptions::BenchPreset();
-  solver.damping = flags.GetDouble("damping");
-  solver.tolerance = flags.GetDouble("tolerance");
-  solver.max_iterations = static_cast<int>(flags.GetInt("max-iterations"));
-  solver.num_threads = static_cast<uint32_t>(flags.GetInt("threads"));
+  solver.damping = ReadNumber<double>(flags, "damping", status);
+  solver.tolerance = ReadNumber<double>(flags, "tolerance", status);
+  solver.max_iterations = ReadNumber<int>(flags, "max-iterations", status);
+  solver.num_threads = ReadNumber<uint32_t>(flags, "threads", status);
+  if (status->ok() && (solver.num_threads < 1 ||
+                       solver.num_threads > kMaxThreads)) {
+    *status = util::Status::InvalidArgument("--threads must be in [1, 1024]");
+  }
   solver.track_residuals = flags.GetBool("record-convergence");
   return solver;
 }
@@ -294,13 +328,14 @@ int CmdGenerate(int argc, const char* const* argv) {
         "generate needs --out-edges or --out-paged"));
   }
 
+  util::Status status;
+  const double scale = ReadNumber<double>(flags, "scale", &status);
+  const uint64_t seed = ReadNumber<uint64_t>(flags, "seed", &status);
+  if (!status.ok()) return Fail(status);
   obs::ScopedStageTimer timer("generate", nullptr);
-  auto web = synth::GenerateWeb(synth::Yahoo2004Scenario(
-      flags.GetDouble("scale"),
-      static_cast<uint64_t>(flags.GetInt("seed"))));
+  auto web = synth::GenerateWeb(synth::Yahoo2004Scenario(scale, seed));
   if (!web.ok()) return Fail(web.status());
   const synth::SyntheticWeb& w = web.value();
-  util::Status status;
   if (!flags.GetString("out-edges").empty()) {
     status = graph::WriteEdgeListText(w.graph, flags.GetString("out-edges"));
     if (!status.ok()) return Fail(status);
@@ -332,9 +367,7 @@ int CmdGenerate(int argc, const char* const* argv) {
               util::FormatWithCommas(w.graph.num_nodes()).c_str(),
               util::FormatWithCommas(w.graph.num_edges()).c_str(),
               timer.Seconds(), written.c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 int CmdStats(int argc, const char* const* argv) {
@@ -380,9 +413,7 @@ int CmdStats(int argc, const char* const* argv) {
     }
   }
   std::printf("%s", table.ToString().c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 int CmdConvert(int argc, const char* const* argv) {
@@ -425,9 +456,7 @@ int CmdConvert(int argc, const char* const* argv) {
               util::FormatWithCommas(g.num_nodes()).c_str(),
               util::FormatWithCommas(g.num_edges()).c_str(), format.c_str(),
               out.c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 int CmdPageRank(int argc, const char* const* argv) {
@@ -443,16 +472,19 @@ int CmdPageRank(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
+  util::Status status;
+  pipeline::PipelineConfig config;
+  config.solver = SolverFromFlags(flags, &status);
+  const size_t top = ReadNumber<size_t>(flags, "top", &status);
+  if (!status.ok()) return Fail(status);
   auto loaded = LoadGraphFromFlags(flags, "pagerank");
   if (!loaded.ok()) return Fail(loaded.status());
-  pipeline::PipelineConfig config;
-  config.solver = SolverFromFlags(flags);
 
   obs::ScopedStageTimer timer("pagerank_solve", nullptr);
   pipeline::PipelineContext context(loaded.value(), config);
   pipeline::ArtifactNeeds needs;
   needs.base_pagerank = true;
-  util::Status status = context.Prepare(needs);
+  status = context.Prepare(needs);
   if (!status.ok()) return Fail(status);
   const pagerank::PageRankResult& pr = context.BasePageRank();
   auto scaled =
@@ -480,16 +512,13 @@ int CmdPageRank(int argc, const char* const* argv) {
   } else {
     util::TextTable table;
     table.SetHeader({"node", "scaled_pagerank"});
-    size_t top = static_cast<size_t>(flags.GetInt("top"));
     for (size_t i = 0; i < order.size() && i < top; ++i) {
       table.AddRow({std::to_string(order[i]),
                     util::FormatDouble(scaled[order[i]], 4)});
     }
     std::printf("%s", table.ToString().c_str());
   }
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 int CmdSites(int argc, const char* const* argv) {
@@ -520,9 +549,7 @@ int CmdSites(int argc, const char* const* argv) {
               util::FormatWithCommas(sites.value().graph.num_nodes()).c_str(),
               util::FormatWithCommas(sites.value().graph.num_edges()).c_str(),
               flags.GetString("out-edges").c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 // ---- Algorithm 2 output of `run`, from the spam_mass detector's
@@ -643,12 +670,16 @@ int CmdRun(int argc, const char* const* argv) {
   ObsSession obs(flags);
   if (!obs.status().ok()) return Fail(obs.status());
 
+  util::Status status;
   pipeline::PipelineConfig config;
-  config.solver = SolverFromFlags(flags);
-  config.gamma = flags.GetDouble("gamma");
+  config.solver = SolverFromFlags(flags, &status);
+  config.gamma = ReadNumber<double>(flags, "gamma", &status);
+  core::DetectorConfig& detection = config.detection;
+  detection.relative_mass_threshold = ReadNumber<double>(flags, "tau", &status);
+  detection.scaled_pagerank_threshold =
+      ReadNumber<double>(flags, "rho", &status);
+  if (!status.ok()) return Fail(status);
   config.scale_core_jump = !flags.GetBool("no-jump-scaling");
-  config.detection.relative_mass_threshold = flags.GetDouble("tau");
-  config.detection.scaled_pagerank_threshold = flags.GetDouble("rho");
 
   std::vector<std::string> detector_names;
   for (const std::string& name : util::Split(flags.GetString("detectors"),
@@ -750,14 +781,12 @@ int CmdRun(int argc, const char* const* argv) {
       if (output.detector != "spam_mass") continue;
       PrintSpamMassVerdict(run.value(), output.candidates, config.detection);
       if (!candidates_out.empty()) {
-        util::Status status =
-            WriteCandidatesCsv(output.candidates, candidates_out);
+        status = WriteCandidatesCsv(output.candidates, candidates_out);
         if (!status.ok()) return Fail(status);
         std::printf("candidates -> %s\n", candidates_out.c_str());
       }
       if (!mass_out.empty()) {
-        util::Status status =
-            WriteMassCsv(run.value().mass_estimates, mass_out);
+        status = WriteMassCsv(run.value().mass_estimates, mass_out);
         if (!status.ok()) return Fail(status);
         std::printf("mass -> %s\n", mass_out.c_str());
       }
@@ -771,13 +800,10 @@ int CmdRun(int argc, const char* const* argv) {
   manifest.EndArray();
   manifest.EndObject();
   const std::string manifest_path = flags.GetString("manifest");
-  util::Status status =
-      pipeline::WriteManifestFile(manifest.TakeString(), manifest_path);
+  status = pipeline::WriteManifestFile(manifest.TakeString(), manifest_path);
   if (!status.ok()) return Fail(status);
   std::printf("manifest -> %s\n", manifest_path.c_str());
-  util::Status obs_status = obs.Finish();
-  if (!obs_status.ok()) return Fail(obs_status);
-  return 0;
+  return obs.Exit();
 }
 
 }  // namespace
