@@ -417,10 +417,10 @@ Result<MappedV22> MapV22(const std::string& path) {
   }
 
   // Every sweep gathers scaled[sources[e]] over in-CSR rows with no bounds
-  // check, and WebGraph::Transposed() turns the out-CSR into the in-CSR
-  // that TrustRank's seed solve gathers through. So both directions are
-  // validated in full in every build (offsets monotone, ids < n, rows
-  // sorted). Each reads exactly the pages a sweep or the transpose reads
+  // check, and the WebGraph::Transposed() view makes the mapped out-CSR
+  // the in-CSR that TrustRank's seed solve gathers through. So both
+  // directions are validated in full in every build (offsets monotone,
+  // ids < n, rows sorted). Each reads exactly the pages a sweep reads
   // anyway.
   Status csr = ValidateCsr(m.num_nodes, m.in_offsets, m.sources, "in");
   if (csr.ok()) {
@@ -567,8 +567,8 @@ util::Result<WebGraph> ReadBinaryMmap(const std::string& path) {
       m.num_nodes, m.out_offsets, m.targets, m.in_offsets, m.sources,
       m.inv_out_degree, m.dangling, m.file);
   // MapV22 read the out-CSR only to validate it, and a solve-only run never
-  // reads it again, so its pages leave this process's RSS; the transpose
-  // maps them back from the page cache when it needs them.
+  // reads it again, so its pages leave this process's RSS; the seed solve
+  // over the transposed view maps them back from the page cache.
   const auto* out_begin =
       reinterpret_cast<const uint8_t*>(m.out_offsets.data());
   const auto* out_end =

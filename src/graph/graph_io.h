@@ -45,14 +45,14 @@ util::Status WriteBinaryV22(const WebGraph& graph, const std::string& path);
 /// section table, header checksum, all section bounds — so no access can
 /// fault past EOF), every section's sample and full checksum, the dangling
 /// section, both CSR directions (ValidateCsr: offsets monotone, ids < n,
-/// rows sorted — the sweeps gather through the in-CSR, and through the
-/// out-CSR once WebGraph::Transposed() copies it) and the derived arrays
-/// (ValidateDerivedArrays). So a corrupt file is an error Status, never an
-/// out-of-bounds gather. Host names (when present) are copied to the heap,
-/// and the out-CSR and name pages then leave the process's RSS. A v1, v2.0
-/// or v2.1 file fails with an InvalidArgument that names its version. The
-/// file must not be rewritten while the graph is alive
-/// (docs/graph_format.md, "v2.2 trust model").
+/// rows sorted — the sweeps gather through the in-CSR, and the seed solve
+/// over the WebGraph::Transposed() view gathers through the out-CSR) and
+/// the derived arrays (ValidateDerivedArrays). So a corrupt file is an
+/// error Status, never an out-of-bounds gather. Host names (when present)
+/// are copied to the heap, and the out-CSR and name pages then leave the
+/// process's RSS. A v1, v2.0 or v2.1 file fails with an InvalidArgument
+/// that names its version. The file must not be rewritten while the graph
+/// (or a view of it) is alive (docs/graph_format.md, "v2.2 trust model").
 util::Result<WebGraph> ReadBinaryMmap(const std::string& path);
 
 /// Writes "<id>\t<host_name>" lines for every node.

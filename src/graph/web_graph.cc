@@ -1,6 +1,7 @@
 #include "graph/web_graph.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "graph/graph_validate.h"
 #include "obs/metrics.h"
@@ -10,21 +11,60 @@
 
 namespace spammass::graph {
 
-void WebGraph::SyncViews() {
-  out_offsets_v_ = out_offsets_;
-  targets_v_ = targets_;
-  in_offsets_v_ = in_offsets_;
-  sources_v_ = sources_;
-  inv_out_degree_v_ = inv_out_degree_;
-  dangling_v_ = dangling_nodes_;
+namespace {
+
+// The heap block behind a built graph, or behind a transposed view's
+// derived arrays (then `base` keeps the viewed graph's arrays alive).
+struct HeapArrays {
+  std::vector<uint64_t> out_offsets;
+  std::vector<NodeId> targets;
+  std::vector<uint64_t> in_offsets;
+  std::vector<NodeId> sources;
+  std::vector<double> inv_out_degree;
+  std::vector<NodeId> dangling;
+  std::shared_ptr<const void> base;
+};
+
+// Fills in_offsets/sources from the out-CSR. Out-neighbor lists are
+// scanned in ascending source order, so each in-neighbor list comes out
+// sorted already.
+void BuildTranspose(NodeId num_nodes, HeapArrays* a) {
+  a->in_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  a->sources.assign(a->targets.size(), 0);
+  for (NodeId v : a->targets) a->in_offsets[v + 1]++;
+  std::partial_sum(a->in_offsets.begin(), a->in_offsets.end(),
+                   a->in_offsets.begin());
+  std::vector<uint64_t> cursor(a->in_offsets.begin(), a->in_offsets.end() - 1);
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (uint64_t e = a->out_offsets[u]; e < a->out_offsets[u + 1]; ++e) {
+      a->sources[cursor[a->targets[e]]++] = u;
+    }
+  }
 }
+
+// 1/outdeg(x) per node (exactly 0.0 when dangling) and the ascending list
+// of dangling nodes, from the out-offsets.
+void BuildDerivedArrays(std::span<const uint64_t> out_offsets,
+                        HeapArrays* a) {
+  const NodeId n = static_cast<NodeId>(out_offsets.size() - 1);
+  a->inv_out_degree.assign(n, 0.0);
+  for (NodeId x = 0; x < n; ++x) {
+    const auto d = static_cast<uint32_t>(out_offsets[x + 1] - out_offsets[x]);
+    if (d == 0) {
+      a->dangling.push_back(x);
+    } else {
+      a->inv_out_degree[x] = 1.0 / d;
+    }
+  }
+}
+
+}  // namespace
 
 WebGraph WebGraph::FromSortedEdges(
     NodeId num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges) {
-  WebGraph g;
-  g.num_nodes_ = num_nodes;
-  g.out_offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  g.targets_.reserve(edges.size());
+  auto a = std::make_shared<HeapArrays>();
+  a->out_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  a->targets.reserve(edges.size());
   for (size_t i = 0; i < edges.size(); ++i) {
     auto [u, v] = edges[i];
     CHECK_LT(u, num_nodes);
@@ -33,15 +73,15 @@ WebGraph WebGraph::FromSortedEdges(
     if (i > 0) {
       CHECK(edges[i - 1] < edges[i]) << "edges must be sorted and unique";
     }
-    g.out_offsets_[u + 1]++;
-    g.targets_.push_back(v);
+    a->out_offsets[u + 1]++;
+    a->targets.push_back(v);
   }
-  for (size_t i = 1; i < g.out_offsets_.size(); ++i) {
-    g.out_offsets_[i] += g.out_offsets_[i - 1];
-  }
-  g.SyncViews();
-  g.BuildTranspose();
-  g.BuildDerivedArrays();
+  std::partial_sum(a->out_offsets.begin(), a->out_offsets.end(),
+                   a->out_offsets.begin());
+  BuildTranspose(num_nodes, a.get());
+  BuildDerivedArrays(a->out_offsets, a.get());
+  WebGraph g(num_nodes, a->out_offsets, a->targets, a->in_offsets,
+             a->sources, a->inv_out_degree, a->dangling, a);
   DCHECK_OK(ValidateGraph(g));
   return g;
 }
@@ -57,17 +97,9 @@ WebGraph WebGraph::FromMappedSections(
   CHECK_EQ(in_offsets.size(), static_cast<size_t>(num_nodes) + 1);
   CHECK_EQ(targets.size(), sources.size());
   CHECK_EQ(inv_out_degree.size(), static_cast<size_t>(num_nodes));
-  WebGraph g;
-  g.num_nodes_ = num_nodes;
-  g.out_offsets_.clear();
-  g.in_offsets_.clear();
-  g.out_offsets_v_ = out_offsets;
-  g.targets_v_ = targets;
-  g.in_offsets_v_ = in_offsets;
-  g.sources_v_ = sources;
-  g.inv_out_degree_v_ = inv_out_degree;
-  g.dangling_v_ = dangling_nodes;
-  g.mapping_ = std::move(mapping);
+  WebGraph g(num_nodes, out_offsets, targets, in_offsets, sources,
+             inv_out_degree, dangling_nodes, mapping);
+  g.mapping_ = mapping.get();
   DCHECK_OK(ValidateGraph(g));
   return g;
 }
@@ -98,52 +130,14 @@ std::vector<WebGraph::SectionResidency> WebGraph::MappedSectionResidency()
     sections.push_back(
         {name, length, mapping_->ResidentBytesInRange(offset, length)});
   };
-  probe("out_offsets", out_offsets_v_.data(), out_offsets_v_.size_bytes());
-  probe("targets", targets_v_.data(), targets_v_.size_bytes());
-  probe("in_offsets", in_offsets_v_.data(), in_offsets_v_.size_bytes());
-  probe("sources", sources_v_.data(), sources_v_.size_bytes());
-  probe("inv_out_degree", inv_out_degree_v_.data(),
-        inv_out_degree_v_.size_bytes());
-  probe("dangling", dangling_v_.data(), dangling_v_.size_bytes());
+  probe("out_offsets", out_offsets_.data(), out_offsets_.size_bytes());
+  probe("targets", targets_.data(), targets_.size_bytes());
+  probe("in_offsets", in_offsets_.data(), in_offsets_.size_bytes());
+  probe("sources", sources_.data(), sources_.size_bytes());
+  probe("inv_out_degree", inv_out_degree_.data(),
+        inv_out_degree_.size_bytes());
+  probe("dangling", dangling_.data(), dangling_.size_bytes());
   return sections;
-}
-
-void WebGraph::BuildTranspose() {
-  const uint64_t n = num_nodes_;
-  in_offsets_.assign(n + 1, 0);
-  sources_.assign(targets_.size(), 0);
-  // The assigns above may reallocate; re-point the in-direction views (the
-  // out-direction views feeding OutNeighbors below are already current).
-  SyncViews();
-  if (n == 0) return;
-
-  for (NodeId v : targets_) in_offsets_[v + 1]++;
-  for (size_t i = 1; i < in_offsets_.size(); ++i) {
-    in_offsets_[i] += in_offsets_[i - 1];
-  }
-  std::vector<uint64_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    for (NodeId v : OutNeighbors(u)) {
-      sources_[cursor[v]++] = u;
-    }
-  }
-  // Out-neighbor lists are scanned in ascending source order, so each
-  // in-neighbor list comes out sorted already.
-}
-
-void WebGraph::BuildDerivedArrays() {
-  const uint64_t n = num_nodes_;
-  inv_out_degree_.assign(n, 0.0);
-  dangling_nodes_.clear();
-  for (NodeId x = 0; x < num_nodes_; ++x) {
-    const uint32_t d = OutDegree(x);
-    if (d == 0) {
-      dangling_nodes_.push_back(x);
-    } else {
-      inv_out_degree_[x] = 1.0 / d;
-    }
-  }
-  SyncViews();
 }
 
 bool WebGraph::HasEdge(NodeId x, NodeId y) const {
@@ -152,28 +146,30 @@ bool WebGraph::HasEdge(NodeId x, NodeId y) const {
 }
 
 WebGraph WebGraph::Transposed() const {
-  WebGraph g;
-  g.num_nodes_ = num_nodes_;
-  // Copy through the views so mapped graphs transpose into heap storage.
-  g.out_offsets_.assign(in_offsets_v_.begin(), in_offsets_v_.end());
-  g.targets_.assign(sources_v_.begin(), sources_v_.end());
-  g.in_offsets_.assign(out_offsets_v_.begin(), out_offsets_v_.end());
-  g.sources_.assign(targets_v_.begin(), targets_v_.end());
-  g.host_names_ = host_names_;
-  g.SyncViews();
-  g.BuildDerivedArrays();
-  DCHECK_OK(ValidateGraph(g));
-  return g;
+  auto a = std::make_shared<HeapArrays>();
+  BuildDerivedArrays(in_offsets_, a.get());
+  a->base = owner_;
+  WebGraph t(num_nodes_, in_offsets_, sources_, out_offsets_, targets_,
+             a->inv_out_degree, a->dangling, a);
+  t.host_names_ = host_names_;
+  DCHECK_OK(ValidateGraph(t));
+  return t;
+}
+
+const std::vector<std::string>& WebGraph::host_names() const {
+  static const std::vector<std::string> kNone;
+  return host_names_ == nullptr ? kNone : *host_names_;
 }
 
 void WebGraph::set_host_names(std::vector<std::string> names) {
   CHECK_EQ(names.size(), static_cast<size_t>(num_nodes_));
-  host_names_ = std::move(names);
+  host_names_ =
+      std::make_shared<const std::vector<std::string>>(std::move(names));
 }
 
 std::string_view WebGraph::HostName(NodeId x) const {
   CHECK_LT(x, num_nodes_);
-  if (!host_names_.empty()) return host_names_[x];
+  if (host_names_ != nullptr) return (*host_names_)[x];
   thread_local std::string fallback;
   fallback = "node";
   fallback += std::to_string(x);

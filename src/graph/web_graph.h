@@ -4,12 +4,12 @@
 // directions so that PageRank iterations and contribution analyses can scan
 // either out-neighbors or in-neighbors sequentially.
 //
-// Storage model: every accessor reads through span *views*. For graphs
-// built in memory the views point at the owned std::vector storage
-// (SyncViews); for graphs loaded via the v2.2 mmap path
-// (FromMappedSections) they point straight into a read-only file mapping
-// and the vectors stay empty — the graph is then zero-copy and the page
-// cache, not the heap, holds the arrays.
+// Storage model: every graph is six read-only span views plus one shared
+// keep-alive owner. A built graph (FromSortedEdges) owns a heap block
+// holding the arrays; a loaded graph (FromMappedSections) points straight
+// into a read-only file mapping, so the page cache, not the heap, holds
+// the arrays. Transposed() swaps the two CSR directions and shares the
+// owner, so only the reverse's two derived arrays are allocated.
 
 #ifndef SPAMMASS_GRAPH_WEB_GRAPH_H_
 #define SPAMMASS_GRAPH_WEB_GRAPH_H_
@@ -41,12 +41,11 @@ inline constexpr NodeId kInvalidNode = 0xffffffffu;
 class WebGraph {
  public:
   /// Empty graph.
-  WebGraph() { SyncViews(); }
+  WebGraph() = default;
 
   WebGraph(const WebGraph&) = delete;
   WebGraph& operator=(const WebGraph&) = delete;
-  // Moves transfer the vector heap buffers (or the file mapping), so the
-  // copied span views remain valid in the destination.
+  // Moves transfer the shared owner, so the span views stay valid.
   WebGraph(WebGraph&&) = default;
   WebGraph& operator=(WebGraph&&) = default;
 
@@ -71,26 +70,26 @@ class WebGraph {
       std::shared_ptr<const util::MmapFile> mapping);
 
   NodeId num_nodes() const { return num_nodes_; }
-  uint64_t num_edges() const { return targets_v_.size(); }
+  uint64_t num_edges() const { return targets_.size(); }
 
   /// Out-neighbors of x, sorted ascending.
   std::span<const NodeId> OutNeighbors(NodeId x) const {
-    return {targets_v_.data() + out_offsets_v_[x],
-            targets_v_.data() + out_offsets_v_[x + 1]};
+    return {targets_.data() + out_offsets_[x],
+            targets_.data() + out_offsets_[x + 1]};
   }
 
   /// In-neighbors of x, sorted ascending.
   std::span<const NodeId> InNeighbors(NodeId x) const {
-    return {sources_v_.data() + in_offsets_v_[x],
-            sources_v_.data() + in_offsets_v_[x + 1]};
+    return {sources_.data() + in_offsets_[x],
+            sources_.data() + in_offsets_[x + 1]};
   }
 
   uint32_t OutDegree(NodeId x) const {
-    return static_cast<uint32_t>(out_offsets_v_[x + 1] - out_offsets_v_[x]);
+    return static_cast<uint32_t>(out_offsets_[x + 1] - out_offsets_[x]);
   }
 
   uint32_t InDegree(NodeId x) const {
-    return static_cast<uint32_t>(in_offsets_v_[x + 1] - in_offsets_v_[x]);
+    return static_cast<uint32_t>(in_offsets_[x + 1] - in_offsets_[x]);
   }
 
   /// True if the directed edge (x, y) exists; O(log outdeg(x)).
@@ -104,37 +103,40 @@ class WebGraph {
     return OutDegree(x) == 0 && InDegree(x) == 0;
   }
 
-  /// Returns the transposed graph (every edge reversed) as a new graph.
-  /// The result always owns heap storage, even when this graph is mapped.
+  /// Returns the transposed graph (every edge reversed) as a view: its
+  /// out-direction is this graph's in-direction and the reverse, and it
+  /// shares this graph's owner and host names, so it stays valid after this
+  /// graph is destroyed. Only its inverse out-degrees and dangling list are
+  /// allocated. The view reports is_mapped() == false.
   WebGraph Transposed() const;
 
   /// Raw CSR views (offset arrays have num_nodes()+1 entries). Exposed for
   /// the invariant validators (graph_validate.h) and bulk kernels that scan
   /// the arrays directly.
-  std::span<const uint64_t> OutOffsets() const { return out_offsets_v_; }
-  std::span<const NodeId> Targets() const { return targets_v_; }
-  std::span<const uint64_t> InOffsets() const { return in_offsets_v_; }
-  std::span<const NodeId> Sources() const { return sources_v_; }
+  std::span<const uint64_t> OutOffsets() const { return out_offsets_; }
+  std::span<const NodeId> Targets() const { return targets_; }
+  std::span<const uint64_t> InOffsets() const { return in_offsets_; }
+  std::span<const NodeId> Sources() const { return sources_; }
 
   /// Precomputed 1/outdeg(x) per node, exactly 0.0 for dangling nodes.
   /// Built once at construction so PageRank sweeps replace the per-edge
   /// division p[x]/outdeg(x) with a multiply (pagerank/kernel.h).
-  std::span<const double> InvOutDegrees() const { return inv_out_degree_v_; }
+  std::span<const double> InvOutDegrees() const { return inv_out_degree_; }
 
   /// 1/outdeg(x), or 0.0 when x is dangling.
-  double InvOutDegree(NodeId x) const { return inv_out_degree_v_[x]; }
+  double InvOutDegree(NodeId x) const { return inv_out_degree_[x]; }
 
   /// Ascending list of all dangling nodes (outdeg == 0), built once at
   /// construction so per-sweep dangling-mass sums scan |dangling| entries
   /// instead of all n nodes.
-  std::span<const NodeId> DanglingNodes() const { return dangling_v_; }
+  std::span<const NodeId> DanglingNodes() const { return dangling_; }
 
   uint32_t num_dangling() const {
-    return static_cast<uint32_t>(dangling_v_.size());
+    return static_cast<uint32_t>(dangling_.size());
   }
 
-  /// True when the CSR arrays are views into a file mapping
-  /// (FromMappedSections) rather than owned heap vectors.
+  /// True when the arrays are views into a file mapping
+  /// (FromMappedSections) rather than a heap block.
   bool is_mapped() const { return mapping_ != nullptr; }
 
   /// Size of the backing file mapping in bytes; 0 for heap graphs.
@@ -162,7 +164,7 @@ class WebGraph {
 
   /// Optional per-node host names (empty when unset). When set, the vector
   /// has exactly num_nodes() entries.
-  const std::vector<std::string>& host_names() const { return host_names_; }
+  const std::vector<std::string>& host_names() const;
   void set_host_names(std::vector<std::string> names);
 
   /// Host name of x, or "node<i>" when names are unset. When names are set
@@ -173,40 +175,39 @@ class WebGraph {
   std::string_view HostName(NodeId x) const;
 
  private:
+  static constexpr uint64_t kNoOffsets[1] = {0};
+
+  // Adopts six arrays that `owner` keeps alive.
+  WebGraph(NodeId num_nodes, std::span<const uint64_t> out_offsets,
+           std::span<const NodeId> targets,
+           std::span<const uint64_t> in_offsets,
+           std::span<const NodeId> sources,
+           std::span<const double> inv_out_degree,
+           std::span<const NodeId> dangling, std::shared_ptr<const void> owner)
+      : num_nodes_(num_nodes), out_offsets_(out_offsets), targets_(targets),
+        in_offsets_(in_offsets), sources_(sources),
+        inv_out_degree_(inv_out_degree), dangling_(dangling),
+        owner_(std::move(owner)) {}
+
   NodeId num_nodes_ = 0;
-  // Owned storage for heap-built graphs; empty when mapped. CSR forward:
-  // out_offsets_ has num_nodes_+1 entries; targets_ holds the concatenated
-  // sorted out-neighbor lists. in_offsets_/sources_ are the transpose.
-  std::vector<uint64_t> out_offsets_{0};
-  std::vector<NodeId> targets_;
-  std::vector<uint64_t> in_offsets_{0};
-  std::vector<NodeId> sources_;
-  // Derived solver-support arrays, kept consistent with the CSR arrays by
-  // construction (graph_validate re-checks in debug builds).
-  std::vector<double> inv_out_degree_;
-  std::vector<NodeId> dangling_nodes_;
+  // CSR forward: out_offsets_ has num_nodes_+1 entries; targets_ holds the
+  // concatenated sorted out-neighbor lists. in_offsets_/sources_ are the
+  // transpose. The derived solver-support arrays are kept consistent with
+  // the CSR arrays by construction (graph_validate re-checks in debug).
+  std::span<const uint64_t> out_offsets_ = kNoOffsets;
+  std::span<const NodeId> targets_;
+  std::span<const uint64_t> in_offsets_ = kNoOffsets;
+  std::span<const NodeId> sources_;
+  std::span<const double> inv_out_degree_;
+  std::span<const NodeId> dangling_;
 
-  // The views every accessor reads. SyncViews points them at the owned
-  // vectors; FromMappedSections points them into mapping_.
-  std::span<const uint64_t> out_offsets_v_;
-  std::span<const NodeId> targets_v_;
-  std::span<const uint64_t> in_offsets_v_;
-  std::span<const NodeId> sources_v_;
-  std::span<const double> inv_out_degree_v_;
-  std::span<const NodeId> dangling_v_;
+  // Keeps every array above alive: a heap block, or the file mapping.
+  std::shared_ptr<const void> owner_;
+  // The file mapping behind a loaded graph; null for built graphs and
+  // transposed views.
+  const util::MmapFile* mapping_ = nullptr;
 
-  // Keeps the file mapping alive for mapped graphs; null for heap graphs.
-  std::shared_ptr<const util::MmapFile> mapping_;
-
-  std::vector<std::string> host_names_;
-
-  /// Re-points all views at the owned vectors. Must run after any build
-  /// step that may have (re)allocated a vector and before accessors are
-  /// used; every factory and build helper ends with it.
-  void SyncViews();
-
-  void BuildTranspose();
-  void BuildDerivedArrays();
+  std::shared_ptr<const std::vector<std::string>> host_names_;
 };
 
 /// Publishes the mapped graph's residency into the global MetricsRegistry:

@@ -2,16 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "graph/web_graph.h"
+#include "util/string_util.h"
 
 namespace spammass::synth {
 
 namespace {
+
+constexpr double kGenericHosts = 60000;  // the largest region at scale 1
 
 uint32_t Scaled(double base, double scale) {
   return std::max<uint32_t>(1, static_cast<uint32_t>(std::llround(base * scale)));
 }
 
 }  // namespace
+
+util::Result<double> ParseScenarioScale(std::string_view what,
+                                        std::string_view text) {
+  double scale = 0;
+  if (util::ParseNumber(text, &scale) && std::isfinite(scale) && scale > 0 &&
+      kGenericHosts * scale < graph::kInvalidNode) {
+    return scale;
+  }
+  return util::Status::InvalidArgument(
+      std::string(what) + ": scale '" + std::string(text) +
+      "' is not a finite number > 0 whose hosts per region fit a NodeId");
+}
 
 WebModelConfig Yahoo2004Scenario(double scale, uint64_t seed) {
   WebModelConfig cfg;
@@ -22,7 +40,7 @@ WebModelConfig Yahoo2004Scenario(double scale, uint64_t seed) {
   RegionConfig generic;
   generic.name = "generic";
   generic.tld = ".com";
-  generic.num_hosts = Scaled(60000, scale);
+  generic.num_hosts = Scaled(kGenericHosts, scale);
   generic.directory_fraction = 0.004;
   generic.edu_fraction = 0.002;
   generic.core_coverage = 0.90;

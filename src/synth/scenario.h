@@ -10,7 +10,10 @@
 #ifndef SPAMMASS_SYNTH_SCENARIO_H_
 #define SPAMMASS_SYNTH_SCENARIO_H_
 
+#include <string_view>
+
 #include "synth/web_model.h"
+#include "util/status.h"
 
 namespace spammass::synth {
 
@@ -19,6 +22,13 @@ namespace spammass::synth {
 /// yields roughly 170k hosts and 600k edges — large enough for the
 /// distributional effects, small enough for laptop iteration.
 WebModelConfig Yahoo2004Scenario(double scale = 1.0, uint64_t seed = 42);
+
+/// Parses a Yahoo2004Scenario scale in full (util::ParseNumber), before any
+/// generation. A scale that is not finite and positive, or whose largest
+/// region (60000 * scale hosts) overflows NodeId, is an InvalidArgument
+/// naming `what` and `text`.
+util::Result<double> ParseScenarioScale(std::string_view what,
+                                        std::string_view text);
 
 /// A small smoke-test configuration (~4k hosts) for unit/integration tests.
 WebModelConfig TinyScenario(uint64_t seed = 7);

@@ -177,8 +177,8 @@ class CheckLayersCyclicConfigTest(unittest.TestCase):
         self.assertIn("unknown layer 'nonexistent'", stdout)
 
 
-class BenchBaselineHostGuardTest(unittest.TestCase):
-    """--baseline compares ratios only against a run from a like host."""
+class StandInPipelineBench(unittest.TestCase):
+    """A stand-in bench_pipeline binary whose current run reads 1.0x."""
 
     CONTEXT = {
         "num_cpus": 4,
@@ -207,6 +207,10 @@ class BenchBaselineHostGuardTest(unittest.TestCase):
 
     def tearDown(self):
         self.dir.cleanup()
+
+
+class BenchBaselineHostGuardTest(StandInPipelineBench):
+    """--baseline compares ratios only against a run from a like host."""
 
     def run_with_baseline(self, context):
         baseline = os.path.join(self.dir.name, "baseline.json")
@@ -244,6 +248,45 @@ class BenchBaselineHostGuardTest(unittest.TestCase):
         self.assertNotIn("REGRESSION", stderr)
 
 
+class BenchBaselineSpreadTest(StandInPipelineBench):
+    """A drop inside the baseline's own repetition spread stays silent."""
+
+    def run_with_repetitions(self, numerator_times):
+        # The current run reads 1.0x (setUp); the committed run claims 1.2x
+        # and keeps every repetition: numerator_times over 10 ms each.
+        def reps(name, times):
+            name += "/repeats:5"
+            return [{"name": name, "run_name": name, "run_type": "iteration",
+                     "repetition_index": i, "real_time": t,
+                     "time_unit": "ms"} for i, t in enumerate(times)]
+
+        baseline = os.path.join(self.dir.name, "baseline.json")
+        with open(baseline, "w", encoding="utf-8") as f:
+            json.dump({"context": self.CONTEXT, "speedups": {
+                "pipeline_two_detector_cache_speedup": 1.2}, "benchmarks":
+                reps("BM_TwoDetectorsIndependentRuns", numerator_times)
+                + reps("BM_TwoDetectorsSharedContext", [10.0] * 5)}, f)
+        return run_tool(BENCH_TO_JSON, "--bench-dir", self.dir.name,
+                        "--suite", "pipeline", "--baseline", baseline,
+                        "--out", os.path.join(self.dir.name, "out.json"))
+
+    def test_drop_inside_the_spread_is_silent(self):
+        # Pair ratios span 0.9x..1.5x: the 0.2x drop is within 0.6x.
+        code, stdout, stderr = self.run_with_repetitions(
+            [9.0, 12.0, 15.0, 12.0, 11.0])
+        self.assertEqual(code, 0, stdout + stderr)
+        self.assertNotIn("REGRESSION", stderr)
+
+    def test_drop_beyond_the_spread_warns(self):
+        # Pair ratios span 1.15x..1.25x: the 0.2x drop exceeds 0.1x.
+        code, stdout, stderr = self.run_with_repetitions(
+            [11.5, 12.0, 12.5, 12.0, 12.0])
+        self.assertEqual(code, 0, stdout + stderr)
+        self.assertIn("REGRESSION pipeline_two_detector_cache_speedup",
+                      stderr)
+        self.assertIn("0.10x repetition spread", stderr)
+
+
 class BenchMedianTest(unittest.TestCase):
     """Repeated benchmarks enter a ratio by their median aggregate."""
 
@@ -262,7 +305,7 @@ class BenchMedianTest(unittest.TestCase):
 
         # The baseline entry's last repetition is an outlier (30 ms): paired
         # by last repetition the ratio would read 6.0x, by median 2.0x.
-        report = {"context": BenchBaselineHostGuardTest.CONTEXT,
+        report = {"context": StandInPipelineBench.CONTEXT,
                   "benchmarks":
                   reps("BM_TwoDetectorsIndependentRuns", [10, 10, 30], 10)
                   + reps("BM_TwoDetectorsSharedContext", [5, 5, 5], 5)}

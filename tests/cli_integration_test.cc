@@ -404,6 +404,24 @@ TEST_F(CliTest, RunRejectsMalformedNumericFlags) {
   EXPECT_FALSE(FileExists("g.edges"));
 }
 
+TEST_F(CliTest, RejectsMalformedScenarioScalesBeforeGenerating) {
+  // A synthetic spec parses in full: no lenient prefix parse that runs a
+  // different scale, and no zero scale that fails deep in the generator.
+  for (const char* spec : {"synthetic:0.05x:7", "synthetic:abc:7",
+                           "synthetic:0:7", "synthetic:0.05:7x"}) {
+    EXPECT_EQ(Run(std::string("run --graph ") + spec), 1) << spec;
+    const std::string err = ReadFile("stderr.txt");
+    EXPECT_NE(err.find(spec), std::string::npos) << err;
+    EXPECT_EQ(err.find("hubs than hosts"), std::string::npos) << err;
+    EXPECT_EQ(Stdout().find("hosts,"), std::string::npos) << Stdout();
+  }
+  EXPECT_EQ(Run("generate --scale nan --out-edges g.edges"), 1);
+  const std::string err = ReadFile("stderr.txt");
+  EXPECT_NE(err.find("--scale"), std::string::npos) << err;
+  EXPECT_NE(err.find("'nan'"), std::string::npos) << err;
+  EXPECT_FALSE(FileExists("g.edges"));
+}
+
 TEST_F(CliTest, GenerateWritesOnlyTheRequestedFiles) {
   ASSERT_EQ(Run("generate --scale 0.02 --seed 3 --out-paged g.smwg"), 0);
   EXPECT_TRUE(FileExists("g.smwg"));

@@ -237,6 +237,34 @@ TEST_F(GraphMmapTest, SolverScoresBitIdenticalToHeapLoad) {
   }
 }
 
+TEST_F(GraphMmapTest, TransposeOfAMappedGraphOutlivesIt) {
+  // The view points into the mapping and keeps it alive: it copies no CSR
+  // array, and stays readable after the loaded graph is destroyed.
+  WebGraph g = SampleGraph(300, 1500, /*with_names=*/true);
+  const std::string path = TempPath("paged_transpose.smwg");
+  ASSERT_TRUE(graph::WriteBinaryV22(g, path).ok());
+  WebGraph t;
+  {
+    auto loaded = graph::ReadBinaryMmap(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const WebGraph& mapped = loaded.value();
+    t = mapped.Transposed();
+    EXPECT_EQ(t.OutOffsets().data(), mapped.InOffsets().data());
+    EXPECT_EQ(t.Targets().data(), mapped.Sources().data());
+    EXPECT_EQ(t.InOffsets().data(), mapped.OutOffsets().data());
+    EXPECT_EQ(t.Sources().data(), mapped.Targets().data());
+    EXPECT_EQ(t.host_names().data(), mapped.host_names().data());
+  }
+  // A view reports not mapped, as a heap transpose would.
+  EXPECT_FALSE(t.is_mapped());
+  EXPECT_EQ(t.mapped_bytes(), 0u);
+  EXPECT_TRUE(t.MappedSectionResidency().empty());
+  ExpectSameGraph(g.Transposed(), t);
+  for (NodeId x = 0; x < g.num_nodes(); ++x) {
+    EXPECT_EQ(t.HostName(x), g.HostName(x)) << "node " << x;
+  }
+}
+
 TEST_F(GraphMmapTest, RejectsRemovedContainersByName) {
   // Files of the removed containers, spelled out as header bytes since no
   // writer of them is left: magic, version, then (v2.0/v2.1) flags and
@@ -472,9 +500,10 @@ TEST_F(GraphMmapInteriorDamageTest, RejectsOutOfRangeTargetId) {
 }
 
 TEST_F(GraphMmapInteriorDamageTest, HostileTargetIdFailsTrustRankCleanly) {
-  // The out-CSR reaches a sweep too: WebGraph::Transposed() copies it into
-  // the in-CSR that TrustRank's seed solve gathers through unchecked. The
-  // whole detector run over the mapped file must end in a clean error.
+  // The out-CSR reaches a sweep too: WebGraph::Transposed() makes it the
+  // in-CSR that TrustRank's seed solve gathers through unchecked, straight
+  // in the mapping. The whole detector run over the mapped file, checksums
+  // repaired, must end in a clean error.
   pipeline::GraphSource source = pipeline::GraphSource::FromFile(
       WritePatched("hostile_target_run.smwg", /*section=*/1, PatchHostileId,
                    /*repair_checksums=*/true));

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+#include <vector>
+
 #include "graph/graph_builder.h"
 
 namespace spammass {
@@ -125,6 +130,66 @@ TEST(WebGraphTest, DerivedArraysOnTransposedGraph) {
   EXPECT_EQ(t.DanglingNodes()[0], 3u);
   EXPECT_EQ(t.InvOutDegree(1), 0.5);  // in-degree 2 in g
   EXPECT_EQ(t.InvOutDegree(3), 0.0);
+}
+
+/// A named graph with dangling and unlinked nodes in both directions.
+WebGraph NamedSampleGraph() {
+  WebGraph g = WebGraph::FromSortedEdges(
+      7, {{0, 1}, {0, 2}, {0, 5}, {2, 1}, {3, 0}, {3, 2}, {5, 3}});
+  g.set_host_names({"h0", "h1", "h2", "h3", "h4", "h5", "h6"});
+  return g;
+}
+
+TEST(WebGraphTest, TransposeSharesTheCsrArrays) {
+  WebGraph g = NamedSampleGraph();
+  WebGraph t = g.Transposed();
+  EXPECT_EQ(t.OutOffsets().data(), g.InOffsets().data());
+  EXPECT_EQ(t.Targets().data(), g.Sources().data());
+  EXPECT_EQ(t.InOffsets().data(), g.OutOffsets().data());
+  EXPECT_EQ(t.Sources().data(), g.Targets().data());
+  EXPECT_EQ(t.host_names().data(), g.host_names().data());
+  // Only the reverse's derived arrays are its own.
+  EXPECT_NE(t.InvOutDegrees().data(), g.InvOutDegrees().data());
+  EXPECT_FALSE(t.is_mapped());
+}
+
+TEST(WebGraphTest, TransposeOfATemporaryStaysValid) {
+  // The view shares the temporary's owner, so the arrays outlive it.
+  WebGraph t = NamedSampleGraph().Transposed();
+  EXPECT_EQ(t.num_edges(), 7u);
+  EXPECT_TRUE(t.HasEdge(3, 5));
+  EXPECT_TRUE(t.HasEdge(1, 2));
+  EXPECT_EQ(t.InNeighbors(0).size(), 3u);
+  EXPECT_EQ(t.HostName(6), "h6");
+  WebGraph tt = NamedSampleGraph().Transposed().Transposed();
+  EXPECT_TRUE(tt.HasEdge(5, 3));
+  EXPECT_EQ(tt.InvOutDegree(0), 1.0 / 3);
+}
+
+TEST(WebGraphTest, TransposedViewMatchesAReversedBuild) {
+  WebGraph g = NamedSampleGraph();
+  std::vector<std::pair<NodeId, NodeId>> reversed;
+  for (NodeId x = 0; x < g.num_nodes(); ++x) {
+    for (NodeId y : g.OutNeighbors(x)) reversed.emplace_back(y, x);
+  }
+  std::sort(reversed.begin(), reversed.end());
+  WebGraph want = WebGraph::FromSortedEdges(g.num_nodes(), reversed);
+  WebGraph t = g.Transposed();
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(same(t.OutOffsets(), want.OutOffsets()));
+  EXPECT_TRUE(same(t.Targets(), want.Targets()));
+  EXPECT_TRUE(same(t.InOffsets(), want.InOffsets()));
+  EXPECT_TRUE(same(t.Sources(), want.Sources()));
+  EXPECT_TRUE(same(t.DanglingNodes(), want.DanglingNodes()));
+  ASSERT_EQ(t.InvOutDegrees().size(), want.InvOutDegrees().size());
+  for (NodeId x = 0; x < g.num_nodes(); ++x) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(t.InvOutDegree(x)),
+              std::bit_cast<uint64_t>(want.InvOutDegree(x)))
+        << "node " << x;
+  }
+  EXPECT_EQ(t.host_names(), g.host_names());
 }
 
 TEST(WebGraphTest, DanglingListIsAscendingAndComplete) {

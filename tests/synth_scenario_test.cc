@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace spammass {
 namespace {
 
@@ -57,6 +59,29 @@ TEST(ScenarioTest, StructuralTargetsMatchPaper) {
   EXPECT_GT(cfg.spam.num_farms, 100u);
   EXPECT_GT(cfg.num_isolated_cliques, 0u);
   EXPECT_GT(cfg.spam.num_expired_domain_targets, 0u);
+}
+
+TEST(ScenarioTest, ParseScaleAcceptsFinitePositiveScales) {
+  for (const char* text : {"0.05", "10", "1e-3", "71582"}) {
+    auto scale = synth::ParseScenarioScale("--scale", text);
+    ASSERT_TRUE(scale.ok()) << text << ": " << scale.status().message();
+    EXPECT_EQ(scale.value(), std::stod(text));
+  }
+}
+
+TEST(ScenarioTest, ParseScaleRefusesBadScalesNamingTheInput) {
+  // 71583 * 60000 hosts in the largest region no longer fit a NodeId.
+  for (const char* text : {"", "abc", "0.01x", " 1", "0", "-0", "-1", "nan",
+                           "inf", "-inf", "71583", "1e300"}) {
+    auto scale = synth::ParseScenarioScale("--scale", text);
+    ASSERT_FALSE(scale.ok()) << text;
+    EXPECT_EQ(scale.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(scale.status().message().rfind("--scale: scale '", 0), 0u)
+        << scale.status().message();
+    EXPECT_NE(scale.status().message().find(std::string("'") + text + "'"),
+              std::string::npos)
+        << scale.status().message();
+  }
 }
 
 TEST(ScenarioTest, SeedIsPropagated) {

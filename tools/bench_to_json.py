@@ -73,10 +73,13 @@ cannot move a ratio.
 
 Regression guard: `--baseline <committed BENCH_*.json>` compares every
 derived ratio against the committed run and warns when one drops by more
-than 10%. Warnings only — machine variance makes hard gates flaky — but
-they make a silent slowdown visible in the CI log. A baseline whose
-context records a different `num_cpus` or different cache sizes is
-refused: its ratios measure another host (a parallel speedup from a
+than 10% and by more than the ratio's spread (max - min) across the
+baseline's own repetition pairs: repetition i of the numerator over
+repetition i of the denominator. So a drop the baseline already shows
+between its own repetitions stays silent. Warnings only — machine
+variance makes hard gates flaky — but they make a silent slowdown visible
+in the CI log. A baseline whose context records a different `num_cpus`
+or different cache sizes is refused: its ratios measure another host (a parallel speedup from a
 1-vCPU VM only measures time-slicing), so nothing is compared and the
 refusal is printed instead of warnings.
 """
@@ -230,8 +233,39 @@ def host_mismatch(context, baseline_context):
     return "; ".join(reasons) or None
 
 
-def check_regressions(speedups, context, baseline_path, threshold=0.10):
-    """Warns about ratios that dropped >threshold vs. the committed run.
+def bench_name(entry):
+    """A benchmark's name without google-benchmark's `/repeats:<n>` suffix,
+    so the ratio pairs name benchmarks the same way whether they repeat or
+    not."""
+    return re.sub(r"/repeats:\d+$", "", entry.get("run_name", entry["name"]))
+
+
+def repetition_spreads(entries, pairs):
+    """Spread (max - min) of each ratio across a report's repetition pairs.
+
+    Pairs repetition i of the numerator with repetition i of the
+    denominator. Ratios without two such pairs get no entry.
+    """
+    reps = {}
+    for entry in entries:
+        if entry.get("run_type") == "iteration" and \
+                entry.get("repetition_index") is not None:
+            reps.setdefault(bench_name(entry), {})[
+                entry["repetition_index"]] = real_time_ms(entry)
+    spreads = {}
+    for label, numerator, denominator in pairs:
+        num, den = reps.get(numerator, {}), reps.get(denominator, {})
+        ratios = [num[i] / den[i] for i in sorted(num.keys() & den.keys())
+                  if den[i] > 0]
+        if len(ratios) > 1:
+            spreads[label] = max(ratios) - min(ratios)
+    return spreads
+
+
+def check_regressions(speedups, pairs, context, baseline_path,
+                      threshold=0.10):
+    """Warns about ratios that dropped >threshold vs. the committed run and
+    by more than their spread across the baseline's repetition pairs.
 
     Refuses (compares nothing) when the baseline comes from another host.
     """
@@ -248,29 +282,29 @@ def check_regressions(speedups, context, baseline_path, threshold=0.10):
               "ratios not compared", file=sys.stderr)
         return []
     baseline = report.get("speedups", {})
+    spreads = repetition_spreads(report.get("benchmarks", []), pairs)
     regressions = []
     for label, old in baseline.items():
         new = speedups.get(label)
         if new is None or old <= 0:
             continue
         drop = 1.0 - new / old
-        if drop > threshold:
+        spread = spreads.get(label, 0.0)
+        if drop > threshold and old - new > spread:
             regressions.append((label, old, new, drop))
             print(f"warning: REGRESSION {label}: {old:.2f}x -> {new:.2f}x "
-                  f"({drop:.0%} drop vs. baseline)", file=sys.stderr)
+                  f"({drop:.0%} drop vs. baseline, beyond its "
+                  f"{spread:.2f}x repetition spread)", file=sys.stderr)
     return regressions
 
 
 def benchmark_times(entries):
-    """Real time in ms per benchmark name: the median aggregate of a
-    repeated benchmark, otherwise its single run. google-benchmark names a
-    repeated run `<name>/repeats:<n>`; the suffix is dropped so the ratio
-    pairs name benchmarks the same way whether they repeat or not."""
+    """Real time in ms per benchmark name (bench_name): the median
+    aggregate of a repeated benchmark, otherwise its single run."""
     times = {}
     medians = {}
     for entry in entries:
-        name = re.sub(r"/repeats:\d+$", "",
-                      entry.get("run_name", entry["name"]))
+        name = bench_name(entry)
         if entry.get("run_type") == "aggregate":
             if entry.get("aggregate_name") == "median":
                 medians[name] = real_time_ms(entry)
@@ -292,7 +326,9 @@ def main():
                         help="forwarded as --benchmark_min_time in seconds (e.g. 0.1)")
     parser.add_argument("--baseline", default=None,
                         help="committed BENCH_*.json to compare ratios "
-                             "against; drops >10%% print a warning; refused "
+                             "against; drops >10%% and beyond the "
+                             "baseline's repetition spread print a warning; "
+                             "refused "
                              "when its num_cpus or cache sizes differ")
     parser.add_argument("--allow-non-release", action="store_true",
                         help="downgrade the non-release refusal to a "
@@ -344,8 +380,8 @@ def main():
                       file=sys.stderr)
 
     if args.baseline:
-        check_regressions(merged["speedups"], merged["context"],
-                          args.baseline)
+        check_regressions(merged["speedups"], suite["ratios"],
+                          merged["context"], args.baseline)
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(merged, f, indent=2)

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -329,11 +328,14 @@ int CmdGenerate(int argc, const char* const* argv) {
   }
 
   util::Status status;
-  const double scale = ReadNumber<double>(flags, "scale", &status);
+  const auto scale =
+      synth::ParseScenarioScale("--scale", flags.GetString("scale"));
+  if (!scale.ok()) return Fail(scale.status());
   const uint64_t seed = ReadNumber<uint64_t>(flags, "seed", &status);
   if (!status.ok()) return Fail(status);
   obs::ScopedStageTimer timer("generate", nullptr);
-  auto web = synth::GenerateWeb(synth::Yahoo2004Scenario(scale, seed));
+  auto web =
+      synth::GenerateWeb(synth::Yahoo2004Scenario(scale.value(), seed));
   if (!web.ok()) return Fail(web.status());
   const synth::SyntheticWeb& w = web.value();
   if (!flags.GetString("out-edges").empty()) {
@@ -726,14 +728,15 @@ int CmdRun(int argc, const char* const* argv) {
     pipeline::GraphSource source = pipeline::GraphSource::FromFile(spec);
     if (spec.rfind("synthetic:", 0) == 0) {
       const std::vector<std::string> parts = util::Split(spec, ':');
-      if (parts.size() != 3) {
+      uint64_t seed = 0;
+      if (parts.size() != 3 || !util::ParseNumber(parts[2], &seed)) {
         return Fail(util::Status::InvalidArgument(
             "synthetic graph spec must be 'synthetic:<scale>:<seed>': " +
             spec));
       }
-      source = pipeline::GraphSource::Scenario(
-          std::strtod(parts[1].c_str(), nullptr),
-          std::strtoull(parts[2].c_str(), nullptr, 10));
+      const auto scale = synth::ParseScenarioScale(spec, parts[1]);
+      if (!scale.ok()) return Fail(scale.status());
+      source = pipeline::GraphSource::Scenario(scale.value(), seed);
     } else {
       if (!flags.GetString("core").empty()) {
         source.WithCoreFile(flags.GetString("core"));
